@@ -15,10 +15,18 @@ from .params import Architecture, NeuronKey, ParamVector
 
 
 def rho(x: np.ndarray) -> np.ndarray:
-    """x / |x| for nonzero x, zero vector otherwise."""
+    """x / |x| for nonzero x, zero vector otherwise.  Outside [1e-140, 1e140]
+    the squares in |x| would underflow or overflow, so x is first scaled by its
+    largest |entry| (Blue 1978; LAPACK dnrm2)."""
     x = np.asarray(x, dtype=float)
     n = np.linalg.norm(x)
-    return x / n if n > 0.0 else np.zeros_like(x)
+    if not 1e-140 < n < 1e140:
+        scale = np.max(np.abs(x), initial=0.0)
+        if scale == 0.0:
+            return np.zeros_like(x)
+        x = x / scale
+        n = np.linalg.norm(x)
+    return x / n
 
 
 def psi(theta: ParamVector, key: NeuronKey) -> float:

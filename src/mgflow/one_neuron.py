@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynamics import DIVERGENCE_GUARD, GAMMA_CAP, TrajectoryRecord
+from .dynamics import GAMMA_CAP, TrajectoryRecord, check_schedule, fixed_step, step_factor
 from .targets import PiecewisePolynomial
 
 INV_SQRT2 = 2.0**-0.5
@@ -474,14 +474,7 @@ class OneNeuronConfig:
     gamma: Union[float, str] = 1.0
 
     def __post_init__(self):
-        if not self.t_end > 0 or not 0 < self.step <= self.t_end:
-            raise ValueError("need 0 < step <= t_end")
-        if self.integrator not in ("euler", "rk4"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be >= 1")
-        if isinstance(self.gamma, str) and self.gamma != "rescaled":
-            raise ValueError("gamma must be a number or 'rescaled'")
+        check_schedule(self.t_end, self.step, self.integrator, self.gamma, self.record_every)
 
 
 @dataclass
@@ -514,92 +507,48 @@ class OneNeuronBatch:
         return rec
 
 
+def _retract_to_circle(Y):
+    """Scale each row's (t1, t2) to unit norm; rows with t1 = t2 = 0 stay."""
+    nrm = np.hypot(Y[:, 0], Y[:, 1])
+    out = Y.copy()
+    out[:, :2] /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    return out
+
+
 def flow_batch(theta0, f, cfg: OneNeuronConfig) -> OneNeuronBatch:
     """Integrate the circle flow for a batch of initial states.
 
     Trajectories tripping the divergence guard are frozen at their last valid
-    state and marked aborted; the rest continue.
+    state and marked aborted; the rest continue, and the run ends early once
+    every trajectory has aborted.
     """
     problem = as_problem(f)
-    Y = np.atleast_2d(np.asarray(theta0, dtype=float)).copy()
+    Y = np.atleast_2d(np.asarray(theta0, dtype=float))
     if Y.shape[1] != 3:
         raise ValueError("states must have three components")
-    B = Y.shape[0]
+
+    def field(states, n, record):
+        G = gradient_batch(states, problem)
+        raw = raw_gradient_batch(states, problem) if isinstance(cfg.gamma, str) else None
+        return G, step_factor(raw, G, cfg.gamma), None
+
+    retract = _retract_to_circle if cfg.renormalize else (lambda states: states)
     n_steps = int(round(cfg.t_end / cfg.step))
-    alive = np.ones(B, dtype=bool)
-    aborted = np.zeros(B, dtype=bool)
-    abort_time = np.full(B, np.nan)
+    rows = fixed_step(field, Y, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
+    steps, states, grad_norm, _, stopped = zip(*rows)
 
-    if isinstance(cfg.gamma, str):
-        def rhs(states):
-            G = gradient_batch(states, problem)
-            raw = raw_gradient_batch(states, problem)
-            g2 = np.sum(G**2, axis=-1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gamma = np.where(g2 > 0.0, np.minimum(np.sum(raw**2, axis=-1) / np.maximum(g2, 1e-300), GAMMA_CAP), 0.0)
-            return -gamma[..., None] * G
-    else:
-        gamma_const = float(cfg.gamma)
-
-        def rhs(states):
-            return -gamma_const * gradient_batch(states, problem)
-
-    times, states_rec = [0.0], [Y.copy()]
-    h = cfg.step
-    for n in range(1, n_steps + 1):
-        if cfg.integrator == "rk4":
-            k1 = rhs(Y)
-            k2 = rhs(Y + 0.5 * h * k1)
-            k3 = rhs(Y + 0.5 * h * k2)
-            k4 = rhs(Y + h * k3)
-            Y_new = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        else:
-            Y_new = Y + h * rhs(Y)
-        bad = ~np.all(np.isfinite(Y_new), axis=1) | (np.max(np.abs(Y_new), axis=1) > DIVERGENCE_GUARD)
-        newly = bad & alive
-        if np.any(newly):
-            aborted |= newly
-            abort_time[newly] = n * h
-            alive &= ~newly
-        Y = np.where(alive[:, None], Y_new, Y)
-        if cfg.renormalize:
-            nrm = np.hypot(Y[:, 0], Y[:, 1])
-            ok = alive & (nrm > 0.0)
-            Y[ok, 0] /= nrm[ok]
-            Y[ok, 1] /= nrm[ok]
-        if n % cfg.record_every == 0 or n == n_steps:
-            times.append(n * h)
-            states_rec.append(Y.copy())
-
-    # diagnostics in one vectorized pass over all recorded states
-    states = np.stack(states_rec, axis=0)
+    # risk in one vectorized pass over all recorded states
+    states = np.stack(states, axis=0)
+    aborted = stopped[-1] > 0
     return OneNeuronBatch(
-        times=np.asarray(times),
+        times=np.asarray(steps) * cfg.step,
         states=states,
         risk=risk_batch(states, problem),
         circle_dev=np.abs(states[..., 0] ** 2 + states[..., 1] ** 2 - 1.0),
-        grad_norm=np.linalg.norm(gradient_batch(states, problem), axis=-1),
+        grad_norm=np.stack(grad_norm, axis=0),
         aborted=aborted,
-        abort_time=abort_time,
+        abort_time=np.where(aborted, stopped[-1] * cfg.step, np.nan),
     )
-
-
-def flow_single(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
-    problem = as_problem(f)
-    batch = flow_batch(np.asarray(theta0, dtype=float)[None, :], problem, cfg)
-    rec = batch.to_record(0, problem)
-    g0 = float(batch.grad_norm[0, 0])
-    if g0 <= 1e-12 and len(rec.times) > 1:
-        # stationary from the start: the exact flow is constant
-        first = {k: v[0] for k, v in rec.extra.items()}
-        rec2 = TrajectoryRecord()
-        rec2.tags = [rec.tags[0], rec.tags[0]]
-        rec2.extra = {k: [v, v] for k, v in first.items()}
-        rec2.append(rec.times[0], rec.states[0], rec.risk[0], rec.psi_max_dev[0], rec.grad_norm[0])
-        rec2.append(cfg.t_end, rec.states[0], rec.risk[0], rec.psi_max_dev[0], rec.grad_norm[0])
-        rec2.termination = "stationary"
-        return rec2
-    return rec
 
 
 def monitor_report(batch: OneNeuronBatch, problem: OneNeuronProblem,

@@ -15,7 +15,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import one_neuron as on
-from .dynamics import FlowConfig, TrajectoryRecord, gd_run, integrate_flow
+from .dynamics import FlowConfig, TrajectoryRecord, check_schedule, gd_run, integrate_flow
 from .params import Architecture, ParamVector
 from .quadrature import InputMeasure, discrete_measure, uniform_measure
 from .smoothing import INF
@@ -84,19 +84,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         Architecture(cfg.architecture)
     except (TypeError, ValueError) as e:
         bad("architecture", str(e))
-    if not cfg.t_end > 0:
-        bad("t_end", "must be positive")
-    if not 0 < cfg.step <= cfg.t_end:
-        bad("step", "must satisfy 0 < step <= t_end")
-    if cfg.integrator not in ("euler", "rk4"):
-        bad("integrator", f"must be euler|rk4, got {cfg.integrator!r}")
-    if isinstance(cfg.gamma, str):
-        if cfg.gamma != "rescaled":
-            bad("gamma", "must be a nonnegative number or 'rescaled'")
-    elif not float(cfg.gamma) >= 0:
-        bad("gamma", "must be nonnegative")
-    if cfg.record_every < 1:
-        bad("record_every", "must be >= 1")
+    check_schedule(cfg.t_end, cfg.step, cfg.integrator, cfg.gamma, cfg.record_every, ConfigError)
     if cfg.steps < 0:
         bad("steps", "must be >= 0")
     if cfg.quad_nodes is not None and cfg.quad_nodes < 2:
@@ -216,10 +204,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             record_every=cfg.record_every,
             gamma=cfg.gamma,
         )
-        rec = on.flow_single(theta0, problem, oncfg)
-        monitors = on.monitor_report(
-            _batch_from_record(rec), problem, slack=1e-6, conservation_rate=1e-6
-        )
+        batch = on.flow_batch(theta0, problem, oncfg)
+        rec = batch.to_record(0, problem)
+        rec.close_if_stationary(cfg.t_end)
+        monitors = on.monitor_report(batch, problem, slack=1e-6, conservation_rate=1e-6)
         summary["monitor_violations"] = {k: v["violations"] for k, v in monitors.items()}
         _write_csv(out / "trajectory.csv", rec, one_neuron_mode=True, time_label="t")
     else:
@@ -262,15 +250,3 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
     return summary
 
-
-def _batch_from_record(rec: TrajectoryRecord) -> on.OneNeuronBatch:
-    states = np.stack(rec.states, axis=0)[:, None, :]
-    return on.OneNeuronBatch(
-        times=np.asarray(rec.times),
-        states=states,
-        risk=np.asarray(rec.risk)[:, None],
-        circle_dev=np.asarray(rec.psi_max_dev)[:, None],
-        grad_norm=np.asarray(rec.grad_norm)[:, None],
-        aborted=np.zeros(1, dtype=bool),
-        abort_time=np.full(1, np.nan),
-    )

@@ -51,10 +51,11 @@ class TestIntegrateFlow:
     def test_record_structure(self):
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(31))
-        rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.05, step=1e-3, record_every=10))
-        rec.validate()
-        assert rec.times[0] == 0.0 and rec.times[-1] == pytest.approx(0.05)
-        assert len(rec.times) == 6  # start plus every 10th of 50 steps
+        # start, every k-th of 50 steps, and the last step when k does not divide 50
+        for k, steps in ((10, [0, 10, 20, 30, 40, 50]), (15, [0, 15, 30, 45, 50])):
+            rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.05, step=1e-3, record_every=k))
+            rec.validate()
+            np.testing.assert_allclose(rec.times, np.array(steps) * 1e-3)
 
     def test_initial_state_is_rescaled(self):
         arch = Architecture((1, 2, 1))
@@ -146,6 +147,17 @@ class TestGradientDescent:
             gd_run(xi, MU, F, steps=1, gammas="adaptive")
         with pytest.raises(ValueError):
             gd_run(xi, MU, F, steps=5, gammas=[0.1, 0.1])
+
+    def test_divergence_ends_with_last_valid_state(self):
+        # the first step overshoots the guard; the record closes with the
+        # state before it, for descent and for the flow alike
+        arch = Architecture((1, 2, 1))
+        xi = random_params(arch, np.random.default_rng(46))
+        cfg = FlowConfig(t_end=0.05, step=1e-2, integrator="euler", gamma=1e15)
+        for rec in (gd_run(xi, MU, F, steps=5, gammas=1e15), integrate_flow(xi, MU, F, cfg)):
+            assert rec.termination == "divergence_guard"
+            assert len(rec.states) == 2 and np.all(np.isfinite(rec.risk))
+            np.testing.assert_array_equal(rec.states[-1], rec.states[0])
 
     def test_degenerate_start_warns(self):
         arch = Architecture((1, 2, 1))

@@ -312,11 +312,26 @@ class TestFlow:
             assert np.all(np.abs(batch.states[..., 2])[mask] <= bound[np.newaxis, :].repeat(batch.states.shape[0], 0)[mask])
 
     def test_divergence_guard_freezes_trajectory(self):
-        # an enormous constant step factor blows the state up immediately
+        # an enormous constant step factor blows the state up immediately; a
+        # lone row ends the run, while beside a row in the empty regime (zero
+        # gradient) it stays frozen at its start until the horizon
         cfg = on.OneNeuronConfig(t_end=1.0, step=0.5, integrator="euler", gamma=1e15, renormalize=False)
-        batch = on.flow_batch(np.array([[0.6, 0.8, 1.0]]), affine_target(0.0, 1.0), cfg)
-        assert batch.aborted[0]
-        assert np.all(np.isfinite(batch.states))
+        for inits, aborted, rows in (
+            ([[0.6, 0.8, 1.0]], [True], 2),
+            ([[0.0, -1.0, 2.0], [0.6, 0.8, 1.0]], [False, True], 3),
+        ):
+            batch = on.flow_batch(np.array(inits), affine_target(0.0, 1.0), cfg)
+            np.testing.assert_array_equal(batch.aborted, aborted)
+            np.testing.assert_array_equal(batch.abort_time, np.where(aborted, 0.5, np.nan))
+            assert batch.states.shape == (rows, len(inits), 3)
+            np.testing.assert_array_equal(batch.states, np.broadcast_to(inits, batch.states.shape))
+
+    def test_record_every_not_dividing_the_steps(self):
+        cfg = on.OneNeuronConfig(t_end=0.5, step=1e-2, record_every=15)
+        inits = on.random_circle_states(np.random.default_rng(62), 3)
+        batch = on.flow_batch(inits, abs_offset_target(0.3), cfg)
+        np.testing.assert_allclose(batch.times, np.array([0, 15, 30, 45, 50]) * 1e-2)
+        assert batch.states.shape == (5, 3, 3) and batch.grad_norm.shape == (5, 3)
 
 
 class TestMonitors:
