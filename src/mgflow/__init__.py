@@ -39,7 +39,7 @@ from .targets import (
 )
 from .smoothing import INF, smoothed_act, smoothed_act_deriv
 from .network import exact_breakpoints, forward, hidden_mean, realize, risk
-from .gradients import fd_gradient, generalized_gradient, gradient_convergence_flag
+from .gradients import fd_gradient, generalized_gradient, gradient_convergence_flag, risk_and_gradient
 from .manifold import (
     grad_psi,
     max_constraint_deviation,

@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gradients import generalized_gradient
+from .gradients import generalized_gradient, risk_and_gradient
 from .manifold import (
     max_constraint_deviation,
     min_subvector_norm,
@@ -30,7 +30,7 @@ from .manifold import (
     renormalize,
     rescale_full,
 )
-from .network import risk
+from .network import risk  # noqa: F401  (bench/tracing.py wraps dynamics.risk)
 from .params import ParamVector
 from .quadrature import InputMeasure
 from .smoothing import INF
@@ -204,14 +204,9 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
 
     def field_(Y, n, diagnose):
         theta = ParamVector(arch, Y[0])
-        raw = generalized_gradient(theta, measure, f, r=cfg.r, resolution=cfg.resolution)
+        risk_val, raw = risk_and_gradient(theta, measure, f, r=cfg.r, resolution=cfg.resolution)
         proj = project_gradient(theta, raw)
-        diagnostics = None
-        if diagnose:
-            diagnostics = (
-                risk(theta, measure, f, r=cfg.r, resolution=cfg.resolution),
-                max_constraint_deviation(theta),
-            )
+        diagnostics = (risk_val, max_constraint_deviation(theta)) if diagnose else None
         return proj[None, :], step_factor(raw, proj, gamma_at(n)), diagnostics
 
     def retract(Y):

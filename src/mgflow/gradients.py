@@ -19,38 +19,40 @@ from typing import Optional
 
 import numpy as np
 
-from .network import _nodes_for, forward
+from .network import _nodes_for, forward, risk
 from .params import ParamVector
 from .quadrature import InputMeasure, QuadratureError
 from .smoothing import INF, smoothed_act_deriv
 from .targets import TargetFunction
 
 
-def generalized_gradient(
+def risk_and_gradient(
     theta: ParamVector,
     measure: InputMeasure,
     f: TargetFunction,
     r=INF,
     resolution: Optional[int] = None,
-) -> np.ndarray:
-    """Gradient of the risk w.r.t. the flat parameter vector.
+) -> tuple[float, np.ndarray]:
+    """The risk and its gradient w.r.t. the flat parameter vector, from one
+    node set, one forward pass and one target evaluation.
 
-    With r = inf this is the exact-ReLU generalized gradient (indicator
-    convention at kinks); with finite r it is the gradient of the smoothed
-    risk on the same quadrature nodes.
+    The risk equals `network.risk` bit for bit.  With r = inf the gradient is
+    the exact-ReLU generalized gradient (indicator convention at kinks); with
+    finite r it is the gradient of the smoothed risk on the same nodes.
     """
     arch = theta.arch
     L = arch.depth
     X, w = _nodes_for(theta, measure, f.breakpoints, r, resolution)
     grad = ParamVector(arch)
     if X.shape[0] == 0:
-        return grad.values
+        return 0.0, grad.values
     pres, acts = forward(theta, X, r=r)
     H = acts[-1]
     mean = w @ H
     WL = theta.weights(L)
     out = (H - mean) @ WL.T + theta.biases(L)
     resid = out - f(X)
+    value = float(w @ np.sum(resid**2, axis=1))
 
     wr = w[:, None] * resid
     grad.weights(L)[:] = 2.0 * wr.T @ (H - mean)
@@ -68,9 +70,15 @@ def generalized_gradient(
         if k > 1:
             delta = dz @ theta.weights(k)
 
-    if not np.all(np.isfinite(grad.values)):
-        raise QuadratureError("gradient has non-finite components")
-    return grad.values
+    if not (math.isfinite(value) and np.all(np.isfinite(grad.values))):
+        raise QuadratureError("risk or gradient has non-finite components")
+    return value, grad.values
+
+
+def generalized_gradient(theta: ParamVector, measure: InputMeasure, f: TargetFunction,
+                         r=INF, resolution: Optional[int] = None) -> np.ndarray:
+    """The gradient of `risk_and_gradient` alone."""
+    return risk_and_gradient(theta, measure, f, r=r, resolution=resolution)[1]
 
 
 def fd_gradient(
@@ -82,8 +90,6 @@ def fd_gradient(
     resolution: Optional[int] = None,
 ) -> np.ndarray:
     """Central-difference gradient of the smoothed risk; requires finite r."""
-    from .network import risk
-
     if math.isinf(float(r)):
         raise ValueError("finite smoothing index required: the exact-ReLU risk is not C^1")
     if not h > 0:

@@ -15,18 +15,9 @@ from .params import Architecture, NeuronKey, ParamVector
 
 
 def rho(x: np.ndarray) -> np.ndarray:
-    """x / |x| for nonzero x, zero vector otherwise.  Outside [1e-140, 1e140]
-    the squares in |x| would underflow or overflow, so x is first scaled by its
-    largest |entry| (Blue 1978; LAPACK dnrm2)."""
+    """x / |x| for nonzero x, zero for zero x, nan for non-finite x (see `_unit_rows`)."""
     x = np.asarray(x, dtype=float)
-    n = np.linalg.norm(x)
-    if not 1e-140 < n < 1e140:
-        scale = np.max(np.abs(x), initial=0.0)
-        if scale == 0.0:
-            return np.zeros_like(x)
-        x = x / scale
-        n = np.linalg.norm(x)
-    return x / n
+    return _unit_rows(x.reshape(1, -1))[0].reshape(x.shape)
 
 
 def psi(theta: ParamVector, key: NeuronKey) -> float:
@@ -43,15 +34,37 @@ def grad_psi(theta: ParamVector, key: NeuronKey) -> np.ndarray:
     return out
 
 
-def constraint_values(theta: ParamVector) -> dict[NeuronKey, float]:
-    """psi over the full hidden-neuron key set."""
-    return {key: psi(theta, key) for key in theta.arch.hidden_keys()}
+def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Dot product of each row of A with the same row of B.  numpy's
+    vector @ vector matmul runs the kernel of `a @ b`, so each entry equals
+    the per-vector dot product bit for bit."""
+    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
+
+
+def _unit_rows(V: np.ndarray):
+    """(rows of V divided by their norms, the norms), as `rho` does per row:
+    zero rows stay zero, non-finite rows become nan.  Rows whose norm lies
+    outside [1e-140, 1e140], where the squares lose precision, are scaled by
+    their largest |entry| first (Blue 1978; LAPACK dnrm2)."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        n = np.sqrt(_row_dots(V, V))
+        if 1e-140 < n.min() and n.max() < 1e140:  # false for nan too
+            return V / n[:, None], n
+        off = ~((n > 1e-140) & (n < 1e140))
+        U = V / n[:, None]
+        s = np.max(np.abs(V[off]), axis=1, keepdims=True, initial=0.0)
+        X = V[off] / s
+        m = np.sqrt(_row_dots(X, X))[:, None]
+        U[off] = np.where(s == 0.0, 0.0, X / m)
+        n[off] = np.where(s == 0.0, 0.0, s * m)[:, 0]
+    return U, n
 
 
 def max_constraint_deviation(theta: ParamVector) -> float:
     """max over hidden neurons of |psi - 1|."""
-    vals = np.array([psi(theta, key) for key in theta.arch.hidden_keys()])
-    return float(np.max(np.abs(vals - 1.0)))
+    hidden = [theta.values[idx] for idx in theta.arch.subvector_rows[:-1]]
+    psis = np.concatenate([_row_dots(V, V) for V in hidden])
+    return float(np.max(np.abs(psis - 1.0)))
 
 
 def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
@@ -66,22 +79,18 @@ def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
     if raw_grad.shape != (theta.arch.param_count,):
         raise ValueError("raw gradient length must match the parameter count")
     out = raw_grad.copy()
-    for key in theta.arch.hidden_keys():
-        idx = theta.arch.neuron_indices(key)
-        v = theta.values[idx]
-        n = np.linalg.norm(v)
-        if n > 0.0:
-            u = v / n
-            out[idx] -= (u @ out[idx]) * u
+    for idx in theta.arch.subvector_rows[:-1]:
+        U, _ = _unit_rows(theta.values[idx])
+        G = out[idx]
+        out[idx] = G - _row_dots(U, G)[:, None] * U
     return out
 
 
 def renormalize(theta: ParamVector) -> ParamVector:
     """Map every hidden subvector V to V/|V| (zero stays zero); output layer untouched."""
     out = theta.copy()
-    for key in theta.arch.hidden_keys():
-        idx = out.arch.neuron_indices(key)
-        out.values[idx] = rho(out.values[idx])
+    for idx in theta.arch.subvector_rows[:-1]:
+        out.values[idx] = _unit_rows(out.values[idx])[0]
     return out
 
 
@@ -92,12 +101,9 @@ def rescale_layer(theta: ParamVector, k: int) -> ParamVector:
     if not 1 <= k <= arch.depth - 1:
         raise ValueError(f"cascade layer {k} out of range 1..{arch.depth - 1}")
     out = theta.copy()
-    norms = np.empty(arch.layer_dims[k])
-    for i in range(1, arch.layer_dims[k] + 1):
-        idx = arch.neuron_indices(NeuronKey(k, i))
-        v = out.values[idx]
-        norms[i - 1] = np.linalg.norm(v)
-        out.values[idx] = rho(v)
+    idx = arch.subvector_rows[k - 1]
+    U, norms = _unit_rows(out.values[idx])
+    out.values[idx] = U
     out.weights(k + 1)[:] = out.weights(k + 1) * norms[None, :]
     return out
 
@@ -119,9 +125,8 @@ def rescale_full(theta: ParamVector) -> ParamVector:
 
 
 def min_subvector_norm(theta: ParamVector) -> float:
-    return min(
-        float(np.linalg.norm(theta.neuron_subvector(key))) for key in theta.arch.hidden_keys()
-    )
+    norms = [_unit_rows(theta.values[idx])[1] for idx in theta.arch.subvector_rows[:-1]]
+    return float(np.min(np.concatenate(norms)))
 
 
 def random_on_manifold(arch: Architecture, rng: np.random.Generator, scale: float = 1.0) -> ParamVector:

@@ -30,6 +30,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dynamics import GAMMA_CAP, TrajectoryRecord, check_schedule, fixed_step, step_factor
+from .quadrature import gauss_legendre
 from .targets import PiecewisePolynomial
 
 INV_SQRT2 = 2.0**-0.5
@@ -186,7 +187,7 @@ class OneNeuronProblem:
         fbar = f.mean()
         # per-piece Gauss rule: exact for the squared polynomial and, unlike
         # power-difference antiderivatives, stable for steep pieces
-        x_ref, w_ref = np.polynomial.legendre.leggauss(7)
+        x_ref, w_ref = gauss_legendre(7)
         sq = 0.0
         for j in range(len(f.coeffs)):
             lo, hi = f.breaks[j], f.breaks[j + 1]

@@ -8,6 +8,7 @@ usual mathematical convention); slicing helpers used internally are 0-based.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,16 +52,23 @@ class Architecture:
             for i in range(1, self.layer_dims[k] + 1)
         ]
 
+    @functools.cached_property
+    def subvector_rows(self) -> tuple[np.ndarray, ...]:
+        """Per layer k = 1..L, the 0-based flat positions of [W_k | b_k]: row
+        i - 1 holds neuron (k, i)'s incoming weights, then its bias (read-only)."""
+        rows = []
+        for k in range(1, self.depth + 1):
+            n_out, n_in, off = self.layer_dims[k], self.layer_dims[k - 1], self.layer_offset(k)
+            idx = np.column_stack((off + np.arange(n_out * n_in).reshape(n_out, n_in),
+                                   off + n_out * n_in + np.arange(n_out)))
+            idx.flags.writeable = False
+            rows.append(idx)
+        return tuple(rows)
+
     def neuron_indices(self, key: "NeuronKey") -> np.ndarray:
         """0-based flat positions of neuron (k, i)'s incoming weights + bias."""
-        k, i = key.layer, key.index
-        self._check_neuron(k, i)
-        dims = self.layer_dims
-        off = self.layer_offset(k)
-        n_in = dims[k - 1]
-        row = off + (i - 1) * n_in + np.arange(n_in)
-        bias = off + dims[k] * n_in + (i - 1)
-        return np.append(row, bias)
+        self._check_neuron(key.layer, key.index)
+        return self.subvector_rows[key.layer - 1][key.index - 1].copy()
 
     def _check_layer(self, k: int):
         if not 1 <= k <= self.depth:

@@ -16,6 +16,7 @@ measure itself, never normalized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -78,9 +79,17 @@ def discrete_measure(points, weights, a: float = 0.0, b: float = 1.0) -> InputMe
     return InputMeasure("discrete", float(a), float(b), pts.shape[1], pts, np.asarray(weights, float))
 
 
+@functools.lru_cache(maxsize=16)
+def gauss_legendre(order: int):
+    """Reference Gauss-Legendre nodes and weights on [-1, 1] (cached, read-only)."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def segment_rule(edges: np.ndarray, order: int = SEGMENT_GL_ORDER):
     """Gauss-Legendre nodes/weights on each [edges[j], edges[j+1]] segment."""
-    x_ref, w_ref = np.polynomial.legendre.leggauss(order)
+    x_ref, w_ref = gauss_legendre(order)
     lo = edges[:-1, None]
     hi = edges[1:, None]
     half = (hi - lo) / 2.0
@@ -97,12 +106,9 @@ def composite_rule(a: float, b: float, n_nodes: int):
 
 
 def _clean_breakpoints(breakpoints, a: float, b: float) -> np.ndarray:
-    if breakpoints is None:
-        return np.array([])
     bp = np.asarray(breakpoints, dtype=float).ravel()
     bp = bp[np.isfinite(bp)]
-    bp = np.unique(bp[(bp > a) & (bp < b)])
-    return bp
+    return np.unique(bp[(bp > a) & (bp < b)])
 
 
 def quadrature_nodes(
@@ -120,15 +126,18 @@ def quadrature_nodes(
         x, w = segment_rule(edges)
         return x[:, None], w
     res = DEFAULT_RESOLUTION if resolution is None else int(resolution)
-    x1, w1 = composite_rule(measure.a, measure.b, res)
-    if measure.dim == 1:
-        return x1[:, None], w1
-    grids = np.meshgrid(*([x1] * measure.dim), indexing="ij")
-    X = np.stack([g.ravel() for g in grids], axis=1)
-    W = w1
-    for _ in range(measure.dim - 1):
-        W = np.multiply.outer(W, w1)
-    return X, W.ravel()
+    return _composite_grid(measure.a, measure.b, measure.dim, res)
+
+
+@functools.lru_cache(maxsize=4)
+def _composite_grid(a: float, b: float, dim: int, resolution: int):
+    """Composite tensor grid on [a, b]^dim; it does not depend on the integrand,
+    so it is cached (read-only)."""
+    x1, w1 = composite_rule(a, b, resolution)
+    X = np.stack(np.meshgrid(*([x1] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    W = functools.reduce(np.multiply.outer, [w1] * dim).ravel()
+    X.flags.writeable = W.flags.writeable = False
+    return X, W
 
 
 def integrate(g, measure: InputMeasure, breakpoints=None, resolution: Optional[int] = None):

@@ -39,6 +39,9 @@ class PiecewisePolynomial:
             raise ValueError("need one coefficient tuple per piece")
         if any(len(p) == 0 or len(p) - 1 > MAX_POLY_DEGREE for p in coeffs):
             raise ValueError(f"piece degree must be in 0..{MAX_POLY_DEGREE}")
+        # one coefficient row per piece, zero-padded to the top degree, for __call__
+        pad = max(len(p) for p in coeffs)
+        object.__setattr__(self, "_table", np.array([p + (0.0,) * (pad - len(p)) for p in coeffs]))
 
     @property
     def degree(self) -> int:
@@ -46,14 +49,13 @@ class PiecewisePolynomial:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        out = np.zeros_like(s)
         piece = np.clip(
             np.searchsorted(self.breaks, s, side="right") - 1, 0, len(self.coeffs) - 1
         )
-        for j, c in enumerate(self.coeffs):
-            mask = piece == j
-            if np.any(mask):
-                out[mask] = np.polynomial.polynomial.polyval(s[mask], np.asarray(c))
+        C = self._table[piece]
+        out = C[..., -1] + s * 0.0  # polyval's first step, kept for equal bits
+        for j in range(C.shape[-1] - 2, -1, -1):
+            out = C[..., j] + out * s
         return out if out.ndim else float(out)
 
     def integral(self) -> float:

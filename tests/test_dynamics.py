@@ -87,6 +87,21 @@ class TestIntegrateFlow:
                 assert abs(G @ grad_psi(theta, key)) <= 1e-12
 
 
+    def test_one_node_set_per_rhs_evaluation(self, monkeypatch):
+        # RK4 evaluates the field 4 times per step plus once at the last state;
+        # the recorded risk comes from the first of them, without a node set of
+        # its own
+        from mgflow import network
+
+        calls = []
+        build = network.quadrature_nodes
+        monkeypatch.setattr(network, "quadrature_nodes", lambda *a, **k: calls.append(1) or build(*a, **k))
+        xi = random_params(Architecture((1, 8, 1)), np.random.default_rng(12))
+        rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.01, step=1e-3, record_every=1))
+        assert len(rec.times) == 11
+        assert len(calls) == 4 * 10 + 1
+
+
 class TestGradientDescent:
     def test_zero_step_size_is_fixed_point(self):
         arch = Architecture((1, 2, 1))

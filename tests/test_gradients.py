@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgflow import (
     Architecture,
@@ -14,6 +16,7 @@ from mgflow import (
     gradient_convergence_flag,
     random_params,
     risk,
+    risk_and_gradient,
     smoothed_act,
     smoothed_act_deriv,
     uniform_measure,
@@ -193,3 +196,26 @@ class TestQuadratureConsistency:
         g = generalized_gradient(theta, mu, f, r=50)
         fd = fd_gradient(theta, mu, f, r=50, h=1e-5)
         assert np.linalg.norm(fd - g) <= 1e-6 * (1 + np.linalg.norm(g))
+
+
+class TestRiskAndGradient:
+    SETUPS = {
+        "1,8,1 exact ReLU": ((1, 8, 1), MU, None, INF),
+        "1,8,1 r = 100": ((1, 8, 1), MU, None, 100.0),
+        "2,3,1 composite grid": ((2, 3, 1), uniform_measure(0, 1, 2), 32, INF),
+        "discrete measure": ((1, 4, 1), discrete_measure([[0.1], [0.35], [0.8]], [0.5, 1.0, 2.0]),
+                             None, INF),
+    }
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(SETUPS)))
+    @settings(max_examples=40, deadline=None)
+    def test_one_pass_equals_the_separate_passes(self, seed, setup):
+        dims, measure, resolution, r = self.SETUPS[setup]
+        if dims[0] == 1:
+            f = TargetFunction.from_scalar(abs_offset_target(0.3))
+        else:
+            f = TargetFunction.affine_map([[0.5, -0.25]], [0.1])
+        theta = random_params(Architecture(dims), np.random.default_rng(seed))
+        value, grad = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
+        assert np.array_equal(value, risk(theta, measure, f, r=r, resolution=resolution))
+        assert np.array_equal(grad, generalized_gradient(theta, measure, f, r=r, resolution=resolution))

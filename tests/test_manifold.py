@@ -10,6 +10,7 @@ from mgflow import (
     ParamVector,
     grad_psi,
     max_constraint_deviation,
+    min_subvector_norm,
     project_gradient,
     psi,
     random_params,
@@ -202,3 +203,76 @@ class TestRescaleCascade:
             rescale_layer(theta, 2)
         with pytest.raises(ValueError):
             rescale_cascade(theta, 5)
+
+
+class TestScaleSafeNorms:
+    # layout of (1,2,1): (w11, w12, b11, b12, w2, w2', b2); the first hidden
+    # subvector (w11, b11) = (3e-170, 4e-170) has norm 5e-170, but its squares
+    # underflow to zero
+    TINY = np.array([3e-170, 1.0, 4e-170, 0.0, 2.0, -1.0, 0.5])
+
+    def test_min_subvector_norm(self):
+        theta = ParamVector(Architecture((1, 2, 1)), self.TINY.copy())
+        assert min_subvector_norm(theta) == pytest.approx(5e-170, rel=1e-15, abs=0)
+
+    def test_projection_is_tangent(self):
+        theta = ParamVector(Architecture((1, 2, 1)), self.TINY.copy())
+        raw = np.array([1.0, 2.0, -0.2, 3.0, 4.0, 5.0, 6.0])
+        out = project_gradient(theta, raw)
+        assert abs(0.6 * out[0] + 0.8 * out[2]) <= 1e-15
+        np.testing.assert_array_equal(out[4:], raw[4:])
+
+    def test_rescale_absorbs_the_true_norm(self):
+        out = rescale_layer(ParamVector(Architecture((1, 2, 1)), self.TINY.copy()), 1)
+        np.testing.assert_allclose(out.neuron_subvector(NeuronKey(1, 1)), [0.6, 0.8], rtol=1e-15)
+        assert out.weights(2)[0, 0] == pytest.approx(1e-169, rel=1e-15, abs=0)
+
+    def test_huge_subvector(self):
+        # the squares of (3e300, 4e300) overflow
+        theta = ParamVector(Architecture((1, 2, 1)), np.array([3e300, 1.0, 4e300, 0.0, 2.0, -1.0, 0.5]))
+        out = rescale_layer(theta, 1)
+        np.testing.assert_allclose(out.neuron_subvector(NeuronKey(1, 1)), [0.6, 0.8], rtol=1e-15)
+        assert out.weights(2)[0, 0] == pytest.approx(1e301, rel=1e-15, abs=0)
+        np.testing.assert_array_equal(renormalize(theta).values[:4], out.values[:4])
+
+
+def _per_neuron_reference(theta, raw):
+    """Projection, renormalization and max |psi - 1| one neuron at a time."""
+    arch = theta.arch
+    proj = np.array(raw, dtype=float)
+    unit = theta.copy()
+    devs = []
+    for key in arch.hidden_keys():
+        idx = arch.neuron_indices(key)
+        u = rho(grad_psi(theta, key)[idx])
+        proj[idx] -= (u @ proj[idx]) * u
+        unit.values[idx] = rho(theta.values[idx])
+        devs.append(abs(psi(theta, key) - 1.0))
+    return proj, unit.values, float(np.max(devs))
+
+
+class TestRowwiseAgainstPerNeuron:
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(1, 8, 1), (2, 4, 4, 1), (3, 2, 3, 2)]),
+           st.sampled_from(["none", "zero", "nan", "inf"]))
+    @settings(max_examples=60, deadline=None)
+    def test_agree_within_rounding(self, seed, dims, special):
+        rng = np.random.default_rng(seed)
+        arch = Architecture(dims)
+        theta = random_params(arch, rng, scale=rng.choice([1e-3, 1.0, 1e3]))
+        raw = rng.standard_normal(arch.param_count)
+        keys = arch.hidden_keys()
+        key = keys[rng.integers(len(keys))]
+        if special != "none":
+            value = {"zero": 0.0, "nan": np.nan, "inf": np.inf}[special]
+            theta.set_neuron_subvector(key, np.full(arch.layer_dims[key.layer - 1] + 1, value))
+        proj, unit, dev = _per_neuron_reference(theta, raw)
+        np.testing.assert_allclose(project_gradient(theta, raw), proj, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(renormalize(theta).values, unit, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(max_constraint_deviation(theta), dev, rtol=0, atol=1e-15)
+        idx = arch.neuron_indices(key)
+        if special == "zero":  # stays zero and leaves the gradient alone
+            assert not renormalize(theta).values[idx].any()
+            np.testing.assert_array_equal(project_gradient(theta, raw)[idx], raw[idx])
+        if special in ("nan", "inf"):  # nan, as from rho
+            assert np.isnan(renormalize(theta).values[idx]).all()
+            assert np.isnan(project_gradient(theta, raw)[idx]).all()

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mgflow import (
+    PiecewisePolynomial,
     abs_offset_target,
     affine_target,
     constant_target,
@@ -11,7 +12,13 @@ from mgflow import (
     polynomial_target,
     uniform_measure,
 )
-from mgflow.quadrature import QuadratureError, composite_rule, segment_rule
+from mgflow.quadrature import (
+    QuadratureError,
+    composite_rule,
+    gauss_legendre,
+    quadrature_nodes,
+    segment_rule,
+)
 
 
 class TestIntegrate:
@@ -66,6 +73,35 @@ class TestIntegrate:
         assert np.all(w > 0) and x.size == w.size
         x, w = composite_rule(0.0, 1.0, 64)
         assert np.all(w > 0) and w.sum() == pytest.approx(1.0)
+
+
+class TestCachedRules:
+    def _work(self):
+        from mgflow import FlowConfig, TargetFunction, integrate_flow, random_params
+        from mgflow.one_neuron import OneNeuronProblem
+        from mgflow.params import Architecture
+
+        xi = random_params(Architecture((1, 8, 1)), np.random.default_rng(13))
+        f = TargetFunction.from_scalar(abs_offset_target(0.3))
+        integrate_flow(xi, uniform_measure(0, 1, 1), f, FlowConfig(t_end=0.003, step=1e-3))
+        integrate(lambda X: X[:, 0] * X[:, 1], uniform_measure(0, 1, 2), resolution=16)
+        OneNeuronProblem.from_target(abs_offset_target(0.4))
+
+    def test_reference_rules_are_computed_once(self, monkeypatch):
+        self._work()
+        calls = []
+        build = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", lambda n: calls.append(n) or build(n))
+        self._work()
+        assert calls == []
+
+    def test_cached_arrays_are_read_only(self):
+        X, w = quadrature_nodes(uniform_measure(0, 1, 2), resolution=8)
+        again = quadrature_nodes(uniform_measure(0, 1, 2), resolution=8)
+        assert again[0] is X and again[1] is w
+        for arr in (X, w, *gauss_legendre(12)):
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
 
 
 class TestMeasureValidation:
@@ -132,6 +168,19 @@ class TestTargets:
     def test_degree_cap(self):
         with pytest.raises(ValueError):
             polynomial_target([0.0] * 8)
+
+    def test_evaluation_matches_per_piece_polyval(self):
+        rng = np.random.default_rng(14)
+        for _ in range(300):
+            pieces = int(rng.integers(1, 5))
+            breaks = np.sort(rng.uniform(-1, 2, pieces + 1))
+            coeffs = [tuple(rng.standard_normal(rng.integers(1, 7))) for _ in range(pieces)]
+            f = PiecewisePolynomial(tuple(breaks), tuple(coeffs))
+            s = rng.uniform(-1.5, 2.5, 50)
+            piece = np.clip(np.searchsorted(f.breaks, s, side="right") - 1, 0, pieces - 1)
+            ref = [np.polynomial.polynomial.polyval(x, coeffs[j]) for x, j in zip(s, piece)]
+            np.testing.assert_array_equal(f(s), ref)
+            assert f(float(s[0])) == ref[0]
 
     def test_empty_interval_moments_vanish(self):
         f = affine_target(0.0, 1.0)
