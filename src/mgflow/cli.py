@@ -7,7 +7,8 @@
 
 A config file is JSON with the fields of ExperimentConfig; command-line flags
 override file values.  Runs write trajectory.csv and summary.json into --out;
-verify writes report.json.  Outputs are byte-deterministic for a fixed
+verify writes report.json, and timings.json with each criterion's
+seconds.  Outputs other than timings.json are byte-deterministic for a fixed
 config and seed.
 """
 
@@ -112,6 +113,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "report.json"
         report_path.write_text(json.dumps(outcome.report(args.seed), sort_keys=True, indent=1) + "\n")
+        (out / "timings.json").write_text(json.dumps(outcome.timings, indent=1) + "\n")
         print(f"report written to {report_path}")
         return 0 if outcome.all_passed else 1
     try:

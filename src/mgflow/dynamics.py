@@ -214,7 +214,10 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
         theta = ParamVector(arch, Y[0])
         if cfg.reproject:
             theta = renormalize(theta)
-        if min_subvector_norm(theta) == 0.0:
+        hidden = [theta.values[idx] for idx in arch.subvector_rows[:-1]]
+        # min_subvector_norm(theta) == 0 without the norms: a row's norm is 0
+        # exactly when every entry is, and a non-finite row makes the min nan
+        if all(np.isfinite(V).all() for V in hidden) and not all(V.any(axis=1).all() for V in hidden):
             record.degenerate_events += 1
         nonfinite = not np.all(np.isfinite(theta.values))
         return theta.values[None, :]

@@ -71,16 +71,10 @@ def classify(theta) -> Regime:
 
 def _intervals(t1, t2):
     """Activity interval [lo, hi] per batch row (lo = hi when empty)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(t1 != 0.0, -t2 / np.where(t1 == 0.0, 1.0, t1), np.inf)
-    lo = np.zeros_like(t1)
-    hi = np.zeros_like(t1)
-    pos = t1 > 0.0
-    lo = np.where(pos, np.clip(q, 0.0, 1.0), lo)
-    hi = np.where(pos, 1.0, hi)
-    neg = t1 < 0.0
-    hi = np.where(neg, np.clip(q, 0.0, 1.0), hi)
-    hi = np.where((t1 == 0.0) & (t2 > 0.0), 1.0, hi)
+    q = np.divide(-t2, t1, out=np.full(np.shape(t1), np.inf), where=t1 != 0.0)
+    c = np.minimum(np.maximum(q, 0.0), 1.0)
+    lo = np.where(t1 > 0.0, c, 0.0)
+    hi = np.where(t1 < 0.0, c, (t1 > 0.0) | ((t1 == 0.0) & (t2 > 0.0)))
     return lo, hi, q
 
 
@@ -88,11 +82,9 @@ def _regime_codes(t1, t2):
     """0 empty, 1 full, 2 right, 3 left; plus q with inf for constant rows."""
     lo, hi, q = _intervals(t1, t2)
     length = hi - lo
-    code = np.zeros(np.shape(t1), dtype=int)
-    code = np.where(length >= 1.0, 1, code)
-    code = np.where((length > 0.0) & (length < 1.0) & (t1 > 0.0), 2, code)
-    code = np.where((length > 0.0) & (length < 1.0) & (t1 < 0.0), 3, code)
-    return code, q
+    # a partial interval needs t1 != 0 (nan rows have length 0)
+    partial = (length > 0.0) & (length < 1.0)
+    return np.where(length >= 1.0, 1, np.where(partial, 3 - (t1 > 0.0), 0)), q
 
 
 def mean_m(theta) -> float:
@@ -202,59 +194,62 @@ def as_problem(f: Union[PiecewisePolynomial, OneNeuronProblem]) -> OneNeuronProb
 
 
 def _moments(states: np.ndarray, problem: OneNeuronProblem):
-    """Interval moments shared by the risk and gradient formulas."""
+    """(P0, P1, P2, m, A, B) over the activity interval, from one table lookup."""
     t1, t2 = states[..., 0], states[..., 1]
     lo, hi, _ = _intervals(t1, t2)
-    P0 = hi - lo
-    P1 = (hi**2 - lo**2) / 2.0
-    P2 = (hi**3 - lo**3) / 3.0
-    m = t1 * P1 + t2 * P0
-    A, B = problem.f.partial_moments(lo, hi, problem.fbar)
-    return lo, hi, P0, P1, P2, m, A, B
+    P0, P1, P2, F0, F1 = problem.f.interval_moments(lo, hi)
+    return P0, P1, P2, t1 * P1 + t2 * P0, problem.fbar * P0 - F0, problem.fbar * P1 - F1
+
+
+def _raw_and_j3(states: np.ndarray, problem: OneNeuronProblem):
+    """Unprojected risk gradient and J3 = int_0^1 (max(t1 s + t2, 0) - m)^2 ds
+    from one moments pass."""
+    t1, t2, t3 = states[..., 0], states[..., 1], states[..., 2]
+    P0, P1, P2, m, A, B = _moments(states, problem)
+    d = t2 - m
+    a = t1 * P2 + d * P1
+    b = t1 * P1 + d * P0
+    J3 = t1 * a + d * b + m * m * (1.0 - P0)
+    raw = np.empty(states.shape)
+    raw[..., 0] = 2.0 * t3 * (t3 * a + B)
+    raw[..., 1] = 2.0 * t3 * (t3 * b + A)
+    raw[..., 2] = 2.0 * (t3 * J3 + t1 * B + t2 * A)
+    return raw, J3
+
+
+def _tangent(states: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """(t2 w, -t1 w, R2) with w = t2 R0 - t1 R1: the projection of the raw
+    gradient R times t1^2 + t2^2, orthogonal to (t1, t2) at every state."""
+    t1, t2 = states[..., 0], states[..., 1]
+    w = t2 * raw[..., 0] - t1 * raw[..., 1]
+    out = np.empty(raw.shape)
+    out[..., 0] = t2 * w
+    out[..., 1] = -t1 * w
+    out[..., 2] = raw[..., 2]
+    return out
 
 
 def risk_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
     states = np.asarray(states, dtype=float)
-    t1, t2, t3 = states[..., 0], states[..., 1], states[..., 2]
-    _, _, P0, P1, P2, m, A, B = _moments(states, problem)
-    d = t2 - m
-    J3 = t1**2 * P2 + 2.0 * t1 * d * P1 + d * d * P0 + m * m * (1.0 - P0)
-    return t3**2 * J3 + 2.0 * t3 * (t1 * B + t2 * A) + problem.centered_square
+    t3 = states[..., 2]
+    raw, J3 = _raw_and_j3(states, problem)
+    # L = t3^2 J3 + 2 t3 (t1 B + t2 A) + int (f - fbar)^2, and R2 = 2 (t3 J3 + t1 B + t2 A)
+    return t3 * raw[..., 2] - t3 * t3 * J3 + problem.centered_square
 
 
 def gradient_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
     """Tangent gradient, vectorized over rows of (t1, t2, t3).
 
     On the circle this is the projected risk gradient; the same expressions
-    extend it off the circle with exact tangency (the angular integrand
-    factors are orthogonal to (t1, t2) pointwise).
+    extend it off the circle with exact tangency.
     """
     states = np.asarray(states, dtype=float)
-    t1, t2, t3 = states[..., 0], states[..., 1], states[..., 2]
-    _, _, P0, P1, P2, m, A, B = _moments(states, problem)
-    d = t2 - m
-    J1 = t1 * t2**2 * P2 + (d * t2**2 - t1**2 * t2) * P1 - d * t1 * t2 * P0
-    J2 = -(t1**2 * t2) * P2 + (t1**3 - d * t1 * t2) * P1 + d * t1**2 * P0
-    J3 = t1**2 * P2 + 2.0 * t1 * d * P1 + d * d * P0 + m * m * (1.0 - P0)
-    out = np.empty(states.shape)
-    out[..., 0] = 2.0 * t3 * (t3 * J1 + t2**2 * B - t1 * t2 * A)
-    out[..., 1] = 2.0 * t3 * (t3 * J2 + t1**2 * A - t1 * t2 * B)
-    out[..., 2] = 2.0 * (t3 * J3 + t1 * B + t2 * A)
-    return out
+    return _tangent(states, _raw_and_j3(states, problem)[0])
 
 
 def raw_gradient_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
     """Unprojected risk gradient (valid wherever |t1| + |t2| > 0)."""
-    states = np.asarray(states, dtype=float)
-    t1, t2, t3 = states[..., 0], states[..., 1], states[..., 2]
-    _, _, P0, P1, P2, m, A, B = _moments(states, problem)
-    d = t2 - m
-    J3 = t1**2 * P2 + 2.0 * t1 * d * P1 + d * d * P0 + m * m * (1.0 - P0)
-    out = np.empty(states.shape)
-    out[..., 0] = 2.0 * t3 * (t3 * (t1 * P2 + d * P1) + B)
-    out[..., 1] = 2.0 * t3 * (t3 * (t1 * P1 + d * P0) + A)
-    out[..., 2] = 2.0 * (t3 * J3 + t1 * B + t2 * A)
-    return out
+    return _raw_and_j3(np.asarray(states, dtype=float), problem)[0]
 
 
 def risk_1n(theta, f) -> float:
@@ -333,9 +328,7 @@ def closed_gradient(theta, f) -> np.ndarray:
     t1, t2, t3 = theta
     reg = classify(theta)
     q = reg.q
-    lo, hi, _ = _intervals(np.asarray(t1), np.asarray(t2))
-    A, B = problem.f.partial_moments(lo, hi, problem.fbar)
-    A, B = float(A), float(B)
+    A, B = (float(v) for v in _moments(theta, problem)[4:])
     if reg.tag == "right":
         J1 = t1 * t2**2 / 12.0 * (1.0 - q) ** 2 * (7.0 + 2.0 * q + 3.0 * q**2)
         J3 = t1**2 * (1.0 - q) ** 3 * (1.0 / 12.0 + q / 4.0)
@@ -344,13 +337,9 @@ def closed_gradient(theta, f) -> np.ndarray:
         J3 = t1**2 * q**3 * (1.0 / 3.0 - q / 4.0)
     else:
         raise ValueError(f"closed gradient needs a breakpoint regime, got {reg.tag!r}")
-    # J2 from tangency: (t1, t2) . (J1-part, J2-part) = 0 pointwise in s
-    J2 = -t1 * J1 / t2 if t2 != 0.0 else 0.0
-    out = np.empty(3)
-    out[0] = 2.0 * t3 * (t3 * J1 + t2**2 * B - t1 * t2 * A)
-    out[1] = 2.0 * t3 * (t3 * J2 + t1**2 * A - t1 * t2 * B)
-    out[2] = 2.0 * (t3 * J3 + t1 * B + t2 * A)
-    return out
+    # the tangent map of the raw gradient, with J1 = t2 K (t2 != 0 off the full/empty regimes)
+    w = 2.0 * t3 * (t3 * J1 / t2 + t2 * B - t1 * A)
+    return np.array([t2 * w, -t1 * w, 2.0 * (t3 * J3 + t1 * B + t2 * A)])
 
 
 def affine_integral_bound_check(alpha: float, beta: float, interval) -> bool:
@@ -497,13 +486,7 @@ class OneNeuronBatch:
         rec.tags = [REGIME_TAGS[c] for c in code]
         rec.extra = {"E_full": list(E), "V_right": list(Vr), "V_left": list(Vl)}
         for j, t in enumerate(self.times):
-            rec.append(
-                t,
-                self.states[j, b],
-                self.risk[j, b],
-                self.circle_dev[j, b],
-                self.grad_norm[j, b],
-            )
+            rec.append(t, self.states[j, b], self.risk[j, b], self.circle_dev[j, b], self.grad_norm[j, b])
         rec.termination = "divergence_guard" if self.aborted[b] else "completed"
         return rec
 
@@ -529,8 +512,10 @@ def flow_batch(theta0, f, cfg: OneNeuronConfig) -> OneNeuronBatch:
         raise ValueError("states must have three components")
 
     def field(states, n, record):
-        G = gradient_batch(states, problem)
-        raw = raw_gradient_batch(states, problem) if isinstance(cfg.gamma, str) else None
+        if not isinstance(cfg.gamma, str):
+            return gradient_batch(states, problem), cfg.gamma, None
+        raw = _raw_and_j3(states, problem)[0]
+        G = _tangent(states, raw)
         return G, step_factor(raw, G, cfg.gamma), None
 
     retract = _retract_to_circle if cfg.renormalize else (lambda states: states)

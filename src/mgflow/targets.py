@@ -42,10 +42,8 @@ class PiecewisePolynomial:
         # one coefficient row per piece, zero-padded to the top degree, for __call__
         pad = max(len(p) for p in coeffs)
         object.__setattr__(self, "_table", np.array([p + (0.0,) * (pad - len(p)) for p in coeffs]))
-
-    @property
-    def degree(self) -> int:
-        return max(len(p) - 1 for p in self.coeffs)
+        object.__setattr__(self, "_breaks", np.asarray(breaks))
+        object.__setattr__(self, "_primitive", _primitive_table(breaks, coeffs))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -60,35 +58,35 @@ class PiecewisePolynomial:
 
     def integral(self) -> float:
         """Exact integral over the full domain."""
-        lo = np.asarray(self.breaks[:-1])
-        hi = np.asarray(self.breaks[1:])
-        total = 0.0
-        for j, c in enumerate(self.coeffs):
-            total += _poly_segment_integral(c, lo[j], hi[j], 0)
-        return float(total)
+        return float(self._primitive[0, 3, -1])
 
     def mean(self) -> float:
         """Integral divided by the domain length."""
         return self.integral() / (self.breaks[-1] - self.breaks[0])
 
-    def partial_moments(self, lo, hi, fbar: float):
-        """Exact (A, B) with A = int_lo^hi (fbar - f) ds, B = same times s.
+    def interval_moments(self, lo, hi):
+        """(P0, P1, P2, int f, int s f) over [lo, hi], with P_k = int s^k ds.
 
-        `lo`, `hi` may be arrays (broadcast elementwise); an empty interval
-        (hi <= lo) contributes zero.
+        `lo`, `hi` broadcast elementwise and are clipped to the domain; an
+        empty interval (hi <= lo) gives exact zeros.  Both ends are looked up
+        in one pass over the primitive table.
         """
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        A = np.zeros(np.broadcast(lo, hi).shape)
-        B = np.zeros_like(A)
-        for j, c in enumerate(self.coeffs):
-            c_lo = np.maximum(lo, self.breaks[j])
-            c_hi = np.minimum(hi, self.breaks[j + 1])
-            width_ok = c_hi > c_lo
-            c_hi = np.where(width_ok, c_hi, c_lo)
-            A += fbar * (c_hi - c_lo) - _poly_segment_integral(c, c_lo, c_hi, 0)
-            B += fbar * (c_hi**2 - c_lo**2) / 2.0 - _poly_segment_integral(c, c_lo, c_hi, 1)
-        return A, B
+        hi = np.maximum(lo, hi)
+        s = np.empty((2,) + hi.shape)
+        s[0], s[1] = lo, hi
+        np.minimum(np.maximum(s, self.breaks[0], out=s), self.breaks[-1], out=s)
+        piece = np.searchsorted(self._breaks[1:], s, side="right")
+        C = self._primitive.take(piece, axis=-1)  # (D, 5, 2, ...)
+        u = s - self._breaks[piece]
+        F = C[-1]
+        for k in range(len(C) - 2, -1, -1):
+            F = C[k] + u * F
+        return tuple(F[:, 1] - F[:, 0])
+
+    def partial_moments(self, lo, hi, fbar: float):
+        """Exact (A, B) with A = int_lo^hi (fbar - f) ds, B = same times s."""
+        P0, P1, _, F0, F1 = self.interval_moments(lo, hi)
+        return fbar * P0 - F0, fbar * P1 - F1
 
     def lipschitz_bound(self) -> float:
         """Max of |f'| over the domain (exact: critical points of each piece)."""
@@ -109,13 +107,24 @@ class PiecewisePolynomial:
         return np.asarray(self.breaks[1:-1])
 
 
-def _poly_segment_integral(coeffs, lo, hi, moment: int):
-    """int_lo^hi s^moment * poly(s) ds, with array lo/hi."""
-    total = np.zeros(np.broadcast(np.asarray(lo), np.asarray(hi)).shape)
-    for p, c in enumerate(coeffs):
-        q = p + moment + 1
-        total = total + c * (np.asarray(hi) ** q - np.asarray(lo) ** q) / q
-    return total
+def _primitive_table(breaks, coeffs) -> np.ndarray:
+    """Antiderivatives of the columns 1, s, s^2, f, s f: entry [k, col, j] is
+    the coefficient of (s - breaks[j])^k on piece j, with the integral from
+    breaks[0] folded into the constant term.  Expanding about each piece's own
+    break keeps steep pieces stable, unlike power differences.  An extra,
+    constant piece holds the totals for s = breaks[-1].
+    """
+    table = np.zeros((max(4, max(len(c) for c in coeffs) + 2), 5, len(coeffs) + 1))
+    for j, c in enumerate(coeffs):
+        b = breaks[j]
+        for col, p in enumerate(((1.0,), (0.0, 1.0), (0.0, 0.0, 1.0), c, (0.0,) + c)):
+            e = np.zeros(len(p) + 1)  # p(b + u) in powers of u, by Horner's shift
+            for cp in reversed(p):
+                e[1:] = b * e[1:] + e[:-1]
+                e[0] = b * e[0] + cp
+            table[1:len(p) + 1, col, j] = e[:-1] / np.arange(1, len(p) + 1)
+        table[0, :, j + 1] = np.polynomial.polynomial.polyval(breaks[j + 1] - b, table[:, :, j])
+    return table
 
 
 # Builders for the supported target families (all on [0, 1] by default).

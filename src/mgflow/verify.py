@@ -392,8 +392,9 @@ def check_rescaled_flow_identity(seed) -> CheckResult:
     batch = on.flow_batch(np.array([[0.6, 0.8, 0.9]]), problem, cfg)
     L = batch.risk[:, 0]
     states = batch.states[:, 0, :]
-    raw2 = np.sum(on.raw_gradient_batch(states, problem) ** 2, axis=-1)
-    proj2 = np.sum(on.gradient_batch(states, problem) ** 2, axis=-1)
+    raw, _ = on._raw_and_j3(states, problem)
+    raw2 = np.sum(raw**2, axis=-1)
+    proj2 = np.sum(on._tangent(states, raw) ** 2, axis=-1)
     code, _ = on._regime_codes(states[:, 0], states[:, 1])
     fd = (L[2:] - L[:-2]) / (2.0 * h)
     smooth = (
@@ -464,7 +465,7 @@ class VerifyOutcome:
 
 
 def verify_all(seed: int = 0, echo=None) -> VerifyOutcome:
-    """Run the full suite; `echo` (if given) receives one line per criterion."""
+    """Run the full suite; `echo` (if given) receives one line per criterion with its seconds."""
     results = []
     timings = {}
 
@@ -475,7 +476,7 @@ def verify_all(seed: int = 0, echo=None) -> VerifyOutcome:
         timings[res.name] = time.perf_counter() - t0
         results.append(res)
         if echo:
-            echo(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}")
+            echo(f"[{'PASS' if res.passed else 'FAIL'}] {res.name} ({timings[res.name]:.1f} s)")
         return out
 
     run(check_rescaling_invariance, seed)

@@ -158,3 +158,41 @@ class TestCsvFormatting:
         assert float(theta1) == float(format(float(theta1), ".17g"))
         # 17 significant digits are enough to round-trip a double exactly
         assert len(theta1.replace("-", "").replace(".", "").lstrip("0")) <= 17
+
+
+class TestVerifyCommand:
+    def test_timings_file_beside_an_unchanged_report(self, tmp_path, monkeypatch, capsys):
+        from mgflow import cli
+        from mgflow.verify import CheckResult, VerifyOutcome
+
+        results = [CheckResult("first", True, {"x": 1}), CheckResult("second", False, {})]
+        timings = {"first": 1.25, "second": 17.625}
+
+        def fake_verify_all(seed, echo=None):
+            echo("[PASS] first (1.2 s)")
+            return VerifyOutcome(results, timings)
+
+        monkeypatch.setattr(cli, "verify_all", fake_verify_all)
+        rc = main(["verify", "--seed", "3", "--out", str(tmp_path)])
+        assert rc == 1  # one criterion failed
+        report = (tmp_path / "report.json").read_text()
+        expected = VerifyOutcome(results, timings).report(3)
+        assert report == json.dumps(expected, sort_keys=True, indent=1) + "\n"
+        assert "1.25" not in report
+        assert json.loads((tmp_path / "timings.json").read_text()) == timings
+        assert "[PASS] first (1.2 s)" in capsys.readouterr().out
+
+    def test_echo_lines_carry_seconds(self, monkeypatch):
+        from mgflow import verify
+        from mgflow.verify import CheckResult
+
+        def stub(name, value=None):
+            return lambda *args: CheckResult(name, True) if value is None else (CheckResult(name, True), value)
+
+        for name in [n for n in dir(verify) if n.startswith("check_")]:
+            monkeypatch.setattr(verify, name, stub(name, [] if name == "check_flow_invariance" else None))
+        lines = []
+        outcome = verify.verify_all(0, echo=lines.append)
+        assert len(lines) == len(outcome.results) == 14
+        for line, res in zip(lines, outcome.results):
+            assert line == f"[PASS] {res.name} ({outcome.timings[res.name]:.1f} s)"

@@ -4,6 +4,7 @@ import pytest
 from mgflow import (
     Architecture,
     FlowConfig,
+    NeuronKey,
     ParamVector,
     TargetFunction,
     abs_offset_target,
@@ -179,6 +180,18 @@ class TestGradientDescent:
         xi = ParamVector(arch, np.zeros(arch.param_count))
         with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
             integrate_flow(xi, MU, TargetFunction.zero(), FlowConfig(t_end=0.01, step=1e-2))
+
+    def test_degenerate_events_count_zero_rows_after_each_retraction(self):
+        # neuron (1, 2) starts and stays at zero (its gradient vanishes), so
+        # the start and each of the 5 retracted states count once
+        arch = Architecture((1, 2, 1))
+        xi = random_params(arch, np.random.default_rng(47))
+        xi.set_neuron_subvector(NeuronKey(1, 2), [0.0, 0.0])
+        with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
+            rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.05, step=1e-2, integrator="euler"))
+        assert rec.degenerate_events == 6
+        nonzero = random_params(arch, np.random.default_rng(48))
+        assert integrate_flow(nonzero, MU, F, FlowConfig(t_end=0.05, step=1e-2)).degenerate_events == 0
 
 
 class TestRescaledGamma:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mgflow import (
     PiecewisePolynomial,
@@ -186,3 +188,61 @@ class TestTargets:
         f = affine_target(0.0, 1.0)
         A, B = f.partial_moments(np.array([0.7]), np.array([0.2]), f.mean())
         assert A[0] == 0.0 and B[0] == 0.0
+
+
+def _gauss_moments(f, lo, hi):
+    """Per-piece Gauss-Legendre reference for interval_moments at one pair."""
+    x, w = np.polynomial.legendre.leggauss(8)  # exact up to degree 15
+    out = np.zeros(5)
+    lo, hi = max(lo, f.breaks[0]), min(hi, f.breaks[-1])
+    for j, c in enumerate(f.coeffs):
+        a, b = max(lo, f.breaks[j]), min(hi, f.breaks[j + 1])
+        if b <= a:
+            continue
+        s = (a + b) / 2.0 + (b - a) / 2.0 * x
+        ws = (b - a) / 2.0 * w
+        fs = np.polynomial.polynomial.polyval(s, c)
+        out += [ws.sum(), ws @ s, ws @ s**2, ws @ fs, ws @ (s * fs)]
+    return out
+
+
+@st.composite
+def _piecewise_and_ends(draw):
+    """Degree-5 pieces of width down to 1e-3 inside [0, 1], coefficients up to
+    1e3, and interval ends on breaks, inside pieces or outside the domain."""
+    n = draw(st.integers(1, 6))
+    widths = draw(st.lists(st.floats(1e-3, 1.0 / n), min_size=n, max_size=n))
+    start = draw(st.floats(0.0, 1.0 - sum(widths)))
+    breaks = start + np.concatenate(([0.0], np.cumsum(widths)))
+    coef = st.floats(-1e3, 1e3, allow_subnormal=False)
+    coeffs = [tuple(draw(st.lists(coef, min_size=6, max_size=6))) for _ in range(n)]
+    end = st.one_of(st.sampled_from(list(breaks)), st.floats(-0.5, 1.5))
+    ends = draw(st.lists(st.tuples(end, end), min_size=1, max_size=8))
+    return PiecewisePolynomial(tuple(breaks), tuple(coeffs)), np.array(ends)
+
+
+class TestIntervalMoments:
+    @settings(max_examples=300, deadline=None)
+    @given(_piecewise_and_ends())
+    @example((PiecewisePolynomial((0.2, 0.201, 1.0), ((1e3,) * 6, (-1e3,) * 6)),
+              np.array([[0.201, 0.2], [0.2, 0.201], [-1.0, 2.0], [0.5, 0.5]])))
+    def test_matches_per_piece_gauss_legendre(self, case):
+        f, ends = case
+        tol = 1e-14 * (1.0 + max(abs(c) for piece in f.coeffs for c in piece))
+        got = np.array(f.interval_moments(ends[:, 0], ends[:, 1]))
+        ref = np.array([_gauss_moments(f, lo, hi) for lo, hi in ends]).T
+        np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
+        fbar = 0.25
+        A, B = f.partial_moments(ends[:, 0], ends[:, 1], fbar)
+        np.testing.assert_allclose(A, fbar * ref[0] - ref[3], rtol=0, atol=tol)
+        np.testing.assert_allclose(B, fbar * ref[1] - ref[4], rtol=0, atol=tol)
+        # a scalar lo broadcasts against an array hi
+        wide = np.array(f.interval_moments(float(ends[0, 0]), ends[:, 1]))
+        ref = np.array([_gauss_moments(f, ends[0, 0], hi) for hi in ends[:, 1]]).T
+        np.testing.assert_allclose(wide, ref, rtol=0, atol=tol)
+        assert f.integral() == pytest.approx(_gauss_moments(f, -np.inf, np.inf)[3], rel=0, abs=tol)
+
+    def test_reversed_and_outside_intervals_are_exactly_empty(self):
+        f = abs_offset_target(0.3)
+        for lo, hi in ((0.7, 0.2), (1.2, 1.5), (-0.5, -0.1), (0.3, 0.3)):
+            assert all(v == 0.0 for v in f.interval_moments(lo, hi))
