@@ -17,7 +17,7 @@ then retract.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -77,47 +77,49 @@ class FlowConfig:
         check_schedule(self.t_end, self.step, self.integrator, self.gamma, self.record_every)
 
 
+_COLUMNS = ("times", "states", "risk", "psi_max_dev", "grad_norm")  # one entry per recorded row
+
+
 @dataclass
 class TrajectoryRecord:
-    """Recorded states and per-state diagnostics of one run."""
+    """Recorded rows of one run, or of a batch run in lockstep: every column
+    has a leading row axis R, and a batch adds a trajectory axis B after it.
+    `stopped` holds the step at which each trajectory froze (0 if never)."""
 
-    times: list[float] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
-    risk: list[float] = field(default_factory=list)
-    psi_max_dev: list[float] = field(default_factory=list)
-    grad_norm: list[float] = field(default_factory=list)
-    extra: dict[str, list] = field(default_factory=dict)
-    tags: Optional[list[str]] = None
+    times: np.ndarray
+    states: np.ndarray
+    risk: np.ndarray
+    psi_max_dev: np.ndarray
+    grad_norm: np.ndarray
+    stopped: np.ndarray
     termination: str = "completed"
     degenerate_events: int = 0
 
-    def append(self, t, state, risk_val, psi_dev, gnorm):
-        self.times.append(float(t))
-        self.states.append(np.array(state, dtype=float))
-        self.risk.append(float(risk_val))
-        self.psi_max_dev.append(float(psi_dev))
-        self.grad_norm.append(float(gnorm))
+    @property
+    def aborted(self):
+        return self.stopped > 0
+
+    def row(self, b: int) -> "TrajectoryRecord":
+        """Trajectory b of a batch, as a record of its own."""
+        columns = {name: getattr(self, name)[:, b] for name in _COLUMNS[1:]}
+        termination = self.termination if self.stopped[b] else "completed"
+        return replace(self, stopped=self.stopped[b], termination=termination, **columns)
 
     def validate(self):
-        n = len(self.times)
-        assert n == len(self.states) == len(self.risk) == len(self.psi_max_dev) == len(self.grad_norm)
-        assert all(t1 > t0 for t0, t1 in zip(self.times, self.times[1:]))
-        for channel in self.extra.values():
-            assert len(channel) == n
+        assert all(len(getattr(self, name)) == len(self.times) for name in _COLUMNS)
+        assert np.all(np.diff(self.times) > 0)
 
     def close_if_stationary(self, t_end: float) -> None:
         """Cut at the first recorded |G| <= STATIONARY_TOL before the last row
         and close with that state at t_end: the exact flow is (approximately)
         constant from there on."""
-        hits = [j for j, g in enumerate(self.grad_norm[:-1]) if g <= STATIONARY_TOL]
-        if not hits:
+        hits = np.flatnonzero(self.grad_norm[:-1] <= STATIONARY_TOL)
+        if not hits.size:
             return
-        channels = [self.times, self.states, self.risk, self.psi_max_dev, self.grad_norm]
-        channels += list(self.extra.values()) + ([self.tags] if self.tags is not None else [])
-        for channel in channels:
-            del channel[hits[0] + 1:]
-            channel.append(channel[-1])
-        self.times[-1] = float(t_end)
+        keep = np.r_[: hits[0] + 1, hits[0]]
+        for name in _COLUMNS:
+            setattr(self, name, getattr(self, name)[keep])
+        self.times[-1] = t_end
         self.termination = "stationary"
 
     @property
@@ -163,27 +165,28 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
     its retracted state is non-finite or exceeds DIVERGENCE_GUARD; the run
     ends when no row is left.
 
-    Yields (n, Y, |G| per row, diagnostics, stopped) at step 0, every
-    `record_every`-th step, the last step, and the step that froze the last
-    row; `stopped` holds the step at which each row froze (0 while it runs).
-    |G| comes from the state's first RK4 stage, so recording costs no extra
-    gradient.  Yielded arrays are never modified afterwards.
+    Returns the batch record of the rows at step 0, every `record_every`-th
+    step, the last step, and the step that froze the last row, and beside it
+    their diagnostics.  |G| comes from the state's first RK4 stage, so
+    recording costs no extra gradient.  `risk` and `psi_max_dev` are left nan
+    for the caller; the termination is "divergence_guard" once a row froze.
     """
     Y = np.array(Y, dtype=float)
     stopped = np.zeros(len(Y), dtype=int)
+    rows = []
 
     def rate(Z, n, record=False):
-        G, gamma, diagnostics = field(Z, n, record)
-        return -np.asarray(gamma)[..., None] * G, G, diagnostics
+        G, gamma, diagnosed = field(Z, n, record)
+        return -np.asarray(gamma)[..., None] * G, G, diagnosed
 
     for n in range(n_steps + 1):
         done = n == n_steps or stopped.all()
         record = done or n % record_every == 0
-        k1, G, diagnostics = rate(Y, n, record)
+        k1, G, diagnosed = rate(Y, n, record)
         if record:
-            yield n, Y, np.linalg.norm(G, axis=-1), diagnostics, stopped.copy()
+            rows.append((n, Y, np.linalg.norm(G, axis=-1), diagnosed))
         if done:
-            return
+            break
         if rk4:
             k2 = rate(Y + 0.5 * h * k1, n)[0]
             k3 = rate(Y + 0.5 * h * k2, n)[0]
@@ -195,14 +198,20 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
         stopped[frozen] = n + 1
         Y = np.where(stopped[:, None] == 0, Y_new, Y)
 
+    steps, states, grad_norm, diagnostics = zip(*rows)
+    unset = np.full((len(rows), len(Y)), np.nan)
+    termination = "divergence_guard" if stopped.any() else "completed"
+    return TrajectoryRecord(np.array(steps) * h, np.array(states), unset, unset.copy(),
+                            np.array(grad_norm), stopped, termination), diagnostics
+
 
 def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> TrajectoryRecord:
-    """Run `fixed_step` on one network from the rescaled xi and record its rows."""
+    """Run `fixed_step` on one network from the rescaled xi; returns its record."""
     arch = xi.arch
-    record = TrajectoryRecord()
+    events = 0
     nonfinite = False
 
-    def field_(Y, n, diagnose):
+    def field(Y, n, diagnose):
         theta = ParamVector(arch, Y[0])
         risk_val, raw = risk_and_gradient(theta, measure, f, r=cfg.r, resolution=cfg.resolution)
         proj = project_gradient(theta, raw)
@@ -210,7 +219,7 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
         return proj[None, :], step_factor(raw, proj, gamma_at(n)), diagnostics
 
     def retract(Y):
-        nonlocal nonfinite
+        nonlocal events, nonfinite
         theta = ParamVector(arch, Y[0])
         if cfg.reproject:
             theta = renormalize(theta)
@@ -218,17 +227,19 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
         # min_subvector_norm(theta) == 0 without the norms: a row's norm is 0
         # exactly when every entry is, and a non-finite row makes the min nan
         if all(np.isfinite(V).all() for V in hidden) and not all(V.any(axis=1).all() for V in hidden):
-            record.degenerate_events += 1
+            events += 1
         nonfinite = not np.all(np.isfinite(theta.values))
         return theta.values[None, :]
 
     Y0 = rescale_full(xi).values[None, :]
-    steps = fixed_step(field_, Y0, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
-    for n, Y, gnorm, (risk_val, dev), stopped in steps:
-        record.append(n * cfg.step, Y[0], risk_val, dev, gnorm[0])
-    if stopped[0]:
+    batch, diagnostics = fixed_step(field, Y0, cfg.step, n_steps, cfg.integrator == "rk4", retract,
+                                    cfg.record_every)
+    record = batch.row(0)
+    record.risk, record.psi_max_dev = np.array(diagnostics).T
+    record.degenerate_events = events
+    if record.stopped and nonfinite:
         # the run ended on the first rejected state, so `nonfinite` describes it
-        record.termination = "nonfinite" if nonfinite else "divergence_guard"
+        record.termination = "nonfinite"
     return record
 
 

@@ -47,26 +47,12 @@ class Regime:
 
 def activity_breakpoint(theta) -> float:
     """-t2/t1, or inf when t1 = 0."""
-    t1, t2 = float(theta[0]), float(theta[1])
-    return -t2 / t1 if t1 != 0.0 else math.inf
+    return float(_intervals(*np.asarray(theta, dtype=float)[:2])[2])
 
 
 def classify(theta) -> Regime:
-    t1, t2 = float(theta[0]), float(theta[1])
-    if t1 == 0.0:
-        return Regime("full" if t2 > 0.0 else "empty", math.inf)
-    q = -t2 / t1
-    if t1 > 0.0:
-        if q <= 0.0:
-            return Regime("full", q)
-        if q >= 1.0:
-            return Regime("empty", q)
-        return Regime("right", q)
-    if q <= 0.0:
-        return Regime("empty", q)
-    if q >= 1.0:
-        return Regime("full", q)
-    return Regime("left", q)
+    code, q = _regime_codes(*np.asarray(theta, dtype=float)[:2])
+    return Regime(REGIME_TAGS[int(code)], float(q))
 
 
 def _intervals(t1, t2):
@@ -79,12 +65,10 @@ def _intervals(t1, t2):
 
 
 def _regime_codes(t1, t2):
-    """0 empty, 1 full, 2 right, 3 left; plus q with inf for constant rows."""
+    """0 empty, 1 full, 2 right, 3 left; plus q with inf for constant rows.
+    A row is partial exactly when 0 < q < 1; rows with a nan are empty."""
     lo, hi, q = _intervals(t1, t2)
-    length = hi - lo
-    # a partial interval needs t1 != 0 (nan rows have length 0)
-    partial = (length > 0.0) & (length < 1.0)
-    return np.where(length >= 1.0, 1, np.where(partial, 3 - (t1 > 0.0), 0)), q
+    return np.where((q > 0.0) & (q < 1.0), 3 - (t1 > 0.0), hi > lo), q
 
 
 def mean_m(theta) -> float:
@@ -467,30 +451,6 @@ class OneNeuronConfig:
         check_schedule(self.t_end, self.step, self.integrator, self.gamma, self.record_every)
 
 
-@dataclass
-class OneNeuronBatch:
-    """Synchronous batch of circle-flow trajectories."""
-
-    times: np.ndarray          # (R,)
-    states: np.ndarray         # (R, B, 3)
-    risk: np.ndarray           # (R, B)
-    circle_dev: np.ndarray     # (R, B), |t1^2 + t2^2 - 1|
-    grad_norm: np.ndarray      # (R, B)
-    aborted: np.ndarray        # (B,) bool
-    abort_time: np.ndarray     # (B,), nan where not aborted
-
-    def to_record(self, b: int, problem: OneNeuronProblem) -> TrajectoryRecord:
-        rec = TrajectoryRecord()
-        E, Vr, Vl = lyapunov_values(self.states[:, b, :])
-        code, _ = _regime_codes(self.states[:, b, 0], self.states[:, b, 1])
-        rec.tags = [REGIME_TAGS[c] for c in code]
-        rec.extra = {"E_full": list(E), "V_right": list(Vr), "V_left": list(Vl)}
-        for j, t in enumerate(self.times):
-            rec.append(t, self.states[j, b], self.risk[j, b], self.circle_dev[j, b], self.grad_norm[j, b])
-        rec.termination = "divergence_guard" if self.aborted[b] else "completed"
-        return rec
-
-
 def _retract_to_circle(Y):
     """Scale each row's (t1, t2) to unit norm; rows with t1 = t2 = 0 stay."""
     nrm = np.hypot(Y[:, 0], Y[:, 1])
@@ -499,12 +459,13 @@ def _retract_to_circle(Y):
     return out
 
 
-def flow_batch(theta0, f, cfg: OneNeuronConfig) -> OneNeuronBatch:
+def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
     """Integrate the circle flow for a batch of initial states.
 
-    Trajectories tripping the divergence guard are frozen at their last valid
-    state and marked aborted; the rest continue, and the run ends early once
-    every trajectory has aborted.
+    Returns the batch record: `states` is (R, B, 3) and `psi_max_dev` holds
+    |t1^2 + t2^2 - 1|.  Trajectories tripping the divergence guard are frozen
+    at their last valid state and marked aborted; the rest continue, and the
+    run ends early once every trajectory has aborted.
     """
     problem = as_problem(f)
     Y = np.atleast_2d(np.asarray(theta0, dtype=float))
@@ -520,24 +481,14 @@ def flow_batch(theta0, f, cfg: OneNeuronConfig) -> OneNeuronBatch:
 
     retract = _retract_to_circle if cfg.renormalize else (lambda states: states)
     n_steps = int(round(cfg.t_end / cfg.step))
-    rows = fixed_step(field, Y, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
-    steps, states, grad_norm, _, stopped = zip(*rows)
-
+    record, _ = fixed_step(field, Y, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
     # risk in one vectorized pass over all recorded states
-    states = np.stack(states, axis=0)
-    aborted = stopped[-1] > 0
-    return OneNeuronBatch(
-        times=np.asarray(steps) * cfg.step,
-        states=states,
-        risk=risk_batch(states, problem),
-        circle_dev=np.abs(states[..., 0] ** 2 + states[..., 1] ** 2 - 1.0),
-        grad_norm=np.stack(grad_norm, axis=0),
-        aborted=aborted,
-        abort_time=np.where(aborted, stopped[-1] * cfg.step, np.nan),
-    )
+    record.risk = risk_batch(record.states, problem)
+    record.psi_max_dev = np.abs(record.states[..., 0] ** 2 + record.states[..., 1] ** 2 - 1.0)
+    return record
 
 
-def monitor_report(batch: OneNeuronBatch, problem: OneNeuronProblem,
+def monitor_report(batch: TrajectoryRecord, problem: OneNeuronProblem,
                    slack: float = 1e-6, conservation_rate: Optional[float] = None) -> dict:
     """Count monitor violations along recorded steps.
 

@@ -159,19 +159,21 @@ def fmt(x) -> str:
 
 
 def _write_csv(path: Path, record: TrajectoryRecord, one_neuron_mode: bool, time_label: str):
-    dim = record.states[0].size
+    dim = record.states.shape[1]
     cols = [time_label] + [f"theta_{i}" for i in range(1, dim + 1)]
     cols += ["risk", "psi_max_dev", "grad_norm"]
     if one_neuron_mode:
         cols += ["regime", "E_full", "V_right", "V_left"]
+        code, _ = on._regime_codes(record.states[:, 0], record.states[:, 1])
+        lyapunov = on.lyapunov_values(record.states)
     lines = [",".join(cols)]
     for j in range(len(record.times)):
         row = [fmt(record.times[j])]
         row += [fmt(v) for v in record.states[j]]
         row += [fmt(record.risk[j]), fmt(record.psi_max_dev[j]), fmt(record.grad_norm[j])]
         if one_neuron_mode:
-            row.append(record.tags[j])
-            row += [fmt(record.extra[k][j]) for k in ("E_full", "V_right", "V_left")]
+            row.append(on.REGIME_TAGS[code[j]])
+            row += [fmt(values[j]) for values in lyapunov]
         lines.append(",".join(row))
     path.write_text("\n".join(lines) + "\n")
 
@@ -205,7 +207,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             gamma=cfg.gamma,
         )
         batch = on.flow_batch(theta0, problem, oncfg)
-        rec = batch.to_record(0, problem)
+        rec = batch.row(0)
         rec.close_if_stationary(cfg.t_end)
         monitors = on.monitor_report(batch, problem, slack=1e-6, conservation_rate=1e-6)
         summary["monitor_violations"] = {k: v["violations"] for k, v in monitors.items()}

@@ -8,6 +8,7 @@ arbitrary evaluator.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -43,7 +44,11 @@ class PiecewisePolynomial:
         pad = max(len(p) for p in coeffs)
         object.__setattr__(self, "_table", np.array([p + (0.0,) * (pad - len(p)) for p in coeffs]))
         object.__setattr__(self, "_breaks", np.asarray(breaks))
-        object.__setattr__(self, "_primitive", _primitive_table(breaks, coeffs))
+
+    @functools.cached_property
+    def _primitive(self) -> np.ndarray:
+        # built on first use: network runs wrap scalar targets but never integrate them
+        return _primitive_table(self.breaks, self.coeffs)
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)

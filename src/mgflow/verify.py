@@ -389,9 +389,8 @@ def check_rescaled_flow_identity(seed) -> CheckResult:
     problem = on.as_problem(abs_offset_target(0.3))
     h = 1e-4
     cfg = on.OneNeuronConfig(t_end=0.5, step=h, renormalize=True, gamma="rescaled")
-    batch = on.flow_batch(np.array([[0.6, 0.8, 0.9]]), problem, cfg)
-    L = batch.risk[:, 0]
-    states = batch.states[:, 0, :]
+    rec = on.flow_batch(np.array([[0.6, 0.8, 0.9]]), problem, cfg).row(0)
+    L, states = rec.risk, rec.states
     raw, _ = on._raw_and_j3(states, problem)
     raw2 = np.sum(raw**2, axis=-1)
     proj2 = np.sum(on._tangent(states, raw) ** 2, axis=-1)

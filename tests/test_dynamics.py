@@ -8,6 +8,7 @@ from mgflow import (
     ParamVector,
     TargetFunction,
     abs_offset_target,
+    affine_target,
     gd_run,
     generalized_gradient,
     grad_psi,
@@ -174,6 +175,19 @@ class TestGradientDescent:
             assert rec.termination == "divergence_guard"
             assert len(rec.states) == 2 and np.all(np.isfinite(rec.risk))
             np.testing.assert_array_equal(rec.states[-1], rec.states[0])
+
+    def test_nan_row_beside_a_zero_row_is_not_a_degenerate_event(self):
+        # the first step overflows hidden row 1 into nan while row 2 stays
+        # zero: the run ends non-finite, and the zero row counts only on
+        # finite states
+        arch = Architecture((1, 2, 1))
+        xi = random_params(arch, np.random.default_rng(42))
+        xi.set_neuron_subvector(NeuronKey(1, 2), [0.0, 0.0])
+        f = TargetFunction.from_scalar(affine_target(0.0, 100.0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = gd_run(xi, MU, f, steps=3, gammas=1.7e308)
+        assert rec.termination == "nonfinite"
+        assert rec.degenerate_events == 0
 
     def test_degenerate_start_warns(self):
         arch = Architecture((1, 2, 1))

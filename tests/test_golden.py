@@ -1,0 +1,75 @@
+"""Golden output bytes: sha256 digests of `trajectory.csv` and of
+`summary.json` (with `config.out` removed) for a few tiny runs.
+
+The acceptance suite's determinism criterion compares two runs of the same
+code; these digests compare the code with the recorded outputs, so a
+refactor that changes a single output bit fails here.  A deliberate numeric
+change must update the digests and say so in CHANGES.md.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from mgflow.runner import ExperimentConfig, run_experiment
+
+AFFINE_MAP = {"name": "affine_map", "weights": [[0.5, -0.3]], "offset": [0.1]}
+
+CONFIGS = {
+    "flow_181": dict(mode="flow", architecture=(1, 8, 1), t_end=0.02, step=1e-3, seed=0),
+    "gd_2441": dict(mode="gd", architecture=(2, 4, 4, 1), target=AFFINE_MAP, steps=10,
+                    quad_nodes=16, seed=0),
+    "one_neuron_constant": dict(mode="one-neuron", architecture=(1, 1, 1), t_end=0.5,
+                                step=1e-2, record_every=3, seed=3),
+    "one_neuron_rescaled": dict(mode="one-neuron", architecture=(1, 1, 1), t_end=0.5,
+                                step=1e-2, gamma="rescaled", seed=3),
+    "one_neuron_stationary": dict(mode="one-neuron", architecture=(1, 1, 1),
+                                  target={"name": "constant", "value": 0.0},
+                                  theta0=[0.0, -1.0, 2.0], t_end=1.0, step=1e-2),
+    "flow_stationary": dict(mode="flow", architecture=(1, 1, 1), target={"name": "zero"},
+                            theta0=[0.0, -1.0, 0.0, 0.0], t_end=0.5, step=1e-2),
+}
+
+# (trajectory.csv, summary.json without config.out)
+DIGESTS = {
+    "flow_181": (
+        "e7a416715dec1bda6562ab24a968fc1bacecf931dab361281d97349262cd7276",
+        "91135ec2959511ed04971f7386b0ca54407683fe6be8a49eab016454bb62b5e5",
+    ),
+    "gd_2441": (
+        "1b8dd0c73ea1b34a589b547fd657c5d063368d20e4d08431ba4f8b7b061537ad",
+        "7975866eeff0b1bc959e76c31ae0df26ffa8f8b3e96e2f46f22a969c9912dcf1",
+    ),
+    "one_neuron_constant": (
+        "b9528382890a8b09476845bf28df72e8bbdbcf86392813db6f38fd53c756bd0f",
+        "fdb9833f263173b9da9a1a8de30fdf02f9dec64c950af51d31280c980e3c92e7",
+    ),
+    "one_neuron_rescaled": (
+        "1350408ee2fda2a327c4db3757adc017883711f0dce587e0a2d54c2644a4cd2a",
+        "f1bd3985f543a9b4900ebde1844d05941a19b39faffea74a105839bdedf38a85",
+    ),
+    "one_neuron_stationary": (
+        "d7d6cdce97ec98140045d4a8cd4de6808319f728da38cca86cb073e59fb7ee48",
+        "eac68baae4b43dfc8cec7d1478040cdaab637cb4baa397fa1b7c3d45e93e08fa",
+    ),
+    "flow_stationary": (
+        "8cd82ba9e42dc8ab520725eaa78c38de84d20d4598279870464b0172a09ff529",
+        "06ca3fffdf7ff653743db48ec0363f9c9d1665deb3fb4ee82a63fe775c4f73a5",
+    ),
+}
+
+
+def output_digests(name, out):
+    run_experiment(ExperimentConfig(out=str(out), **CONFIGS[name]))
+    summary = json.loads((out / "summary.json").read_text())
+    del summary["config"]["out"]
+    return (
+        hashlib.sha256((out / "trajectory.csv").read_bytes()).hexdigest(),
+        hashlib.sha256(json.dumps(summary, sort_keys=True, indent=1).encode()).hexdigest(),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_output_bytes_match_the_recorded_digests(name, tmp_path):
+    assert output_digests(name, tmp_path) == DIGESTS[name]

@@ -39,6 +39,16 @@ class TestBreakpointAndRegimes:
         assert on.classify((1.0, 0.5, 0.0)).tag == "full"     # q < 0
         assert on.classify((1.0, -2.0, 0.0)).tag == "empty"   # q > 1
 
+    def test_edge_rows_agree_between_classify_and_regime_codes(self):
+        # q = 1e-17 lies in (0, 1) although 1 - q rounds to 1; rows with a
+        # nan coordinate have no activity interval
+        rows = [(1.0, -1e-17, "right"), (-1.0, 1e-17, "left"), (math.nan, 0.5, "empty"),
+                (1.0, math.nan, "empty"), (0.0, math.nan, "empty"), (math.nan, math.nan, "empty")]
+        t1, t2, tags = zip(*rows)
+        code, _ = on._regime_codes(np.array(t1), np.array(t2))
+        assert [on.REGIME_TAGS[c] for c in code] == list(tags)
+        assert [on.classify((a, b, 0.0)).tag for a, b, _ in rows] == list(tags)
+
     def test_left_boundary_breakpoint_is_full(self):
         # q = 1 with negative slope: active on [0, 1)
         theta = (-INV_SQRT2, INV_SQRT2, 0.0)
@@ -272,7 +282,7 @@ class TestFlow:
         cfg = on.OneNeuronConfig(t_end=2.0, step=1e-3, renormalize=False)
         inits = on.random_circle_states(np.random.default_rng(57), 8, t3_scale=1.0)
         batch = on.flow_batch(inits, affine_target(0.0, 1.0), cfg)
-        assert batch.circle_dev.max() <= 1e-6
+        assert batch.psi_max_dev.max() <= 1e-6
 
     def test_risk_non_increasing(self):
         cfg = on.OneNeuronConfig(t_end=2.0, step=1e-3)
@@ -323,7 +333,7 @@ class TestFlow:
         ):
             batch = on.flow_batch(np.array(inits), affine_target(0.0, 1.0), cfg)
             np.testing.assert_array_equal(batch.aborted, aborted)
-            np.testing.assert_array_equal(batch.abort_time, np.where(aborted, 0.5, np.nan))
+            np.testing.assert_array_equal(batch.stopped, np.array(aborted, dtype=int))
             assert batch.states.shape == (rows, len(inits), 3)
             np.testing.assert_array_equal(batch.states, np.broadcast_to(inits, batch.states.shape))
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from mgflow import (
     PiecewisePolynomial,
+    TargetFunction,
     abs_offset_target,
     affine_target,
     constant_target,
@@ -14,6 +15,7 @@ from mgflow import (
     polynomial_target,
     uniform_measure,
 )
+from mgflow import targets
 from mgflow.quadrature import (
     QuadratureError,
     composite_rule,
@@ -128,6 +130,18 @@ class TestTargets:
         np.testing.assert_allclose(abs_offset_target(0.3)(s), np.abs(s - 0.3))
         p = polynomial_target([0.0, 0.0, 1.0])
         np.testing.assert_allclose(p(s), s**2)
+
+    def test_primitive_table_is_built_on_first_use(self, monkeypatch):
+        # network runs wrap a scalar target and never read the table
+        calls = []
+        build = targets._primitive_table
+        monkeypatch.setattr(targets, "_primitive_table", lambda *a: calls.append(1) or build(*a))
+        p = piecewise_linear_target(np.linspace(0.0, 1.0, 9), np.linspace(-1.0, 1.0, 9) ** 2)
+        TargetFunction.from_scalar(p)
+        assert calls == []
+        assert p.mean() == pytest.approx(11.0 / 32.0)  # trapezoid rule for u^2 on [-1, 1]
+        p.mean()
+        assert calls == [1]
 
     def test_piecewise_linear_interpolates_knots(self):
         f = piecewise_linear_target([0.0, 0.4, 1.0], [1.0, -1.0, 0.5])
