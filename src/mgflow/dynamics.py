@@ -84,7 +84,10 @@ _COLUMNS = ("times", "states", "risk", "psi_max_dev", "grad_norm")  # one entry 
 class TrajectoryRecord:
     """Recorded rows of one run, or of a batch run in lockstep: every column
     has a leading row axis R, and a batch adds a trajectory axis B after it.
-    `stopped` holds the step at which each trajectory froze (0 if never)."""
+    `stopped` holds the step at which each trajectory froze (0 if never) and
+    `termination` how each one ended: "completed", "nonfinite" (frozen on a
+    non-finite state) or "divergence_guard" (frozen on a component above
+    DIVERGENCE_GUARD); a single run's record holds one of each."""
 
     times: np.ndarray
     states: np.ndarray
@@ -92,7 +95,7 @@ class TrajectoryRecord:
     psi_max_dev: np.ndarray
     grad_norm: np.ndarray
     stopped: np.ndarray
-    termination: str = "completed"
+    termination: Union[str, np.ndarray] = "completed"
     degenerate_events: int = 0
 
     @property
@@ -102,8 +105,7 @@ class TrajectoryRecord:
     def row(self, b: int) -> "TrajectoryRecord":
         """Trajectory b of a batch, as a record of its own."""
         columns = {name: getattr(self, name)[:, b] for name in _COLUMNS[1:]}
-        termination = self.termination if self.stopped[b] else "completed"
-        return replace(self, stopped=self.stopped[b], termination=termination, **columns)
+        return replace(self, stopped=self.stopped[b], termination=str(self.termination[b]), **columns)
 
     def validate(self):
         assert all(len(getattr(self, name)) == len(self.times) for name in _COLUMNS)
@@ -169,10 +171,12 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
     step, the last step, and the step that froze the last row, and beside it
     their diagnostics.  |G| comes from the state's first RK4 stage, so
     recording costs no extra gradient.  `risk` and `psi_max_dev` are left nan
-    for the caller; the termination is "divergence_guard" once a row froze.
+    for the caller.  Each row's termination names why it froze: "nonfinite"
+    for a non-finite state, "divergence_guard" for one over the guard.
     """
     Y = np.array(Y, dtype=float)
     stopped = np.zeros(len(Y), dtype=int)
+    termination = np.full(len(Y), "completed", dtype="<U16")
     rows = []
 
     def rate(Z, n, record=False):
@@ -196,11 +200,12 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
             Y_new = retract(Y + h * k1)
         frozen = ~(np.max(np.abs(Y_new), axis=1) <= DIVERGENCE_GUARD) & (stopped == 0)
         stopped[frozen] = n + 1
+        termination[frozen] = np.where(np.isfinite(Y_new[frozen]).all(axis=1),
+                                       "divergence_guard", "nonfinite")
         Y = np.where(stopped[:, None] == 0, Y_new, Y)
 
     steps, states, grad_norm, diagnostics = zip(*rows)
     unset = np.full((len(rows), len(Y)), np.nan)
-    termination = "divergence_guard" if stopped.any() else "completed"
     return TrajectoryRecord(np.array(steps) * h, np.array(states), unset, unset.copy(),
                             np.array(grad_norm), stopped, termination), diagnostics
 
@@ -209,7 +214,6 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
     """Run `fixed_step` on one network from the rescaled xi; returns its record."""
     arch = xi.arch
     events = 0
-    nonfinite = False
 
     def field(Y, n, diagnose):
         theta = ParamVector(arch, Y[0])
@@ -219,7 +223,7 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
         return proj[None, :], step_factor(raw, proj, gamma_at(n)), diagnostics
 
     def retract(Y):
-        nonlocal events, nonfinite
+        nonlocal events
         theta = ParamVector(arch, Y[0])
         if cfg.reproject:
             theta = renormalize(theta)
@@ -228,7 +232,6 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
         # exactly when every entry is, and a non-finite row makes the min nan
         if all(np.isfinite(V).all() for V in hidden) and not all(V.any(axis=1).all() for V in hidden):
             events += 1
-        nonfinite = not np.all(np.isfinite(theta.values))
         return theta.values[None, :]
 
     Y0 = rescale_full(xi).values[None, :]
@@ -237,9 +240,6 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
     record = batch.row(0)
     record.risk, record.psi_max_dev = np.array(diagnostics).T
     record.degenerate_events = events
-    if record.stopped and nonfinite:
-        # the run ended on the first rejected state, so `nonfinite` describes it
-        record.termination = "nonfinite"
     return record
 
 

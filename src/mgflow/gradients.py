@@ -19,10 +19,11 @@ from typing import Optional
 
 import numpy as np
 
-from .network import _nodes_for, forward, risk
+from .network import _matmul, _nodes_for, _risk_pass, risk
+from .network import forward  # noqa: F401  (bench/tracing.py wraps gradients.forward)
 from .params import ParamVector
 from .quadrature import InputMeasure, QuadratureError
-from .smoothing import INF, smoothed_act_deriv
+from .smoothing import INF, smoothed_act, smoothed_act_deriv
 from .targets import TargetFunction
 
 
@@ -38,37 +39,40 @@ def risk_and_gradient(
 
     The risk equals `network.risk` bit for bit.  With r = inf the gradient is
     the exact-ReLU generalized gradient (indicator convention at kinks); with
-    finite r it is the gradient of the smoothed risk on the same nodes.
+    finite r it is the gradient of the smoothed risk on the same nodes.  The
+    backprop runs feature-major in the forward pass's workspace: deltas are
+    (l_k, n), and a layer's activations are recomputed from its stored
+    pre-activations when the layer above needs them.
     """
     arch = theta.arch
-    L = arch.depth
+    dims, L = arch.layer_dims, arch.depth
     X, w = _nodes_for(theta, measure, f.breakpoints, r, resolution)
     grad = ParamVector(arch)
     if X.shape[0] == 0:
         return 0.0, grad.values
-    pres, acts = forward(theta, X, r=r)
-    H = acts[-1]
-    mean = w @ H
-    WL = theta.weights(L)
-    out = (H - mean) @ WL.T + theta.biases(L)
-    resid = out - f(X)
-    value = float(w @ np.sum(resid**2, axis=1))
+    value, ws = _risk_pass(theta, X, w, f, r)
+    H, R = ws.acts[-1], ws.resid  # centered last hidden activations, residual
 
-    wr = w[:, None] * resid
-    grad.weights(L)[:] = 2.0 * wr.T @ (H - mean)
-    grad.biases(L)[:] = 2.0 * wr.sum(axis=0)
+    wr = np.multiply(R, w, out=ws.delta[: dims[L]])
+    gW = grad.weights(L)
+    np.matmul(wr, H.T, out=gW)
+    gW *= 2.0
+    grad.biases(L)[:] = 2.0 * wr.sum(axis=1)
 
     # Head at the last hidden activations: the direct path minus the signal
     # routed through the subtracted mean (same for every node).
-    mean_head = 2.0 * (w @ resid) @ WL
-    delta = 2.0 * resid @ WL - mean_head
+    WL2 = 2.0 * theta.weights(L)
+    delta = _matmul(WL2.T, R, ws.delta[: dims[L - 1]])
+    delta -= ((R @ w) @ WL2)[:, None]
     for k in range(L - 1, 0, -1):
-        dz = delta * smoothed_act_deriv(r, pres[k - 1])
-        prev = acts[k - 2] if k >= 2 else X
-        grad.weights(k)[:] = (w[:, None] * dz).T @ prev
-        grad.biases(k)[:] = w @ dz
+        # layer k's pre-activations are read for the last time: dz replaces them
+        dz = smoothed_act_deriv(r, ws.pres[k - 1], out=ws.pres[k - 1])
+        dz *= delta
+        prev = X.T if k == 1 else smoothed_act(r, ws.pres[k - 2], out=ws.acts[k - 2])
+        np.matmul(np.multiply(dz, w, out=delta), prev.T, out=grad.weights(k))
+        grad.biases(k)[:] = dz @ w
         if k > 1:
-            delta = dz @ theta.weights(k)
+            delta = _matmul(theta.weights(k).T, dz, ws.delta[: dims[k - 1]])
 
     if not (math.isfinite(value) and np.all(np.isfinite(grad.values))):
         raise QuadratureError("risk or gradient has non-finite components")

@@ -11,6 +11,7 @@ mu-average; with unit total mass the two coincide.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Optional
 
@@ -39,23 +40,64 @@ def _as_batch(x, dim: int):
     return x, False
 
 
+class _Workspace:
+    """Node-sized buffers for one (layer_dims, n), feature-major: row i of a
+    buffer is unit i of its layer across the n nodes, so every elementwise op
+    and matrix product runs along the long node axis.
+
+    `pres` holds each hidden layer's pre-activations (backprop overwrites
+    them with that layer's dz); `act` and `delta` are (max width, n) scratch
+    arrays whose leading rows serve any layer; `resid` holds the output
+    residual.  `_workspace` caches them, and every pass overwrites them, so
+    no result may alias them and passes of one (layer_dims, n) must not
+    overlap (one thread at a time).
+    """
+
+    def __init__(self, dims: tuple, n: int):
+        width = max(dims[1:])
+        self.pres = [np.empty((l, n)) for l in dims[1:-1]]
+        self.act, self.delta = np.empty((width, n)), np.empty((width, n))
+        self.acts = [self.act[:l] for l in dims[1:-1]]
+        self.resid = np.empty((dims[-1], n))
+
+
+_workspace = functools.lru_cache(maxsize=4)(_Workspace)
+
+
+def _matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """A @ B into out.  A rank-one product (A has one column) is a broadcast
+    multiply: the same single product per entry, which BLAS computes several
+    times slower."""
+    if A.shape[1] == 1:
+        return np.multiply(A, B, out=out)
+    return np.matmul(A, B, out=out)
+
+
+def _forward_into(theta: ParamVector, XT: np.ndarray, r, pres, acts) -> np.ndarray:
+    """Feature-major forward pass over the columns of XT, shape (l_0, n):
+    layer k's pre-activations go to pres[k - 1] and its activations to
+    acts[k - 1], both (l_k, n).  Returns the last hidden activations."""
+    h = XT
+    for k in range(1, theta.arch.depth):
+        z = _matmul(theta.weights(k), h, pres[k - 1])
+        z += theta.biases(k)[:, None]
+        h = smoothed_act(r, z, out=acts[k - 1])
+    return h
+
+
 def forward(theta: ParamVector, x, r=INF):
     """Hidden pre-activations and activations, batched over x.
 
     Returns (pres, acts): lists over hidden layers k = 1..L-1, each entry of
-    shape (n, l_k).  The final affine map and the centering term are applied
-    by `realize`, which needs the input measure.
+    shape (n, l_k) (a transposed view of a fresh feature-major array).  The
+    final affine map and the centering term are applied by `realize`, which
+    needs the input measure.
     """
-    arch = theta.arch
-    X, _ = _as_batch(x, arch.layer_dims[0])
-    pres, acts = [], []
-    h = X
-    for k in range(1, arch.depth):
-        z = h @ theta.weights(k).T + theta.biases(k)
-        h = smoothed_act(r, z)
-        pres.append(z)
-        acts.append(h)
-    return pres, acts
+    X, _ = _as_batch(x, theta.arch.layer_dims[0])
+    pres = [np.empty((l, X.shape[0])) for l in theta.arch.layer_dims[1:-1]]
+    acts = [np.empty_like(z) for z in pres]
+    _forward_into(theta, X.T, r, pres, acts)
+    return [z.T for z in pres], [h.T for h in acts]
 
 
 def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.ndarray]:
@@ -95,8 +137,8 @@ def hidden_mean(
     X, w = _nodes_for(theta, measure, None, r, resolution)
     if X.shape[0] == 0:
         return np.zeros(theta.arch.layer_dims[-2])
-    _, acts = forward(theta, X, r=r)
-    m = w @ acts[-1]
+    ws = _workspace(theta.arch.layer_dims, X.shape[0])
+    m = _forward_into(theta, X.T, r, ws.pres, ws.acts) @ w
     if not np.all(np.isfinite(m)):
         raise QuadratureError("hidden mean is non-finite")
     return m
@@ -121,6 +163,26 @@ def realize(
     return out[0] if squeeze else out
 
 
+def _risk_pass(theta: ParamVector, X: np.ndarray, w: np.ndarray, f: TargetFunction, r):
+    """The risk on the nodes X (n, l_0) with weights w, in the workspace of
+    (layer_dims, n); returns (risk, workspace).
+
+    The workspace is left holding what backprop reads: the hidden
+    pre-activations in `pres`, the centered last hidden activations
+    h - int h dmu in `acts[-1]` and the output residual in `resid`.
+    """
+    fX = f(X)  # first: a target may itself run a pass in this workspace
+    ws = _workspace(theta.arch.layer_dims, X.shape[0])
+    H = _forward_into(theta, X.T, r, ws.pres, ws.acts)
+    H -= (H @ w)[:, None]
+    L = theta.arch.depth
+    R = _matmul(theta.weights(L), H, ws.resid)
+    R += theta.biases(L)[:, None]
+    R -= fX.T
+    sq = np.multiply(R, R, out=ws.delta[: len(R)])
+    return float(sum(row @ w for row in sq)), ws
+
+
 def risk(
     theta: ParamVector,
     measure: InputMeasure,
@@ -132,12 +194,7 @@ def risk(
     X, w = _nodes_for(theta, measure, f.breakpoints, r, resolution)
     if X.shape[0] == 0:
         return 0.0
-    _, acts = forward(theta, X, r=r)
-    mean = w @ acts[-1]
-    L = theta.arch.depth
-    out = (acts[-1] - mean) @ theta.weights(L).T + theta.biases(L)
-    resid = out - f(X)
-    value = float(w @ np.sum(resid**2, axis=1))
+    value = _risk_pass(theta, X, w, f, r)[0]
     if not math.isfinite(value):
         raise QuadratureError("risk is non-finite")
     return value

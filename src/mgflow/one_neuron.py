@@ -401,7 +401,7 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
 
     v_right = np.zeros_like(t3sq)
     if w.right_sign != 0 and w.eps_right_band > 0.0:
-        sgn = (t3 > 0.0) if w.right_sign > 0 else (t3 < 0.0)
+        sgn = (t3 < 0.0) if w.right_sign > 0 else (t3 > 0.0)
         v_right = right & (qs >= 1.0 - w.eps_right_band) & c1 & c3 & sgn
     v_left = np.zeros_like(t3sq)
     if w.left_sign != 0 and w.eps_left_band > 0.0:

@@ -30,25 +30,37 @@ def _check_index(r) -> float:
     return r
 
 
-def smoothed_act(r, x):
-    """Activation value, vectorized over x."""
+def _cubic_piece(r: float, x: np.ndarray, poly):
+    """(nodes, values) of the cubic piece at finite r, where x lies strictly
+    inside (0, 1/r) or is nan, with poly evaluated there; None for exact
+    ReLU.  Taken before an `out` that may be x itself is written."""
+    if math.isinf(r):
+        return None
+    band = ~((x <= 0.0) | (x >= 1.0 / r))
+    return band, poly(x[band])
+
+
+def smoothed_act(r, x, out=None):
+    """Activation value, vectorized over x; written into `out` (which may be
+    x) when given."""
     r = _check_index(r)
     x = np.asarray(x, dtype=float)
-    if math.isinf(r):
-        out = np.maximum(x, 0.0)
-    else:
-        out = np.where(x >= 1.0 / r, x, np.where(x <= 0.0, 0.0, 2.0 * r * x**2 - r**2 * x**3))
+    piece = _cubic_piece(r, x, lambda xb: 2.0 * r * xb**2 - r**2 * xb**3)
+    out = np.maximum(x, 0.0, out=np.empty_like(x) if out is None else out)
+    if piece:
+        out[piece[0]] = piece[1]
     return out if out.ndim else float(out)
 
 
-def smoothed_act_deriv(r, x):
-    """Activation derivative, vectorized over x."""
+def smoothed_act_deriv(r, x, out=None):
+    """Activation derivative, vectorized over x; written into `out` (which
+    may be x) when given."""
     r = _check_index(r)
     x = np.asarray(x, dtype=float)
-    if math.isinf(r):
-        out = (x > 0.0).astype(float)
-    else:
-        out = np.where(x >= 1.0 / r, 1.0, np.where(x <= 0.0, 0.0, 4.0 * r * x - 3.0 * r**2 * x**2))
+    piece = _cubic_piece(r, x, lambda xb: 4.0 * r * xb - 3.0 * r**2 * xb**2)
+    out = np.greater(x, 0.0, out=np.empty_like(x) if out is None else out)
+    if piece:
+        out[piece[0]] = piece[1]
     return out if out.ndim else float(out)
 
 

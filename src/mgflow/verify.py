@@ -295,7 +295,7 @@ def _window_inits(problem, rng, n_random):
     extra = []
     if w.eps_right_band > 0:
         q = 1.0 - 0.3 * w.eps_right_band
-        s = 1.0 if w.right_sign > 0 else -1.0
+        s = -1.0 if w.right_sign > 0 else 1.0
         extra += [at_q(q, 1.0, s * 0.8), at_q(q, 1.0, s * 0.2)]
     if w.eps_left_band > 0:
         q = 0.3 * w.eps_left_band

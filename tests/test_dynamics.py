@@ -20,6 +20,7 @@ from mgflow import (
     rescaled_gamma,
     uniform_measure,
 )
+from mgflow import one_neuron as on
 
 MU = uniform_measure(0, 1, 1)
 F = TargetFunction.from_scalar(abs_offset_target(0.3))
@@ -188,6 +189,21 @@ class TestGradientDescent:
             rec = gd_run(xi, MU, f, steps=3, gammas=1.7e308)
         assert rec.termination == "nonfinite"
         assert rec.degenerate_events == 0
+
+    @pytest.mark.parametrize("gamma, word", [(1e15, "divergence_guard"), (1e308, "nonfinite")])
+    def test_termination_names_the_freeze_reason(self, gamma, word):
+        # a huge finite step leaves finite components above the guard; a step
+        # near the float limit overflows the state, and the retraction turns
+        # inf into nan.  Descent and the one-neuron circle flow say the same.
+        xi = random_params(Architecture((1, 2, 1)), np.random.default_rng(46))
+        f = affine_target(0.0, 100.0)
+        cfg = on.OneNeuronConfig(t_end=1.0, step=0.5, integrator="euler", gamma=gamma)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rec = gd_run(xi, MU, TargetFunction.from_scalar(f), steps=3, gammas=gamma)
+            batch = on.flow_batch([[0.6, 0.8, 1.0], [0.0, -1.0, 2.0]], f, cfg)
+        assert rec.termination == word
+        assert batch.termination.tolist() == [word, "completed"]
+        assert batch.row(0).termination == word and batch.row(1).termination == "completed"
 
     def test_degenerate_start_warns(self):
         arch = Architecture((1, 2, 1))

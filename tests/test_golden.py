@@ -34,12 +34,12 @@ CONFIGS = {
 # (trajectory.csv, summary.json without config.out)
 DIGESTS = {
     "flow_181": (
-        "e7a416715dec1bda6562ab24a968fc1bacecf931dab361281d97349262cd7276",
+        "9243f8dc254772874d6e74e46592a548a4b2ec723e7ed7d620d92f7583a4b154",
         "91135ec2959511ed04971f7386b0ca54407683fe6be8a49eab016454bb62b5e5",
     ),
     "gd_2441": (
-        "1b8dd0c73ea1b34a589b547fd657c5d063368d20e4d08431ba4f8b7b061537ad",
-        "7975866eeff0b1bc959e76c31ae0df26ffa8f8b3e96e2f46f22a969c9912dcf1",
+        "48d127077a3b7b554f353ba14886a19b999491b2f4dd0745cb56afc62c180b80",
+        "cd093d881bf5e22c0fa025988e15b1c12628f58c1438766e2f7c798718bb491f",
     ),
     "one_neuron_constant": (
         "b9528382890a8b09476845bf28df72e8bbdbcf86392813db6f38fd53c756bd0f",

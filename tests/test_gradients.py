@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from mgflow import (
     abs_offset_target,
     discrete_measure,
     fd_gradient,
+    forward,
     generalized_gradient,
     gradient_convergence_flag,
+    hidden_mean,
     random_params,
     risk,
     risk_and_gradient,
@@ -21,6 +24,7 @@ from mgflow import (
     smoothed_act_deriv,
     uniform_measure,
 )
+from mgflow import network
 from mgflow.smoothing import INF, activation_knots
 
 MU = uniform_measure(0, 1, 1)
@@ -60,6 +64,25 @@ class TestSmoothedActivation:
             r_big = 1.0 / abs(x) + 1 if x != 0 else 1
             assert smoothed_act(r_big * 2, x) == pytest.approx(max(x, 0.0), abs=0)
             assert smoothed_act_deriv(r_big * 2, x) == (1.0 if x > 0 else 0.0)
+
+    @pytest.mark.parametrize("r", [1.0, 3.0, 100.0, INF])
+    def test_pieces_match_the_reference_formulas(self, r):
+        # bit for bit, signed zeros and nan included, with and without `out`,
+        # also in place
+        x = np.concatenate([np.random.default_rng(8).normal(0.0, 0.5, 400),
+                            [0.0, -0.0, 1.0 / r, np.nan, np.inf, -np.inf]]).reshape(2, -1)
+        with np.errstate(invalid="ignore"):
+            if math.isinf(r):
+                refs = np.maximum(x, 0.0), (x > 0.0).astype(float)
+            else:
+                refs = (np.where(x >= 1.0 / r, x, np.where(x <= 0.0, 0.0, 2.0 * r * x**2 - r**2 * x**3)),
+                        np.where(x >= 1.0 / r, 1.0, np.where(x <= 0.0, 0.0, 4.0 * r * x - 3.0 * r**2 * x**2)))
+        for fn, ref in zip((smoothed_act, smoothed_act_deriv), refs):
+            buf, inplace = np.empty_like(x), x.copy()
+            for got in (fn(r, x), fn(r, x, out=buf), fn(r, inplace, out=inplace)):
+                assert np.array_equal(got, ref, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(ref))
+            assert fn(r, x, out=buf) is buf
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -219,3 +242,79 @@ class TestRiskAndGradient:
         value, grad = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
         assert np.array_equal(value, risk(theta, measure, f, r=r, resolution=resolution))
         assert np.array_equal(grad, generalized_gradient(theta, measure, f, r=r, resolution=resolution))
+
+
+class TestWorkspace:
+    """The passes reuse cached node-sized buffers, one set per architecture
+    and node count: no call may see another call's state."""
+
+    CASES = {
+        "2,4,4,1 grid 16": ((2, 4, 4, 1), uniform_measure(0, 1, 2), 16),
+        "2,4,4,1 grid 24": ((2, 4, 4, 1), uniform_measure(0, 1, 2), 24),
+        "1,8,1 exact": ((1, 8, 1), MU, None),
+        "3,2,5,2 grid 8": ((3, 2, 5, 2), uniform_measure(0, 1, 3), 8),
+        "1,8,1 discrete": ((1, 8, 1), discrete_measure([[0.1], [0.35], [0.8]], [0.5, 1.0, 2.0]), None),
+    }
+    KINDS = ("gradient", "risk", "hidden_mean", "forward")
+
+    @staticmethod
+    def setup(case, seed=0):
+        dims, measure, resolution = TestWorkspace.CASES[case]
+        theta = random_params(Architecture(dims), np.random.default_rng(seed))
+        if dims[0] == 1:
+            f = TargetFunction.from_scalar(abs_offset_target(0.3))
+        else:
+            m, d = dims[-1], dims[0]
+            f = TargetFunction.affine_map(np.linspace(-0.5, 0.5, m * d).reshape(m, d), np.zeros(m))
+        return theta, measure, f, resolution
+
+    def call(self, case, r, kind):
+        theta, measure, f, resolution = self.setup(case)
+        if kind == "gradient":
+            value, grad = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
+            return [np.array(value), grad]
+        if kind == "risk":
+            return [np.array(risk(theta, measure, f, r=r, resolution=resolution))]
+        if kind == "hidden_mean":
+            return [hidden_mean(theta, measure, r=r, resolution=resolution)]
+        dim = theta.arch.layer_dims[0]
+        pres, acts = forward(theta, np.linspace(0.0, 1.0, 7 * dim).reshape(7, dim), r=r)
+        return pres + acts
+
+    def test_interleaved_calls_match_a_fresh_workspace(self):
+        keys = [(case, r, kind) for case in self.CASES for r in (INF, 100.0) for kind in self.KINDS]
+        fresh = {}
+        for key in keys:
+            network._workspace.cache_clear()
+            fresh[key] = self.call(*key)
+        # every call twice in a shuffled order, across more (dims, n) pairs
+        # than the cache holds; no later call may change an earlier result
+        order = np.random.default_rng(0).permutation(2 * len(keys)) % len(keys)
+        kept = [(keys[i], self.call(*keys[i])) for i in order]
+        for key, got in kept:
+            assert all(np.array_equal(a, b) for a, b in zip(got, fresh[key], strict=True)), key
+
+    def test_returned_gradients_share_no_memory(self):
+        theta, measure, f, resolution = self.setup("2,4,4,1 grid 16")
+        other = self.setup("2,4,4,1 grid 16", seed=1)[0]
+        first = risk_and_gradient(theta, measure, f, resolution=resolution)[1]
+        expected = first.copy()
+        second = risk_and_gradient(other, measure, f, resolution=resolution)[1]
+        assert np.array_equal(first, expected) and not np.array_equal(second, expected)
+        first[:] = np.nan
+        second[:] = np.nan
+        assert np.array_equal(risk_and_gradient(theta, measure, f, resolution=resolution)[1], expected)
+
+    @pytest.mark.parametrize("r", [INF, 100.0])
+    def test_a_warm_pass_allocates_less_than_one_node_array(self, r):
+        # 2,4,4,1 on a 128 x 128 grid: 16,384 nodes, widest layer 4
+        theta = random_params(Architecture((2, 4, 4, 1)), np.random.default_rng(3))
+        measure, f = uniform_measure(0, 1, 2), TargetFunction.affine_map([[0.5, 0.5]], [0.0])
+        risk_and_gradient(theta, measure, f, r=r, resolution=128)
+        tracemalloc.start()
+        try:
+            risk_and_gradient(theta, measure, f, r=r, resolution=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16384 * 8

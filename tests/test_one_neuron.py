@@ -15,6 +15,7 @@ from mgflow import (
     uniform_measure,
 )
 from mgflow import one_neuron as on
+from mgflow.verify import LYAPUNOV_TARGETS
 
 MU = uniform_measure(0, 1, 1)
 INV_SQRT2 = 2.0**-0.5
@@ -245,9 +246,11 @@ class TestLyapunovValues:
 
     def test_applicability_reported_with_target(self):
         f = affine_target(0.0, 1.0)
-        rec = on.lyapunov(circle_point(0.99, 1.0, 0.5), f)
+        # the target rises (right_sign = 1), so the v_right window has t3 < 0
+        rec = on.lyapunov(circle_point(0.99, 1.0, -0.5), f)
         assert rec.applicability is not None and rec.applicability["v_right"]
-        rec = on.lyapunov(circle_point(0.5, 1.0, 0.5), f)
+        assert not on.lyapunov(circle_point(0.99, 1.0, 0.5), f).applicability["v_right"]
+        rec = on.lyapunov(circle_point(0.5, 1.0, -0.5), f)
         assert not rec.applicability["v_right"]
 
 
@@ -477,16 +480,36 @@ class TestKernelAgainstExplicitForms:
         assert counts[1] - counts[0] == 4 * 10
 
 
-@pytest.mark.xfail(strict=True, reason="known defect: the v_right window admits a state where V_right rises")
-def test_v_right_non_increasing_inside_its_window():
-    # dV_right/dt = +9.6e-4 at this affine_up state, which applicability_masks
-    # places inside the v_right window
-    problem = on.as_problem(affine_target(0.0, 1.0))
-    theta = np.array([0.7234, -0.6904, 1.7786])
-    theta[:2] /= np.hypot(theta[0], theta[1])
-    inside = on.applicability_masks(theta[None, :], problem)["v_right"]
-    G = on.gradient_batch(theta[None, :], problem)
-    t1, t3 = theta[0], theta[2]
-    dV = -(2.0 * t3 * G[:, 2] - 1.25 * (t1 - INV_SQRT2) * G[:, 0])
-    assert inside.any()
-    assert np.all(dV[inside] <= 0.0)
+def _monitor_rates(states, problem):
+    """Exact time derivatives of theta3_sq, V_right and V_left along the
+    circle flow d theta/dt = -G."""
+    G = on.gradient_batch(states, problem)
+    t1, t3 = states[:, 0], states[:, 2]
+    return {
+        "theta3_sq": -2.0 * t3 * G[:, 2],
+        "v_right": -(2.0 * t3 * G[:, 2] - 1.25 * (t1 - INV_SQRT2) * G[:, 0]),
+        "v_left": -(2.0 * t3 * G[:, 2] + 1.25 * t1 * G[:, 0]),
+    }
+
+
+RANDOM_PIECEWISE_LINEAR = st.lists(st.floats(-1.0, 1.0), min_size=5, max_size=5).map(
+    lambda y: piecewise_linear_target(np.linspace(0.0, 1.0, 5), y))
+
+
+@given(st.integers(0, 2**32 - 1),
+       st.one_of(st.sampled_from([f for _, f in LYAPUNOV_TARGETS]), RANDOM_PIECEWISE_LINEAR))
+@settings(max_examples=40, deadline=None)
+def test_monitors_non_increasing_inside_their_windows(seed, f):
+    # circle states near both boundary regimes (q close to 1 and to 0),
+    # where the windows lie, with t3 of either sign
+    rng = np.random.default_rng(seed)
+    n = 1000
+    q = np.concatenate([rng.uniform(0.85, 1.0, n), rng.uniform(0.0, 0.15, n)])
+    t1 = np.repeat([1.0, -1.0], n) / np.sqrt(1.0 + q * q)
+    states = np.column_stack([t1, -q * t1, rng.uniform(-4.0, 4.0, 2 * n)])
+    problem = on.as_problem(f)
+    masks = on.applicability_masks(states, problem)
+    tol = 1e-12 * (1.0 + states[:, 2] ** 2)  # rounding of the exact rate
+    for name, rate in _monitor_rates(states, problem).items():
+        inside = masks[name]
+        assert np.all(rate[inside] <= tol[inside]), name
