@@ -14,10 +14,7 @@ from .params import (
     NeuronKey,
     ParamVector,
     bias_index,
-    neuron_subvector,
-    param_count,
     random_params,
-    set_neuron_subvector,
     weight_index,
 )
 from .quadrature import (
@@ -39,7 +36,7 @@ from .targets import (
 )
 from .smoothing import INF, smoothed_act, smoothed_act_deriv
 from .network import exact_breakpoints, forward, hidden_mean, realize, risk
-from .gradients import fd_gradient, generalized_gradient, gradient_convergence_flag, risk_and_gradient
+from .gradients import fd_gradient, generalized_gradient, risk_and_gradient
 from .manifold import (
     grad_psi,
     max_constraint_deviation,
@@ -53,7 +50,7 @@ from .manifold import (
     rescale_layer,
     rho,
 )
-from .dynamics import FlowConfig, TrajectoryRecord, gd_run, integrate_flow, rescaled_gamma
+from .dynamics import FlowConfig, TrajectoryRecord, gd_run, integrate_flow
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

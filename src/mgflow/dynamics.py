@@ -22,7 +22,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gradients import generalized_gradient, risk_and_gradient
+from .gradients import generalized_gradient  # noqa: F401  (bench/tracing.py wraps dynamics.generalized_gradient)
+from .gradients import risk_and_gradient
 from .manifold import (
     max_constraint_deviation,
     min_subvector_norm,
@@ -107,10 +108,6 @@ class TrajectoryRecord:
         columns = {name: getattr(self, name)[:, b] for name in _COLUMNS[1:]}
         return replace(self, stopped=self.stopped[b], termination=str(self.termination[b]), **columns)
 
-    def validate(self):
-        assert all(len(getattr(self, name)) == len(self.times) for name in _COLUMNS)
-        assert np.all(np.diff(self.times) > 0)
-
     def close_if_stationary(self, t_end: float) -> None:
         """Cut at the first recorded |G| <= STATIONARY_TOL before the last row
         and close with that state at t_end: the exact flow is (approximately)
@@ -138,23 +135,6 @@ def step_factor(raw, proj, gamma):
     g2 = np.sum(proj**2, axis=-1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return np.where(g2 > 0.0, np.minimum(raw2 / g2, GAMMA_CAP), 0.0)
-
-
-def rescaled_gamma(
-    theta: ParamVector,
-    measure: InputMeasure,
-    f: TargetFunction,
-    r=INF,
-    resolution: Optional[int] = None,
-) -> float:
-    """Time-rescaling factor |raw|^2 / |G|^2 (capped at GAMMA_CAP) making the
-    risk decay at the unconstrained rate.  Raises when G vanishes (stationary
-    on the manifold)."""
-    raw = generalized_gradient(theta, measure, f, r=r, resolution=resolution)
-    gamma = float(step_factor(raw, project_gradient(theta, raw), "rescaled"))
-    if gamma == 0.0:
-        raise ZeroDivisionError("projected gradient vanishes: stationary on the manifold")
-    return gamma
 
 
 def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):

@@ -110,26 +110,3 @@ def fd_gradient(
         out[j] = (up - down) / (2.0 * h)
     return out
 
-
-def gradient_convergence_flag(
-    theta: ParamVector,
-    measure: InputMeasure,
-    f: TargetFunction,
-    indices=(1e3, 1e4, 1e5),
-    tol: float = 1e-6,
-    resolution: Optional[int] = None,
-) -> bool:
-    """True when the smoothed gradients along `indices` already agree.
-
-    The exact-ReLU limit is defined only where the smoothed gradients
-    converge; this probes a fixed ladder of indices and reports whether they
-    match within tol * (1 + gradient norm).
-    """
-    grads = [
-        generalized_gradient(theta, measure, f, r=r, resolution=resolution) for r in indices
-    ]
-    scale = 1.0 + max(np.linalg.norm(g) for g in grads)
-    worst = max(
-        float(np.max(np.abs(a - b))) for a, b in zip(grads[:-1], grads[1:])
-    )
-    return worst <= tol * scale

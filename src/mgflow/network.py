@@ -150,13 +150,11 @@ def realize(
     measure: InputMeasure,
     r=INF,
     resolution: Optional[int] = None,
-    mean: Optional[np.ndarray] = None,
 ):
-    """Network output at x; `mean` may be passed to reuse a precomputed hidden mean."""
+    """Network output at x."""
     arch = theta.arch
     X, squeeze = _as_batch(x, arch.layer_dims[0])
-    if mean is None:
-        mean = hidden_mean(theta, measure, r=r, resolution=resolution)
+    mean = hidden_mean(theta, measure, r=r, resolution=resolution)
     _, acts = forward(theta, X, r=r)
     L = arch.depth
     out = (acts[-1] - mean) @ theta.weights(L).T + theta.biases(L)

@@ -39,22 +39,6 @@ _CIRCLE_TOL = 1e-8
 _E_FULL_T1_CAP = 0.999  # conservation monitor needs log(1 - t1^2) well conditioned
 
 
-@dataclass(frozen=True)
-class Regime:
-    tag: str
-    q: float  # breakpoint; inf when the pre-activation is constant in s
-
-
-def activity_breakpoint(theta) -> float:
-    """-t2/t1, or inf when t1 = 0."""
-    return float(_intervals(*np.asarray(theta, dtype=float)[:2])[2])
-
-
-def classify(theta) -> Regime:
-    code, q = _regime_codes(*np.asarray(theta, dtype=float)[:2])
-    return Regime(REGIME_TAGS[int(code)], float(q))
-
-
 def _intervals(t1, t2):
     """Activity interval [lo, hi] per batch row (lo = hi when empty)."""
     q = np.divide(-t2, t1, out=np.full(np.shape(t1), np.inf), where=t1 != 0.0)
@@ -69,13 +53,6 @@ def _regime_codes(t1, t2):
     A row is partial exactly when 0 < q < 1; rows with a nan are empty."""
     lo, hi, q = _intervals(t1, t2)
     return np.where((q > 0.0) & (q < 1.0), 3 - (t1 > 0.0), hi > lo), q
-
-
-def mean_m(theta) -> float:
-    """int_0^1 max(t1 s + t2, 0) ds, exact in every regime."""
-    t1, t2 = float(theta[0]), float(theta[1])
-    lo, hi, _ = _intervals(np.asarray(t1), np.asarray(t2))
-    return float(t1 * (hi**2 - lo**2) / 2.0 + t2 * (hi - lo))
 
 
 @dataclass(frozen=True)
@@ -236,17 +213,6 @@ def raw_gradient_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndar
     return _raw_and_j3(np.asarray(states, dtype=float), problem)[0]
 
 
-def risk_1n(theta, f) -> float:
-    return float(risk_batch(np.asarray(theta, dtype=float), as_problem(f)))
-
-
-def risk_gradient(theta, f) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if abs(theta[0]) + abs(theta[1]) == 0.0:
-        raise ValueError("risk gradient undefined at t1 = t2 = 0")
-    return raw_gradient_batch(theta, as_problem(f))
-
-
 def grad_1n(theta, f) -> np.ndarray:
     """Tangent gradient via the explicit closed forms; requires a point on
     the constraint circle (|t1^2 + t2^2 - 1| <= 1e-8)."""
@@ -259,18 +225,6 @@ def grad_1n(theta, f) -> np.ndarray:
     return gradient_batch(theta, as_problem(f))
 
 
-def project_to_circle(theta, grad) -> np.ndarray:
-    """Remove the component of grad along the circle normal (2 t1, 2 t2, 0)."""
-    theta = np.asarray(theta, dtype=float)
-    grad = np.asarray(grad, dtype=float).copy()
-    n2 = theta[0] ** 2 + theta[1] ** 2
-    if n2 > 0.0:
-        coef = (theta[0] * grad[0] + theta[1] * grad[1]) / n2
-        grad[0] -= coef * theta[0]
-        grad[1] -= coef * theta[1]
-    return grad
-
-
 def closed_integrals(theta) -> dict:
     """Closed forms for m, int_I (max - m), int_0^1 (max - m)^2 in the
     breakpoint regimes.
@@ -280,21 +234,21 @@ def closed_integrals(theta) -> dict:
     nonnegative).  Rejects full/empty regimes.
     """
     t1 = float(theta[0])
-    reg = classify(theta)
-    q = reg.q
-    if reg.tag == "right":
+    code, q = _regime_codes(*np.asarray(theta, dtype=float)[:2])
+    tag, q = REGIME_TAGS[int(code)], float(q)
+    if tag == "right":
         return {
             "m": t1 / 2.0 * (1.0 - q) ** 2,
             "centered_first_moment": t1 / 2.0 * (1.0 - q) ** 2 * q,
             "centered_second_moment": t1**2 * (1.0 - q) ** 3 * (1.0 / 12.0 + q / 4.0),
         }
-    if reg.tag == "left":
+    if tag == "left":
         return {
             "m": abs(t1) / 2.0 * q**2,
             "centered_first_moment": abs(t1) / 2.0 * (1.0 - q) * q**2,
             "centered_second_moment": t1**2 * q**3 * (1.0 / 3.0 - q / 4.0),
         }
-    raise ValueError(f"closed integrals need a breakpoint regime, got {reg.tag!r}")
+    raise ValueError(f"closed integrals need a breakpoint regime, got {tag!r}")
 
 
 def closed_gradient(theta, f) -> np.ndarray:
@@ -310,17 +264,17 @@ def closed_gradient(theta, f) -> np.ndarray:
         raise ValueError("closed gradient formulas hold on the constraint circle")
     problem = as_problem(f)
     t1, t2, t3 = theta
-    reg = classify(theta)
-    q = reg.q
+    code, q = _regime_codes(t1, t2)
+    tag, q = REGIME_TAGS[int(code)], float(q)
     A, B = (float(v) for v in _moments(theta, problem)[4:])
-    if reg.tag == "right":
+    if tag == "right":
         J1 = t1 * t2**2 / 12.0 * (1.0 - q) ** 2 * (7.0 + 2.0 * q + 3.0 * q**2)
         J3 = t1**2 * (1.0 - q) ** 3 * (1.0 / 12.0 + q / 4.0)
-    elif reg.tag == "left":
+    elif tag == "left":
         J1 = abs(t1) ** 3 / 12.0 * q**3 * (6.0 - 6.0 * q + 2.0 * q**2 - 3.0 * q**3)
         J3 = t1**2 * q**3 * (1.0 / 3.0 - q / 4.0)
     else:
-        raise ValueError(f"closed gradient needs a breakpoint regime, got {reg.tag!r}")
+        raise ValueError(f"closed gradient needs a breakpoint regime, got {tag!r}")
     # the tangent map of the raw gradient, with J1 = t2 K (t2 != 0 off the full/empty regimes)
     w = 2.0 * t3 * (t3 * J1 / t2 + t2 * B - t1 * A)
     return np.array([t2 * w, -t1 * w, 2.0 * (t3 * J3 + t1 * B + t2 * A)])
@@ -410,32 +364,6 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
 
     conserved = (code == 1) & (np.abs(t1) <= _E_FULL_T1_CAP)
     return {"theta3_sq": t3sq, "v_right": v_right, "v_left": v_left, "conserved_full": conserved}
-
-
-@dataclass
-class LyapunovRecord:
-    E_full: float
-    V_right: float
-    V_left: float
-    E_defined: bool
-    applicability: Optional[dict] = None
-
-
-def lyapunov(theta, f=None) -> LyapunovRecord:
-    """Monitor values at one state; applicability filled in when f is given."""
-    theta = np.asarray(theta, dtype=float)
-    E, Vr, Vl = lyapunov_values(theta)
-    applicability = None
-    if f is not None:
-        masks = applicability_masks(theta[None, :], as_problem(f))
-        applicability = {k: bool(v[0]) for k, v in masks.items()}
-    return LyapunovRecord(
-        E_full=float(E),
-        V_right=float(Vr),
-        V_left=float(Vl),
-        E_defined=bool(abs(theta[0]) < 1.0),
-        applicability=applicability,
-    )
 
 
 @dataclass

@@ -90,10 +90,6 @@ class NeuronKey:
     index: int
 
 
-def param_count(arch: Architecture) -> int:
-    return arch.param_count
-
-
 def weight_index(arch: Architecture, k: int, i: int, j: int) -> int:
     """1-based flat position of weight (i, j) of layer k."""
     arch._check_neuron(k, i)
@@ -159,14 +155,6 @@ class ParamVector:
         if sub.shape != idx.shape:
             raise ValueError(f"subvector for {key} must have length {idx.size}")
         self.values[idx] = sub
-
-
-def neuron_subvector(theta: ParamVector, key: NeuronKey) -> np.ndarray:
-    return theta.neuron_subvector(key)
-
-
-def set_neuron_subvector(theta: ParamVector, key: NeuronKey, sub) -> None:
-    theta.set_neuron_subvector(key, sub)
 
 
 def random_params(arch: Architecture, rng: np.random.Generator, scale: float = 1.0) -> ParamVector:

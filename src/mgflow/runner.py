@@ -71,8 +71,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     def bad(name, why):
         raise ConfigError(f"config field '{name}': {why}")
 
-    if cfg.mode not in ("flow", "gd", "one-neuron", "verify"):
-        bad("mode", f"must be flow|gd|one-neuron|verify, got {cfg.mode!r}")
+    if cfg.mode not in ("flow", "gd", "one-neuron"):
+        bad("mode", f"must be flow|gd|one-neuron, got {cfg.mode!r}")
     if cfg.mode == "one-neuron":
         if tuple(cfg.architecture) not in ((1, 1, 1),):
             bad("architecture", "one-neuron mode requires (1, 1, 1)")

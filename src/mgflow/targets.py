@@ -177,15 +177,12 @@ class TargetFunction:
     """Target f: [a,b]^d -> R^m for the risk functional.
 
     `breakpoints` (1-d inputs only) lists interior kinks so the quadrature
-    engine can split segments; `scalar` keeps the exact piecewise form when
-    the target came from one.
+    engine can split segments.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     out_dim: int = 1
-    lipschitz_bound: Optional[float] = None
     breakpoints: Optional[np.ndarray] = None
-    scalar: Optional[PiecewisePolynomial] = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.evaluator(x), dtype=float)
@@ -200,9 +197,7 @@ class TargetFunction:
         return cls(
             evaluator=lambda x: p(x[:, 0]),
             out_dim=1,
-            lipschitz_bound=p.lipschitz_bound(),
             breakpoints=p.interior_breaks(),
-            scalar=p,
         )
 
     @classmethod
@@ -210,7 +205,6 @@ class TargetFunction:
         return cls(
             evaluator=lambda x: np.zeros((x.shape[0], out_dim)),
             out_dim=out_dim,
-            lipschitz_bound=0.0,
             breakpoints=np.array([]),
         )
 
@@ -224,6 +218,5 @@ class TargetFunction:
         return cls(
             evaluator=lambda x: x @ W.T + c,
             out_dim=c.size,
-            lipschitz_bound=float(np.linalg.norm(W, 2)),
             breakpoints=np.array([]),
         )

@@ -22,8 +22,9 @@ from .gradients import fd_gradient, generalized_gradient
 from .manifold import project_gradient, random_on_manifold, rescale_full
 from .network import forward, realize
 from .params import Architecture, ParamVector
-from .quadrature import integrate, uniform_measure
+from .quadrature import integrate, quadrature_nodes, uniform_measure
 from .runner import ExperimentConfig, run_experiment
+from .smoothing import activation_knots
 from .targets import (
     TargetFunction,
     abs_offset_target,
@@ -173,10 +174,8 @@ def check_tangency(seed) -> CheckResult:
 def _smooth_region_theta(arch, measure, rng, r, resolution, margin_factor=0.5, tries=50):
     """Draw theta whose hidden pre-activations stay away from the smoothing
     band's knots on the quadrature grid."""
-    from .quadrature import quadrature_nodes
-
     X, _ = quadrature_nodes(measure, resolution=resolution or 64)
-    knots = np.array([0.0, 1.0 / r])
+    knots = activation_knots(r)
     for _ in range(tries):
         theta = ParamVector(arch, rng.standard_normal(arch.param_count))
         pres, _ = forward(theta, X, r=r)

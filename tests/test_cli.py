@@ -27,6 +27,15 @@ class TestConfigValidation:
                  "measure": {"kind": "uniform", "a": 0.0, "b": 2.0}}
             )
 
+    def test_verify_mode_rejected(self, tmp_path):
+        # the CLI runs the verify suite before any config is built; a config
+        # in verify mode would otherwise run normalized descent
+        with pytest.raises(ConfigError, match="'mode'"):
+            config_from_dict({"mode": "verify", "steps": 3, "out": str(tmp_path)})
+        with pytest.raises(ConfigError, match="'mode'"):
+            run_experiment(ExperimentConfig(mode="verify", steps=3, out=str(tmp_path)))
+        assert not list(tmp_path.iterdir())
+
     def test_gamma_strings(self):
         cfg = config_from_dict({"mode": "flow", "gamma": "rescaled"})
         assert cfg.gamma == "rescaled"

@@ -17,10 +17,10 @@ from mgflow import (
     project_gradient,
     random_on_manifold,
     random_params,
-    rescaled_gamma,
     uniform_measure,
 )
 from mgflow import one_neuron as on
+from mgflow.dynamics import step_factor
 
 MU = uniform_measure(0, 1, 1)
 F = TargetFunction.from_scalar(abs_offset_target(0.3))
@@ -57,7 +57,9 @@ class TestIntegrateFlow:
         # start, every k-th of 50 steps, and the last step when k does not divide 50
         for k, steps in ((10, [0, 10, 20, 30, 40, 50]), (15, [0, 15, 30, 45, 50])):
             rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.05, step=1e-3, record_every=k))
-            rec.validate()
+            assert all(len(getattr(rec, name)) == len(rec.times)
+                       for name in ("states", "risk", "psi_max_dev", "grad_norm"))
+            assert np.all(np.diff(rec.times) > 0)
             np.testing.assert_allclose(rec.times, np.array(steps) * 1e-3)
 
     def test_initial_state_is_rescaled(self):
@@ -234,14 +236,16 @@ class TestRescaledGamma:
         theta.weights(2)[:] = 0.0
         theta.biases(2)[:] = 2.0
         raw = generalized_gradient(theta, MU, F)
-        np.testing.assert_array_equal(project_gradient(theta, raw), raw)
-        assert rescaled_gamma(theta, MU, F) == pytest.approx(1.0)
+        proj = project_gradient(theta, raw)
+        np.testing.assert_array_equal(proj, raw)
+        assert step_factor(raw, proj, "rescaled") == pytest.approx(1.0)
 
     def test_factor_at_least_one_generically(self):
         rng = np.random.default_rng(43)
         arch = Architecture((1, 3, 1))
         theta = random_on_manifold(arch, rng)
-        assert rescaled_gamma(theta, MU, F) >= 1.0
+        raw = generalized_gradient(theta, MU, F)
+        assert step_factor(raw, project_gradient(theta, raw), "rescaled") >= 1.0
 
     def test_synthetic_decomposition(self):
         rng = np.random.default_rng(42)
@@ -258,8 +262,11 @@ class TestRescaledGamma:
         assert got == pytest.approx(1.0 / cos2)
 
     def test_vanishing_projection_signals_stationary(self):
-        # gradient with only normal components projects to zero
+        # gradient with only normal components projects to zero, and a
+        # vanishing projection gives the factor 0: the state is stationary
         arch = Architecture((1, 1, 1))
         theta = ParamVector(arch, np.array([0.0, -1.0, 0.0, 0.0]))
-        with pytest.raises(ZeroDivisionError):
-            rescaled_gamma(theta, MU, TargetFunction.zero())
+        raw = generalized_gradient(theta, MU, TargetFunction.zero())
+        proj = project_gradient(theta, raw)
+        assert not proj.any()
+        assert step_factor(raw, proj, "rescaled") == 0.0

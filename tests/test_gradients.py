@@ -15,7 +15,6 @@ from mgflow import (
     fd_gradient,
     forward,
     generalized_gradient,
-    gradient_convergence_flag,
     hidden_mean,
     random_params,
     risk,
@@ -133,11 +132,6 @@ class TestGeneralizedGradient:
         g = generalized_gradient(theta, MU, f, r=200)
         fd = fd_gradient(theta, MU, f, r=200, h=1e-6)
         assert np.linalg.norm(fd - g) <= 1e-6 * (1 + np.linalg.norm(g))
-
-    def test_convergence_flag_on_smooth_region(self):
-        arch = Architecture((1, 1, 1))
-        theta = ParamVector(arch, np.array([1.0, 0.5, 1.0, 0.0]))  # active everywhere
-        assert gradient_convergence_flag(theta, MU, TargetFunction.zero())
 
 
 class TestFiniteDifferences:

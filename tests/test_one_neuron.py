@@ -19,6 +19,7 @@ from mgflow.verify import LYAPUNOV_TARGETS
 
 MU = uniform_measure(0, 1, 1)
 INV_SQRT2 = 2.0**-0.5
+ZERO = on.as_problem(constant_target(0.0))
 
 
 def circle_point(q, sign_t1, t3):
@@ -28,19 +29,18 @@ def circle_point(q, sign_t1, t3):
 
 class TestBreakpointAndRegimes:
     def test_breakpoint_values(self):
-        assert on.activity_breakpoint((1.0, -0.5, 0.0)) == pytest.approx(0.5)
-        assert on.activity_breakpoint((0.0, 0.3, 0.0)) == math.inf
-        assert on.activity_breakpoint((-2.0, 1.0, 0.0)) == pytest.approx(0.5)
+        q = on._intervals(np.array([1.0, 0.0, -2.0]), np.array([-0.5, 0.3, 1.0]))[2]
+        assert q[0] == pytest.approx(0.5)
+        assert q[1] == math.inf
+        assert q[2] == pytest.approx(0.5)
 
     def test_regime_classification(self):
-        assert on.classify((1.0, -0.5, 0.0)).tag == "right"
-        assert on.classify((-1.0, 0.5, 0.0)).tag == "left"
-        assert on.classify((0.0, -1.0, 0.0)).tag == "empty"
-        assert on.classify((0.0, 1.0, 0.0)).tag == "full"
-        assert on.classify((1.0, 0.5, 0.0)).tag == "full"     # q < 0
-        assert on.classify((1.0, -2.0, 0.0)).tag == "empty"   # q > 1
+        code, _ = on._regime_codes(np.array([1.0, -1.0, 0.0, 0.0, 1.0, 1.0]),
+                                   np.array([-0.5, 0.5, -1.0, 1.0, 0.5, -2.0]))
+        # the last two rows have q < 0 (full) and q > 1 (empty)
+        assert [on.REGIME_TAGS[c] for c in code] == ["right", "left", "empty", "full", "full", "empty"]
 
-    def test_edge_rows_agree_between_classify_and_regime_codes(self):
+    def test_edge_rows_scalar_and_batch_regime_codes_agree(self):
         # q = 1e-17 lies in (0, 1) although 1 - q rounds to 1; rows with a
         # nan coordinate have no activity interval
         rows = [(1.0, -1e-17, "right"), (-1.0, 1e-17, "left"), (math.nan, 0.5, "empty"),
@@ -48,18 +48,21 @@ class TestBreakpointAndRegimes:
         t1, t2, tags = zip(*rows)
         code, _ = on._regime_codes(np.array(t1), np.array(t2))
         assert [on.REGIME_TAGS[c] for c in code] == list(tags)
-        assert [on.classify((a, b, 0.0)).tag for a, b, _ in rows] == list(tags)
+        # closed_integrals and closed_gradient look up one state at a time
+        scalar = [on._regime_codes(np.float64(a), np.float64(b))[0] for a, b, _ in rows]
+        assert [on.REGIME_TAGS[int(c)] for c in scalar] == list(tags)
 
     def test_left_boundary_breakpoint_is_full(self):
         # q = 1 with negative slope: active on [0, 1)
-        theta = (-INV_SQRT2, INV_SQRT2, 0.0)
-        assert on.classify(theta).tag == "full"
-        assert on.mean_m(theta) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
+        theta = np.array([-INV_SQRT2, INV_SQRT2, 0.0])
+        assert on.REGIME_TAGS[int(on._regime_codes(theta[0], theta[1])[0])] == "full"
+        assert on._moments(theta, ZERO)[3] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
 
     def test_mean_examples(self):
-        assert on.mean_m((1.0, -0.5, 0.0)) == pytest.approx(0.125)
-        assert on.mean_m((0.0, -1.0, 0.0)) == 0.0
-        assert on.mean_m((1.0, 0.0, 0.0)) == pytest.approx(0.5)
+        m = on._moments(np.array([[1.0, -0.5, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]), ZERO)[3]
+        assert m[0] == pytest.approx(0.125)
+        assert m[1] == 0.0
+        assert m[2] == pytest.approx(0.5)
 
     def test_mean_matches_quadrature_all_regimes(self):
         rng = np.random.default_rng(50)
@@ -67,14 +70,14 @@ class TestBreakpointAndRegimes:
             t1, t2 = rng.standard_normal(2) * 2.0
             ref = integrate(
                 lambda X: np.maximum(t1 * X[:, 0] + t2, 0.0),
-                MU, breakpoints=[on.activity_breakpoint((t1, t2, 0.0))],
+                MU, breakpoints=[float(on._intervals(t1, t2)[2])],
             )
-            assert on.mean_m((t1, t2, 0.0)) == pytest.approx(ref, abs=1e-14)
+            assert on._moments(np.array([t1, t2, 0.0]), ZERO)[3] == pytest.approx(ref, abs=1e-14)
 
 
 class TestRiskAndGradient:
     def test_centered_ramp_risk(self):
-        assert on.risk_1n((1.0, 0.0, 1.0), constant_target(0.0)) == pytest.approx(1.0 / 12.0)
+        assert on.risk_batch(np.array([1.0, 0.0, 1.0]), ZERO) == pytest.approx(1.0 / 12.0)
 
     def test_gradient_at_ramp(self):
         g = on.grad_1n((1.0, 0.0, 1.0), constant_target(0.0))
@@ -100,9 +103,10 @@ class TestRiskAndGradient:
             theta = circle_point(rng.uniform(0.1, 0.9), rng.choice((1.0, -1.0)), rng.standard_normal())
             knots = np.concatenate(([0.0], np.sort(rng.uniform(0.1, 0.9, 2)), [1.0]))
             f = piecewise_linear_target(knots, rng.standard_normal(4))
+            problem = on.as_problem(f)
             fbar = f.mean()
-            m = on.mean_m(theta)
-            q = on.activity_breakpoint(theta)
+            m = on._moments(theta, problem)[3]
+            q = on._intervals(theta[0], theta[1])[2]
             ref = integrate(
                 lambda X: (
                     theta[2] * (np.maximum(theta[0] * X[:, 0] + theta[1], 0.0) - m)
@@ -110,7 +114,7 @@ class TestRiskAndGradient:
                 ) ** 2,
                 MU, breakpoints=np.concatenate((f.interior_breaks(), [q])),
             )
-            assert on.risk_1n(theta, f) == pytest.approx(ref, abs=1e-13)
+            assert on.risk_batch(theta, problem) == pytest.approx(ref, abs=1e-13)
 
     def test_gradient_matches_explicit_integrands(self):
         # angular factors (t2^2 s - t1 t2) and (t1^2 - t1 t2 s) on the
@@ -120,8 +124,8 @@ class TestRiskAndGradient:
             t = circle_point(rng.uniform(0.05, 0.95), rng.choice((1.0, -1.0)), rng.standard_normal())
             t1, t2, t3 = t
             f = abs_offset_target(rng.uniform(0.2, 0.8))
-            fbar, m = f.mean(), on.mean_m(t)
-            q = on.activity_breakpoint(t)
+            fbar, m = f.mean(), on._moments(t, on.as_problem(f))[3]
+            q = on._intervals(t1, t2)[2]
             bp = np.concatenate((f.interior_breaks(), [q]))
 
             def resid(s):
@@ -142,9 +146,13 @@ class TestRiskAndGradient:
     def test_projected_raw_gradient_matches_closed_form_on_circle(self):
         rng = np.random.default_rng(53)
         f = abs_offset_target(0.35)
+        problem = on.as_problem(f)
         for _ in range(100):
             t = circle_point(rng.uniform(0.05, 0.95), rng.choice((1.0, -1.0)), rng.standard_normal())
-            proj = on.project_to_circle(t, on.risk_gradient(t, f))
+            raw = on.raw_gradient_batch(t, problem)
+            # remove the component along the circle normal (t1, t2, 0)
+            normal = np.array([t[0], t[1], 0.0])
+            proj = raw - (normal @ raw) / (normal @ normal) * normal
             np.testing.assert_allclose(proj, on.grad_1n(t, f), atol=1e-12)
 
     def test_mean_term_contribution_integrates_to_zero(self):
@@ -154,8 +162,8 @@ class TestRiskAndGradient:
         for _ in range(50):
             t = circle_point(rng.uniform(0.1, 0.9), rng.choice((1.0, -1.0)), rng.standard_normal())
             f = abs_offset_target(rng.uniform(0.2, 0.8))
-            fbar, m = f.mean(), on.mean_m(t)
-            q = on.activity_breakpoint(t)
+            fbar, m = f.mean(), on._moments(t, on.as_problem(f))[3]
+            q = on._intervals(t[0], t[1])[2]
             val = integrate(
                 lambda X: t[2] * (np.maximum(t[0] * X[:, 0] + t[1], 0.0) - m) + fbar - f(X[:, 0]),
                 MU, breakpoints=np.concatenate((f.interior_breaks(), [q])),
@@ -232,26 +240,24 @@ class TestAffineIntegralBound:
 
 class TestLyapunovValues:
     def test_plug_in_values(self):
-        rec = on.lyapunov((0.0, 1.0, 2.0))
-        assert rec.E_full == pytest.approx(4.0)
-        assert rec.E_defined
-        rec = on.lyapunov((INV_SQRT2, -INV_SQRT2, 1.5))
-        assert rec.V_right == pytest.approx(1.5**2)
-        rec = on.lyapunov((0.0, 1.0, 0.0))
-        assert rec.V_left == pytest.approx(0.0)
+        states = np.array([[0.0, 1.0, 2.0], [INV_SQRT2, -INV_SQRT2, 1.5], [0.0, 1.0, 0.0]])
+        E, V_right, V_left = on.lyapunov_values(states)
+        assert E[0] == pytest.approx(4.0)
+        assert not np.isnan(E[0])
+        assert V_right[1] == pytest.approx(1.5**2)
+        assert V_left[2] == pytest.approx(0.0)
 
     def test_undefined_conserved_quantity_flagged(self):
-        rec = on.lyapunov((1.0, 0.0, 1.0))
-        assert not rec.E_defined and math.isnan(rec.E_full)
+        E, _, _ = on.lyapunov_values(np.array([1.0, 0.0, 1.0]))
+        assert np.isnan(E)
 
     def test_applicability_reported_with_target(self):
-        f = affine_target(0.0, 1.0)
+        problem = on.as_problem(affine_target(0.0, 1.0))
         # the target rises (right_sign = 1), so the v_right window has t3 < 0
-        rec = on.lyapunov(circle_point(0.99, 1.0, -0.5), f)
-        assert rec.applicability is not None and rec.applicability["v_right"]
-        assert not on.lyapunov(circle_point(0.99, 1.0, 0.5), f).applicability["v_right"]
-        rec = on.lyapunov(circle_point(0.5, 1.0, -0.5), f)
-        assert not rec.applicability["v_right"]
+        states = np.array([circle_point(0.99, 1.0, -0.5), circle_point(0.99, 1.0, 0.5),
+                           circle_point(0.5, 1.0, -0.5)])
+        v_right = on.applicability_masks(states, problem)["v_right"]
+        np.testing.assert_array_equal(v_right, [True, False, False])
 
 
 class TestWindows:

@@ -8,16 +8,15 @@ from mgflow import (
     NeuronKey,
     ParamVector,
     bias_index,
-    param_count,
     weight_index,
 )
 
 
 class TestParamCount:
     def test_examples(self):
-        assert param_count(Architecture((1, 1, 1))) == 4
-        assert param_count(Architecture((1, 8, 1))) == 25
-        assert param_count(Architecture((2, 3, 3, 1))) == 25
+        assert Architecture((1, 1, 1)).param_count == 4
+        assert Architecture((1, 8, 1)).param_count == 25
+        assert Architecture((2, 3, 3, 1)).param_count == 25
 
     def test_rejects_short_and_empty_layers(self):
         with pytest.raises(ValueError):
