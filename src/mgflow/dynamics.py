@@ -88,7 +88,9 @@ class TrajectoryRecord:
     `stopped` holds the step at which each trajectory froze (0 if never) and
     `termination` how each one ended: "completed", "nonfinite" (frozen on a
     non-finite state) or "divergence_guard" (frozen on a component above
-    DIVERGENCE_GUARD); a single run's record holds one of each."""
+    DIVERGENCE_GUARD); a single run's record holds one of each.
+    `degenerate_events` counts the zero hidden rows of every finite retracted
+    state (and, for `integrate_flow`, one for a degenerate start)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -143,7 +145,9 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
 
     `field(Y, n, record)` returns (G, gamma, diagnostics) at step n; gamma is
     one number or one per row, and diagnostics, needed only when `record` is
-    true, is passed through.  A row is frozen at its last valid state once
+    true, is passed through.  `retract(Y)` returns the retracted rows and how
+    many zero hidden rows they hold; the record's `degenerate_events` sums
+    those counts over the run.  A row is frozen at its last valid state once
     its retracted state is non-finite or exceeds DIVERGENCE_GUARD; the run
     ends when no row is left.
 
@@ -157,7 +161,7 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
     Y = np.array(Y, dtype=float)
     stopped = np.zeros(len(Y), dtype=int)
     termination = np.full(len(Y), "completed", dtype="<U16")
-    rows = []
+    rows, events = [], 0
 
     def rate(Z, n, record=False):
         G, gamma, diagnosed = field(Z, n, record)
@@ -175,25 +179,26 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
             k2 = rate(Y + 0.5 * h * k1, n)[0]
             k3 = rate(Y + 0.5 * h * k2, n)[0]
             k4 = rate(Y + h * k3, n)[0]
-            Y_new = retract(Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+            Y_new, zero_rows = retract(Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         else:
-            Y_new = retract(Y + h * k1)
-        frozen = ~(np.max(np.abs(Y_new), axis=1) <= DIVERGENCE_GUARD) & (stopped == 0)
-        stopped[frozen] = n + 1
-        termination[frozen] = np.where(np.isfinite(Y_new[frozen]).all(axis=1),
-                                       "divergence_guard", "nonfinite")
-        Y = np.where(stopped[:, None] == 0, Y_new, Y)
+            Y_new, zero_rows = retract(Y + h * k1)
+        events += zero_rows
+        frozen = ~(np.abs(Y_new).max(axis=1) <= DIVERGENCE_GUARD) & (stopped == 0)
+        if frozen.any():
+            stopped[frozen] = n + 1
+            termination[frozen] = np.where(np.isfinite(Y_new[frozen]).all(axis=1),
+                                           "divergence_guard", "nonfinite")
+        Y = np.where(stopped[:, None] == 0, Y_new, Y) if stopped.any() else Y_new
 
     steps, states, grad_norm, diagnostics = zip(*rows)
     unset = np.full((len(rows), len(Y)), np.nan)
     return TrajectoryRecord(np.array(steps) * h, np.array(states), unset, unset.copy(),
-                            np.array(grad_norm), stopped, termination), diagnostics
+                            np.array(grad_norm), stopped, termination, events), diagnostics
 
 
 def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> TrajectoryRecord:
     """Run `fixed_step` on one network from the rescaled xi; returns its record."""
     arch = xi.arch
-    events = 0
 
     def field(Y, n, diagnose):
         theta = ParamVector(arch, Y[0])
@@ -203,23 +208,21 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
         return proj[None, :], step_factor(raw, proj, gamma_at(n)), diagnostics
 
     def retract(Y):
-        nonlocal events
         theta = ParamVector(arch, Y[0])
         if cfg.reproject:
             theta = renormalize(theta)
         hidden = [theta.values[idx] for idx in arch.subvector_rows[:-1]]
-        # min_subvector_norm(theta) == 0 without the norms: a row's norm is 0
-        # exactly when every entry is, and a non-finite row makes the min nan
-        if all(np.isfinite(V).all() for V in hidden) and not all(V.any(axis=1).all() for V in hidden):
-            events += 1
-        return theta.values[None, :]
+        # a row's norm is 0 exactly when every entry is; as for
+        # min_subvector_norm(theta) == 0, zero rows count on a finite state only
+        finite = all(np.isfinite(V).all() for V in hidden)
+        zero_rows = sum(int((~V.any(axis=1)).sum()) for V in hidden) if finite else 0
+        return theta.values[None, :], zero_rows
 
     Y0 = rescale_full(xi).values[None, :]
     batch, diagnostics = fixed_step(field, Y0, cfg.step, n_steps, cfg.integrator == "rk4", retract,
                                     cfg.record_every)
     record = batch.row(0)
     record.risk, record.psi_max_dev = np.array(diagnostics).T
-    record.degenerate_events = events
     return record
 
 

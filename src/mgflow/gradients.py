@@ -44,39 +44,40 @@ def risk_and_gradient(
     (l_k, n), and a layer's activations are recomputed from its stored
     pre-activations when the layer above needs them.
     """
-    arch = theta.arch
-    dims, L = arch.layer_dims, arch.depth
+    table = theta.arch.layer_table
     X, w = _nodes_for(theta, measure, f.breakpoints, r, resolution)
-    grad = ParamVector(arch)
+    grad = np.zeros(theta.arch.param_count)
     if X.shape[0] == 0:
-        return 0.0, grad.values
+        return 0.0, grad
     value, ws = _risk_pass(theta, X, w, f, r)
     H, R = ws.acts[-1], ws.resid  # centered last hidden activations, residual
 
-    wr = np.multiply(R, w, out=ws.delta[: dims[L]])
-    gW = grad.weights(L)
-    np.matmul(wr, H.T, out=gW)
-    gW *= 2.0
-    grad.biases(L)[:] = 2.0 * wr.sum(axis=1)
+    v = theta.values
+    w_out, shape, b_out = table[-1]
+    wr = np.multiply(R, w, out=ws.delta[: shape[0]])
+    np.matmul(wr, H.T, out=grad[w_out].reshape(shape))
+    wr.sum(axis=1, out=grad[b_out])
+    grad[w_out.start : b_out.stop] *= 2.0
 
     # Head at the last hidden activations: the direct path minus the signal
     # routed through the subtracted mean (same for every node).
-    WL2 = 2.0 * theta.weights(L)
-    delta = _matmul(WL2.T, R, ws.delta[: dims[L - 1]])
+    WL2 = 2.0 * v[w_out].reshape(shape)
+    delta = _matmul(WL2.T, R, ws.delta[: shape[1]])
     delta -= ((R @ w) @ WL2)[:, None]
-    for k in range(L - 1, 0, -1):
+    for k in range(len(table) - 1, 0, -1):
         # layer k's pre-activations are read for the last time: dz replaces them
+        w_k, shape, b_k = table[k - 1]
         dz = smoothed_act_deriv(r, ws.pres[k - 1], out=ws.pres[k - 1])
         dz *= delta
-        prev = X.T if k == 1 else smoothed_act(r, ws.pres[k - 2], out=ws.acts[k - 2])
-        np.matmul(np.multiply(dz, w, out=delta), prev.T, out=grad.weights(k))
-        grad.biases(k)[:] = dz @ w
+        prev = ws.nodes_t(X) if k == 1 else smoothed_act(r, ws.pres[k - 2], out=ws.acts[k - 2])
+        np.matmul(np.multiply(dz, w, out=delta), prev.T, out=grad[w_k].reshape(shape))
+        np.matmul(dz, w, out=grad[b_k])
         if k > 1:
-            delta = _matmul(theta.weights(k).T, dz, ws.delta[: dims[k - 1]])
+            delta = _matmul(v[w_k].reshape(shape).T, dz, ws.delta[: shape[1]])
 
-    if not (math.isfinite(value) and np.all(np.isfinite(grad.values))):
+    if not (math.isfinite(value) and np.isfinite(grad).all()):
         raise QuadratureError("risk or gradient has non-finite components")
-    return value, grad.values
+    return value, grad
 
 
 def generalized_gradient(theta: ParamVector, measure: InputMeasure, f: TargetFunction,

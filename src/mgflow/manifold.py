@@ -34,27 +34,23 @@ def grad_psi(theta: ParamVector, key: NeuronKey) -> np.ndarray:
     return out
 
 
-def _row_dots(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Dot product of each row of A with the same row of B.  numpy's
-    vector @ vector matmul runs the kernel of `a @ b`, so each entry equals
-    the per-vector dot product bit for bit."""
-    return np.matmul(A[:, None, :], B[:, :, None])[:, 0, 0]
-
-
 def _unit_rows(V: np.ndarray):
     """(rows of V divided by their norms, the norms), as `rho` does per row:
     zero rows stay zero, non-finite rows become nan.  Rows whose norm lies
     outside [1e-140, 1e140], where the squares lose precision, are scaled by
-    their largest |entry| first (Blue 1978; LAPACK dnrm2)."""
+    their largest |entry| first (Blue 1978; LAPACK dnrm2).
+
+    Row dot products here and below use np.vecdot, which runs the kernel of
+    `a @ b`: each equals the per-vector dot product bit for bit."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        n = np.sqrt(_row_dots(V, V))
+        n = np.sqrt(np.vecdot(V, V))
         if 1e-140 < n.min() and n.max() < 1e140:  # false for nan too
             return V / n[:, None], n
         off = ~((n > 1e-140) & (n < 1e140))
         U = V / n[:, None]
         s = np.max(np.abs(V[off]), axis=1, keepdims=True, initial=0.0)
         X = V[off] / s
-        m = np.sqrt(_row_dots(X, X))[:, None]
+        m = np.sqrt(np.vecdot(X, X))[:, None]
         U[off] = np.where(s == 0.0, 0.0, X / m)
         n[off] = np.where(s == 0.0, 0.0, s * m)[:, 0]
     return U, n
@@ -63,7 +59,7 @@ def _unit_rows(V: np.ndarray):
 def max_constraint_deviation(theta: ParamVector) -> float:
     """max over hidden neurons of |psi - 1|."""
     hidden = [theta.values[idx] for idx in theta.arch.subvector_rows[:-1]]
-    psis = np.concatenate([_row_dots(V, V) for V in hidden])
+    psis = np.concatenate([np.vecdot(V, V) for V in hidden])
     return float(np.max(np.abs(psis - 1.0)))
 
 
@@ -75,14 +71,13 @@ def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
     <grad psi, g> grad psi / |grad psi|^2 instead is algebraically the same
     map wherever V is nonzero.  Neurons with V = 0 contribute nothing.
     """
-    raw_grad = np.asarray(raw_grad, dtype=float)
-    if raw_grad.shape != (theta.arch.param_count,):
+    out = np.array(raw_grad, dtype=float)
+    if out.shape != (theta.arch.param_count,):
         raise ValueError("raw gradient length must match the parameter count")
-    out = raw_grad.copy()
     for idx in theta.arch.subvector_rows[:-1]:
-        U, _ = _unit_rows(theta.values[idx])
+        U = _unit_rows(theta.values[idx])[0]
         G = out[idx]
-        out[idx] = G - _row_dots(U, G)[:, None] * U
+        out[idx] = G - np.vecdot(U, G)[:, None] * U
     return out
 
 

@@ -51,6 +51,11 @@ class _Workspace:
     residual.  `_workspace` caches them, and every pass overwrites them, so
     no result may alias them and passes of one (layer_dims, n) must not
     overlap (one thread at a time).
+
+    `nodes_t(X)` gives the nodes feature-major, (l_0, n).  For a read-only X
+    (the cached composite grid) that is a C-contiguous copy, made once and
+    kept while the same X returns: the first layer's products then run
+    along contiguous rows.
     """
 
     def __init__(self, dims: tuple, n: int):
@@ -59,6 +64,12 @@ class _Workspace:
         self.act, self.delta = np.empty((width, n)), np.empty((width, n))
         self.acts = [self.act[:l] for l in dims[1:-1]]
         self.resid = np.empty((dims[-1], n))
+        self._X = self._XT = None
+
+    def nodes_t(self, X: np.ndarray) -> np.ndarray:
+        if X is not self._X:
+            self._X, self._XT = X, X.T if X.flags.writeable else np.ascontiguousarray(X.T)
+        return self._XT
 
 
 _workspace = functools.lru_cache(maxsize=4)(_Workspace)
@@ -77,11 +88,11 @@ def _forward_into(theta: ParamVector, XT: np.ndarray, r, pres, acts) -> np.ndarr
     """Feature-major forward pass over the columns of XT, shape (l_0, n):
     layer k's pre-activations go to pres[k - 1] and its activations to
     acts[k - 1], both (l_k, n).  Returns the last hidden activations."""
-    h = XT
-    for k in range(1, theta.arch.depth):
-        z = _matmul(theta.weights(k), h, pres[k - 1])
-        z += theta.biases(k)[:, None]
-        h = smoothed_act(r, z, out=acts[k - 1])
+    h, v = XT, theta.values
+    for (w, shape, b), z, a in zip(theta.arch.layer_table, pres, acts):
+        _matmul(v[w].reshape(shape), h, z)
+        z += v[b][:, None]
+        h = smoothed_act(r, z, out=a)
     return h
 
 
@@ -110,16 +121,13 @@ def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.n
     arch = theta.arch
     if arch.depth != 2 or arch.layer_dims[0] != 1:
         return None
-    w = theta.weights(1)[:, 0]
-    b = theta.biases(1)
-    knots = activation_knots(r)
-    pts = []
+    w, _, b = arch.layer_table[0]
+    w, b = theta.values[w], theta.values[b]
     nz = w != 0.0
-    for c in knots:
-        pts.append((c - b[nz]) / w[nz])
-    if f_breaks is not None:
-        pts.append(np.asarray(f_breaks, dtype=float).ravel())
-    return np.concatenate(pts) if pts else np.array([])
+    pts = ((activation_knots(r)[:, None] - b[nz]) / w[nz]).ravel()
+    if f_breaks is None:
+        return pts
+    return np.concatenate((pts, np.asarray(f_breaks, dtype=float).ravel()))
 
 
 def _nodes_for(theta, measure, f_breaks, r, resolution):
@@ -138,7 +146,7 @@ def hidden_mean(
     if X.shape[0] == 0:
         return np.zeros(theta.arch.layer_dims[-2])
     ws = _workspace(theta.arch.layer_dims, X.shape[0])
-    m = _forward_into(theta, X.T, r, ws.pres, ws.acts) @ w
+    m = _forward_into(theta, ws.nodes_t(X), r, ws.pres, ws.acts) @ w
     if not np.all(np.isfinite(m)):
         raise QuadratureError("hidden mean is non-finite")
     return m
@@ -171,14 +179,14 @@ def _risk_pass(theta: ParamVector, X: np.ndarray, w: np.ndarray, f: TargetFuncti
     """
     fX = f(X)  # first: a target may itself run a pass in this workspace
     ws = _workspace(theta.arch.layer_dims, X.shape[0])
-    H = _forward_into(theta, X.T, r, ws.pres, ws.acts)
+    H = _forward_into(theta, ws.nodes_t(X), r, ws.pres, ws.acts)
     H -= (H @ w)[:, None]
-    L = theta.arch.depth
-    R = _matmul(theta.weights(L), H, ws.resid)
-    R += theta.biases(L)[:, None]
+    w_out, shape, b_out = theta.arch.layer_table[-1]
+    R = _matmul(theta.values[w_out].reshape(shape), H, ws.resid)
+    R += theta.values[b_out][:, None]
     R -= fX.T
     sq = np.multiply(R, R, out=ws.delta[: len(R)])
-    return float(sum(row @ w for row in sq)), ws
+    return float(sum(np.vecdot(sq, w))), ws  # vecdot: the kernel of row @ w, per row
 
 
 def risk(

@@ -380,11 +380,12 @@ class OneNeuronConfig:
 
 
 def _retract_to_circle(Y):
-    """Scale each row's (t1, t2) to unit norm; rows with t1 = t2 = 0 stay."""
+    """Scale each row's (t1, t2) to unit norm; rows with t1 = t2 = 0 stay.
+    The circle flow has no hidden rows, so it reports no zero rows."""
     nrm = np.hypot(Y[:, 0], Y[:, 1])
     out = Y.copy()
     out[:, :2] /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
-    return out
+    return out, 0
 
 
 def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
@@ -407,7 +408,7 @@ def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
         G = _tangent(states, raw)
         return G, step_factor(raw, G, cfg.gamma), None
 
-    retract = _retract_to_circle if cfg.renormalize else (lambda states: states)
+    retract = _retract_to_circle if cfg.renormalize else (lambda states: (states, 0))
     n_steps = int(round(cfg.t_end / cfg.step))
     record, _ = fixed_step(field, Y, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
     # risk in one vectorized pass over all recorded states

@@ -27,22 +27,26 @@ class Architecture:
             raise ValueError(f"need at least 2 affine maps, got layer_dims={dims}")
         if any(d < 1 for d in dims):
             raise ValueError(f"all layer widths must be >= 1, got {dims}")
+        # depth L, param_count and `layer_table`: per layer k = 1..L, at row
+        # k - 1, the (weight slice, weight shape, bias slice) of [W_k | b_k]
+        table, off = [], 0
+        for n_in, n_out in zip(dims, dims[1:]):
+            end = off + n_out * n_in
+            table.append((slice(off, end), (n_out, n_in), slice(end, end + n_out)))
+            off = end + n_out
+        object.__setattr__(self, "depth", len(dims) - 1)
+        object.__setattr__(self, "param_count", off)
+        object.__setattr__(self, "layer_table", tuple(table))
 
-    @property
-    def depth(self) -> int:
-        """Number of affine maps L."""
-        return len(self.layer_dims) - 1
-
-    @property
-    def param_count(self) -> int:
-        dims = self.layer_dims
-        return sum(dims[k] * (dims[k - 1] + 1) for k in range(1, len(dims)))
+    def layer(self, k: int) -> tuple[slice, tuple[int, int], slice]:
+        """Layer k's row of `layer_table`, k in 1..L."""
+        if not 1 <= k <= self.depth:
+            raise ValueError(f"layer index {k} out of range 1..{self.depth}")
+        return self.layer_table[k - 1]
 
     def layer_offset(self, k: int) -> int:
         """0-based start of layer k's block, k in 1..L."""
-        self._check_layer(k)
-        dims = self.layer_dims
-        return sum(dims[h] * (dims[h - 1] + 1) for h in range(1, k))
+        return self.layer(k)[0].start
 
     def hidden_keys(self) -> list["NeuronKey"]:
         """All hidden-neuron keys (k, i), k in 1..L-1, i in 1..l_k."""
@@ -57,10 +61,9 @@ class Architecture:
         """Per layer k = 1..L, the 0-based flat positions of [W_k | b_k]: row
         i - 1 holds neuron (k, i)'s incoming weights, then its bias (read-only)."""
         rows = []
-        for k in range(1, self.depth + 1):
-            n_out, n_in, off = self.layer_dims[k], self.layer_dims[k - 1], self.layer_offset(k)
-            idx = np.column_stack((off + np.arange(n_out * n_in).reshape(n_out, n_in),
-                                   off + n_out * n_in + np.arange(n_out)))
+        for w, shape, b in self.layer_table:
+            idx = np.column_stack((np.arange(w.start, w.stop).reshape(shape),
+                                   np.arange(b.start, b.stop)))
             idx.flags.writeable = False
             rows.append(idx)
         return tuple(rows)
@@ -70,12 +73,8 @@ class Architecture:
         self._check_neuron(key.layer, key.index)
         return self.subvector_rows[key.layer - 1][key.index - 1].copy()
 
-    def _check_layer(self, k: int):
-        if not 1 <= k <= self.depth:
-            raise ValueError(f"layer index {k} out of range 1..{self.depth}")
-
     def _check_neuron(self, k: int, i: int):
-        self._check_layer(k)
+        self.layer(k)
         if not 1 <= i <= self.layer_dims[k]:
             raise ValueError(
                 f"neuron index {i} out of range 1..{self.layer_dims[k]} in layer {k}"
@@ -102,8 +101,7 @@ def weight_index(arch: Architecture, k: int, i: int, j: int) -> int:
 def bias_index(arch: Architecture, k: int, i: int) -> int:
     """1-based flat position of bias i of layer k."""
     arch._check_neuron(k, i)
-    dims = arch.layer_dims
-    return dims[k] * dims[k - 1] + i + arch.layer_offset(k)
+    return arch.layer(k)[2].start + i
 
 
 @dataclass
@@ -132,18 +130,12 @@ class ParamVector:
 
     def weights(self, k: int) -> np.ndarray:
         """Writable (l_k, l_{k-1}) view of layer k's weight matrix."""
-        self.arch._check_layer(k)
-        dims = self.arch.layer_dims
-        off = self.arch.layer_offset(k)
-        n = dims[k] * dims[k - 1]
-        return self.values[off : off + n].reshape(dims[k], dims[k - 1])
+        w, shape, _ = self.arch.layer(k)
+        return self.values[w].reshape(shape)
 
     def biases(self, k: int) -> np.ndarray:
         """Writable (l_k,) view of layer k's bias vector."""
-        self.arch._check_layer(k)
-        dims = self.arch.layer_dims
-        off = self.arch.layer_offset(k) + dims[k] * dims[k - 1]
-        return self.values[off : off + dims[k]]
+        return self.values[self.arch.layer(k)[2]]
 
     def neuron_subvector(self, key: NeuronKey) -> np.ndarray:
         """Incoming weights followed by the bias of one neuron (a copy)."""

@@ -105,10 +105,18 @@ def composite_rule(a: float, b: float, n_nodes: int):
     return segment_rule(edges, order=_PANEL_ORDER)
 
 
-def _clean_breakpoints(breakpoints, a: float, b: float) -> np.ndarray:
+def _segment_edges(breakpoints, a: float, b: float) -> np.ndarray:
+    """a, then the distinct breakpoints strictly inside (a, b) in increasing
+    order, then b.  Nan and infinite breakpoints fail the range test."""
     bp = np.asarray(breakpoints, dtype=float).ravel()
-    bp = bp[np.isfinite(bp)]
-    return np.unique(bp[(bp > a) & (bp < b)])
+    inner = bp[(bp > a) & (bp < b)]
+    edges = np.empty(inner.size + 2)
+    edges[0], edges[1:-1], edges[-1] = a, inner, b
+    edges[1:-1].sort()
+    keep = np.empty(edges.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(edges[1:], edges[:-1], out=keep[1:])
+    return edges[keep]
 
 
 def quadrature_nodes(
@@ -120,10 +128,7 @@ def quadrature_nodes(
     if measure.kind == "discrete":
         return measure.points, measure.weights
     if measure.dim == 1 and breakpoints is not None:
-        edges = np.concatenate(
-            ([measure.a], _clean_breakpoints(breakpoints, measure.a, measure.b), [measure.b])
-        )
-        x, w = segment_rule(edges)
+        x, w = segment_rule(_segment_edges(breakpoints, measure.a, measure.b))
         return x[:, None], w
     res = DEFAULT_RESOLUTION if resolution is None else int(resolution)
     return _composite_grid(measure.a, measure.b, measure.dim, res)

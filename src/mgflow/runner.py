@@ -154,27 +154,21 @@ def build_target(cfg: ExperimentConfig) -> TargetFunction:
     )
 
 
-def fmt(x) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, record: TrajectoryRecord, one_neuron_mode: bool, time_label: str):
     dim = record.states.shape[1]
     cols = [time_label] + [f"theta_{i}" for i in range(1, dim + 1)]
     cols += ["risk", "psi_max_dev", "grad_norm"]
+    numbers = [record.times, record.states, record.risk, record.psi_max_dev, record.grad_norm]
     if one_neuron_mode:
         cols += ["regime", "E_full", "V_right", "V_left"]
         code, _ = on._regime_codes(record.states[:, 0], record.states[:, 1])
-        lyapunov = on.lyapunov_values(record.states)
+        numbers += on.lyapunov_values(record.states)
     lines = [",".join(cols)]
-    for j in range(len(record.times)):
-        row = [fmt(record.times[j])]
-        row += [fmt(v) for v in record.states[j]]
-        row += [fmt(record.risk[j]), fmt(record.psi_max_dev[j]), fmt(record.grad_norm[j])]
+    for j, row in enumerate(np.column_stack(numbers).tolist()):
+        cells = [format(x, ".17g") for x in row]
         if one_neuron_mode:
-            row.append(on.REGIME_TAGS[code[j]])
-            row += [fmt(values[j]) for values in lyapunov]
-        lines.append(",".join(row))
+            cells.insert(dim + 4, on.REGIME_TAGS[code[j]])
+        lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
 
 

@@ -30,43 +30,39 @@ def _check_index(r) -> float:
     return r
 
 
-def _cubic_piece(r: float, x: np.ndarray, poly):
-    """(nodes, values) of the cubic piece at finite r, where x lies strictly
-    inside (0, 1/r) or is nan, with poly evaluated there; None for exact
-    ReLU.  Taken before an `out` that may be x itself is written."""
-    if math.isinf(r):
-        return None
-    band = ~((x <= 0.0) | (x >= 1.0 / r))
-    return band, poly(x[band])
+def _evaluate(r, x, out, exact, cubic):
+    """exact(x, 0.0), vectorized over x and written into `out` (which may be
+    x) when given, with cubic(r, x) where x lies strictly inside (0, 1/r) or
+    is nan at finite r.  Exact ReLU skips the index checks."""
+    x = np.asarray(x, dtype=float)
+    band = None
+    if r != INF and not math.isinf(r := _check_index(r)):
+        band = ~((x <= 0.0) | (x >= 1.0 / r))
+        piece = cubic(r, x[band])  # read before `out`, which may be x, is written
+    out = exact(x, 0.0, out=np.empty_like(x) if out is None else out)
+    if band is not None:
+        out[band] = piece
+    return out if out.ndim else float(out)
 
 
 def smoothed_act(r, x, out=None):
-    """Activation value, vectorized over x; written into `out` (which may be
-    x) when given."""
-    r = _check_index(r)
-    x = np.asarray(x, dtype=float)
-    piece = _cubic_piece(r, x, lambda xb: 2.0 * r * xb**2 - r**2 * xb**3)
-    out = np.maximum(x, 0.0, out=np.empty_like(x) if out is None else out)
-    if piece:
-        out[piece[0]] = piece[1]
-    return out if out.ndim else float(out)
+    """Activation value (see `_evaluate`)."""
+    return _evaluate(r, x, out, np.maximum, lambda r, xb: 2.0 * r * xb**2 - r**2 * xb**3)
 
 
 def smoothed_act_deriv(r, x, out=None):
-    """Activation derivative, vectorized over x; written into `out` (which
-    may be x) when given."""
-    r = _check_index(r)
-    x = np.asarray(x, dtype=float)
-    piece = _cubic_piece(r, x, lambda xb: 4.0 * r * xb - 3.0 * r**2 * xb**2)
-    out = np.greater(x, 0.0, out=np.empty_like(x) if out is None else out)
-    if piece:
-        out[piece[0]] = piece[1]
-    return out if out.ndim else float(out)
+    """Activation derivative (see `_evaluate`)."""
+    return _evaluate(r, x, out, np.greater, lambda r, xb: 4.0 * r * xb - 3.0 * r**2 * xb**2)
+
+
+_RELU_KNOTS = np.array([0.0])
+_RELU_KNOTS.flags.writeable = False
 
 
 def activation_knots(r) -> np.ndarray:
-    """Pre-activation values where the activation's polynomial piece changes."""
+    """Pre-activation values where the activation's polynomial piece changes
+    (read-only for exact ReLU)."""
     r = _check_index(r)
     if math.isinf(r):
-        return np.array([0.0])
+        return _RELU_KNOTS
     return np.array([0.0, 1.0 / r])

@@ -52,10 +52,8 @@ class PiecewisePolynomial:
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
-        piece = np.clip(
-            np.searchsorted(self.breaks, s, side="right") - 1, 0, len(self.coeffs) - 1
-        )
-        C = self._table[piece]
+        # interior breaks at or below s: the piece index, clamped to the domain
+        C = self._table[self._breaks[1:-1].searchsorted(s, side="right")]
         out = C[..., -1] + s * 0.0  # polyval's first step, kept for equal bits
         for j in range(C.shape[-1] - 2, -1, -1):
             out = C[..., j] + out * s

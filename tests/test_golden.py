@@ -18,6 +18,10 @@ AFFINE_MAP = {"name": "affine_map", "weights": [[0.5, -0.3]], "offset": [0.1]}
 
 CONFIGS = {
     "flow_181": dict(mode="flow", architecture=(1, 8, 1), t_end=0.02, step=1e-3, seed=0),
+    "flow_181_r50": dict(mode="flow", architecture=(1, 8, 1), t_end=0.02, step=1e-3,
+                         smoothing_r=50.0, seed=0),
+    "flow_181_rescaled": dict(mode="flow", architecture=(1, 8, 1), t_end=0.02, step=1e-3,
+                              gamma="rescaled", seed=0),
     "gd_2441": dict(mode="gd", architecture=(2, 4, 4, 1), target=AFFINE_MAP, steps=10,
                     quad_nodes=16, seed=0),
     "one_neuron_constant": dict(mode="one-neuron", architecture=(1, 1, 1), t_end=0.5,
@@ -36,6 +40,14 @@ DIGESTS = {
     "flow_181": (
         "9243f8dc254772874d6e74e46592a548a4b2ec723e7ed7d620d92f7583a4b154",
         "91135ec2959511ed04971f7386b0ca54407683fe6be8a49eab016454bb62b5e5",
+    ),
+    "flow_181_r50": (
+        "ea3400980635b8a33fdc0a2e0e4be83c93b24c7a976bb318bcacbc4fca0af1a0",
+        "219823f93f0fc33d73941e98ec81a6b2721cb898c07bc43565223e92d68a1097",
+    ),
+    "flow_181_rescaled": (
+        "0374c3f821fbff558e98197bfe4278e023a941f71b421fd50788351901986b6a",
+        "42e0c75ffef23ead1b9df1a3f32791977f6fb01b1b0b8a6fdaa0f6a16b9b57fe",
     ),
     "gd_2441": (
         "48d127077a3b7b554f353ba14886a19b999491b2f4dd0745cb56afc62c180b80",

@@ -108,3 +108,39 @@ class TestSubvectors:
     def test_wrong_length_vector_rejected(self):
         with pytest.raises(ValueError):
             ParamVector(Architecture((1, 1, 1)), np.zeros(5))
+
+
+class TestLayerTable:
+    @given(st.lists(st.integers(min_value=1, max_value=5), min_size=3, max_size=6),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_layer_views_alias_values_at_the_block_offsets(self, dims, seed):
+        arch = Architecture(tuple(dims))
+        blocks = [dims[k] * (dims[k - 1] + 1) for k in range(1, len(dims))]
+        assert arch.depth == len(dims) - 1 and arch.param_count == sum(blocks)
+        theta = ParamVector(arch, np.random.default_rng(seed).standard_normal(arch.param_count))
+        for k in range(1, arch.depth + 1):
+            off, n_out, n_in = sum(blocks[: k - 1]), dims[k], dims[k - 1]
+            W, b = theta.weights(k), theta.biases(k)
+            assert arch.layer_offset(k) == off
+            assert W.shape == (n_out, n_in) and b.shape == (n_out,)
+            np.testing.assert_array_equal(W.ravel(), theta.values[off : off + n_out * n_in])
+            np.testing.assert_array_equal(b, theta.values[off + n_out * n_in : off + n_out * (n_in + 1)])
+            W[...], b[...] = k, -k  # writable views: the writes land in `values`
+            rows = np.column_stack((off + np.arange(n_out * n_in).reshape(n_out, n_in),
+                                    off + n_out * n_in + np.arange(n_out)))
+            np.testing.assert_array_equal(arch.subvector_rows[k - 1], rows)
+        expected = np.concatenate([np.r_[np.full(dims[k] * dims[k - 1], k), np.full(dims[k], -k)]
+                                   for k in range(1, arch.depth + 1)])
+        np.testing.assert_array_equal(theta.values, expected)
+
+    def test_out_of_range_layers_and_wrong_lengths_rejected(self):
+        arch = Architecture((2, 3, 1))
+        theta = ParamVector(arch)
+        for k in (0, arch.depth + 1):
+            for accessor in (theta.weights, theta.biases, arch.layer, arch.layer_offset):
+                with pytest.raises(ValueError):
+                    accessor(k)
+        for n in (arch.param_count - 1, arch.param_count + 1):
+            with pytest.raises(ValueError):
+                ParamVector(arch, np.zeros(n))

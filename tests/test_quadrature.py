@@ -260,3 +260,53 @@ class TestIntervalMoments:
         f = abs_offset_target(0.3)
         for lo, hi in ((0.7, 0.2), (1.2, 1.5), (-0.5, -0.1), (0.3, 0.3)):
             assert all(v == 0.0 for v in f.interval_moments(lo, hi))
+
+
+def _nodes_with_unique(breakpoints, a, b):
+    """The exact node build as it was made with np.unique: the finite
+    breakpoints strictly inside (a, b), deduplicated, between a and b."""
+    bp = np.asarray(breakpoints, dtype=float).ravel()
+    bp = bp[np.isfinite(bp)]
+    x, w = segment_rule(np.concatenate(([a], np.unique(bp[(bp > a) & (bp < b)]), [b])))
+    return x[:, None], w
+
+
+def _same_bits(got, ref):
+    return all(g.shape == r.shape and g.tobytes() == r.tobytes() for g, r in zip(got, ref))
+
+
+_BOX = st.sampled_from([(0.0, 1.0), (-1.0, 2.0)])
+# repeats, the box ends, out-of-range values, nan and +-inf
+_SPECIAL = st.sampled_from([0.0, 1.0, -1.0, 2.0, 0.25, 0.5, -0.0, 3.5, np.nan, np.inf, -np.inf])
+_BREAKPOINTS = st.lists(st.one_of(_SPECIAL, st.floats(-3.0, 3.0)), max_size=12)
+
+
+class TestExactNodeBuild:
+    @settings(max_examples=300, deadline=None)
+    @given(_BOX, _BREAKPOINTS)
+    @example((0.0, 1.0), [])
+    @example((0.0, 1.0), [0.5, 0.5, 0.0, 1.0, np.nan, np.inf, -np.inf, 7.0, 0.25, 0.5])
+    def test_matches_the_unique_construction(self, box, breakpoints):
+        a, b = box
+        got = quadrature_nodes(uniform_measure(a, b, 1), breakpoints=np.array(breakpoints))
+        assert _same_bits(got, _nodes_with_unique(breakpoints, a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from([1.0, 3.0, 50.0, np.inf]),
+           st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), max_size=3))
+    def test_exact_breakpoints_feed_the_same_nodes(self, seed, width, r, f_breaks):
+        from mgflow import ParamVector, exact_breakpoints
+        from mgflow.params import Architecture
+        from mgflow.smoothing import activation_knots
+
+        rng = np.random.default_rng(seed)
+        theta = ParamVector(Architecture((1, width, 1)), rng.standard_normal(3 * width + 1))
+        w, b = theta.weights(1)[:, 0], theta.biases(1)
+        w[rng.random(width) < 0.3] = 0.0  # dead neurons: no breakpoint
+        b[rng.random(width) < 0.3] = 0.0  # kinks at x = 0 and at 1/(r w), on the box
+        nz = w != 0.0
+        loop = [(c - b[nz]) / w[nz] for c in activation_knots(r)] + [np.array(f_breaks, dtype=float)]
+        bp = exact_breakpoints(theta, f_breaks=f_breaks, r=r)
+        assert bp.tobytes() == np.concatenate(loop).tobytes()
+        got = quadrature_nodes(uniform_measure(0.0, 1.0, 1), breakpoints=bp)
+        assert _same_bits(got, _nodes_with_unique(bp, 0.0, 1.0))
