@@ -13,9 +13,7 @@ from .params import (
     Architecture,
     NeuronKey,
     ParamVector,
-    bias_index,
     random_params,
-    weight_index,
 )
 from .quadrature import (
     InputMeasure,

@@ -26,10 +26,11 @@ from .gradients import generalized_gradient  # noqa: F401  (bench/tracing.py wra
 from .gradients import risk_and_gradient
 from .manifold import (
     max_constraint_deviation,
-    min_subvector_norm,
+    min_subvector_norm,  # noqa: F401  (bench/tracing.py wraps dynamics.min_subvector_norm)
     project_gradient,
     renormalize,
     rescale_full,
+    zero_rows,
 )
 from .network import risk  # noqa: F401  (bench/tracing.py wraps dynamics.risk)
 from .params import ParamVector
@@ -89,8 +90,8 @@ class TrajectoryRecord:
     `termination` how each one ended: "completed", "nonfinite" (frozen on a
     non-finite state) or "divergence_guard" (frozen on a component above
     DIVERGENCE_GUARD); a single run's record holds one of each.
-    `degenerate_events` counts the zero hidden rows of every finite retracted
-    state (and, for `integrate_flow`, one for a degenerate start)."""
+    `degenerate_events` counts the zero hidden rows (`manifold.zero_rows`) of
+    the rescaled start, which warns if it has one, and of every retracted state."""
 
     times: np.ndarray
     states: np.ndarray
@@ -211,18 +212,21 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> Tra
         theta = ParamVector(arch, Y[0])
         if cfg.reproject:
             theta = renormalize(theta)
-        hidden = [theta.values[idx] for idx in arch.subvector_rows[:-1]]
-        # a row's norm is 0 exactly when every entry is; as for
-        # min_subvector_norm(theta) == 0, zero rows count on a finite state only
-        finite = all(np.isfinite(V).all() for V in hidden)
-        zero_rows = sum(int((~V.any(axis=1)).sum()) for V in hidden) if finite else 0
-        return theta.values[None, :], zero_rows
+        return theta.values[None, :], zero_rows(theta)
 
-    Y0 = rescale_full(xi).values[None, :]
-    batch, diagnostics = fixed_step(field, Y0, cfg.step, n_steps, cfg.integrator == "rk4", retract,
-                                    cfg.record_every)
+    start = rescale_full(xi)
+    degenerate = zero_rows(start)
+    if degenerate:
+        warnings.warn(
+            "initial point has a zero hidden subvector: constraint invariance "
+            "is not guaranteed from this start",
+            RuntimeWarning,
+        )
+    batch, diagnostics = fixed_step(field, start.values[None, :], cfg.step, n_steps,
+                                    cfg.integrator == "rk4", retract, cfg.record_every)
     record = batch.row(0)
     record.risk, record.psi_max_dev = np.array(diagnostics).T
+    record.degenerate_events += degenerate
     return record
 
 
@@ -238,15 +242,7 @@ def integrate_flow(
     'nonfinite' or 'divergence_guard' when a step leaves non-finite values or
     a component above 1e12; the record then ends with the last valid state.
     """
-    degenerate = min_subvector_norm(xi) == 0.0
-    if degenerate:
-        warnings.warn(
-            "initial point has a zero hidden subvector: constraint invariance "
-            "is not guaranteed from this start",
-            RuntimeWarning,
-        )
     record = _network_run(xi, measure, f, cfg, int(round(cfg.t_end / cfg.step)), lambda n: cfg.gamma)
-    record.degenerate_events += degenerate
     record.close_if_stationary(cfg.t_end)
     return record
 

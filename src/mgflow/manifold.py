@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .params import Architecture, NeuronKey, ParamVector
+from .params import Architecture, NeuronKey, ParamVector, random_params
 
 
 def rho(x: np.ndarray) -> np.ndarray:
@@ -124,7 +124,14 @@ def min_subvector_norm(theta: ParamVector) -> float:
     return float(np.min(np.concatenate(norms)))
 
 
+def zero_rows(theta: ParamVector) -> int:
+    """How many hidden rows [W_k | b_k] have no nonzero entry (a row's norm is 0
+    exactly when every entry is); 0 on a state with a non-finite hidden entry."""
+    hidden = [theta.values[idx] for idx in theta.arch.subvector_rows[:-1]]
+    finite = all(np.isfinite(V).all() for V in hidden)
+    return sum(int((~V.any(axis=1)).sum()) for V in hidden) if finite else 0
+
+
 def random_on_manifold(arch: Architecture, rng: np.random.Generator, scale: float = 1.0) -> ParamVector:
     """Standard normal draw pushed onto the constraint set by the cascade."""
-    theta = ParamVector(arch, scale * rng.standard_normal(arch.param_count))
-    return rescale_full(theta)
+    return rescale_full(random_params(arch, rng, scale))

@@ -23,6 +23,7 @@ flow field conserves t1^2 + t2^2 exactly even off the circle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -131,7 +132,6 @@ class OneNeuronProblem:
     f: PiecewisePolynomial
     fbar: float
     centered_square: float  # int_0^1 (f - fbar)^2 ds
-    windows: MonitorWindows
 
     @classmethod
     def from_target(cls, f: PiecewisePolynomial) -> "OneNeuronProblem":
@@ -147,7 +147,12 @@ class OneNeuronProblem:
             half = (hi - lo) / 2.0
             nodes = (lo + hi) / 2.0 + half * x_ref
             sq += half * float(w_ref @ (f(nodes) - fbar) ** 2)
-        return cls(f=f, fbar=fbar, centered_square=sq, windows=scan_windows(f))
+        return cls(f=f, fbar=fbar, centered_square=sq)
+
+    @functools.cached_property
+    def windows(self) -> MonitorWindows:
+        """The monitor windows, scanned on first use: only the monitors read them."""
+        return scan_windows(self.f)
 
 
 def as_problem(f: Union[PiecewisePolynomial, OneNeuronProblem]) -> OneNeuronProblem:
@@ -206,11 +211,6 @@ def gradient_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
     """
     states = np.asarray(states, dtype=float)
     return _tangent(states, _raw_and_j3(states, problem)[0])
-
-
-def raw_gradient_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
-    """Unprojected risk gradient (valid wherever |t1| + |t2| > 0)."""
-    return _raw_and_j3(np.asarray(states, dtype=float), problem)[0]
 
 
 def grad_1n(theta, f) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 A network with layer widths (l_0, ..., l_L) stores all weights and biases in
 one flat vector.  Layer k occupies a contiguous block: first the weight matrix
-in row-major order, then the biases.  All public index maps are 1-based (the
-usual mathematical convention); slicing helpers used internally are 0-based.
+in row-major order, then the biases.  Layer and neuron numbers are 1-based
+(`NeuronKey`, the k of `layer(k)`); flat positions, as `neuron_indices` and
+`subvector_rows` return them, are 0-based.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ class Architecture:
             raise ValueError(f"layer index {k} out of range 1..{self.depth}")
         return self.layer_table[k - 1]
 
-    def layer_offset(self, k: int) -> int:
-        """0-based start of layer k's block, k in 1..L."""
-        return self.layer(k)[0].start
-
     def hidden_keys(self) -> list["NeuronKey"]:
         """All hidden-neuron keys (k, i), k in 1..L-1, i in 1..l_k."""
         return [
@@ -70,15 +67,13 @@ class Architecture:
 
     def neuron_indices(self, key: "NeuronKey") -> np.ndarray:
         """0-based flat positions of neuron (k, i)'s incoming weights + bias."""
-        self._check_neuron(key.layer, key.index)
-        return self.subvector_rows[key.layer - 1][key.index - 1].copy()
-
-    def _check_neuron(self, k: int, i: int):
+        k, i = key.layer, key.index
         self.layer(k)
         if not 1 <= i <= self.layer_dims[k]:
             raise ValueError(
                 f"neuron index {i} out of range 1..{self.layer_dims[k]} in layer {k}"
             )
+        return self.subvector_rows[k - 1][i - 1].copy()
 
 
 @dataclass(frozen=True)
@@ -87,21 +82,6 @@ class NeuronKey:
 
     layer: int
     index: int
-
-
-def weight_index(arch: Architecture, k: int, i: int, j: int) -> int:
-    """1-based flat position of weight (i, j) of layer k."""
-    arch._check_neuron(k, i)
-    n_in = arch.layer_dims[k - 1]
-    if not 1 <= j <= n_in:
-        raise ValueError(f"input index {j} out of range 1..{n_in} in layer {k}")
-    return (i - 1) * n_in + j + arch.layer_offset(k)
-
-
-def bias_index(arch: Architecture, k: int, i: int) -> int:
-    """1-based flat position of bias i of layer k."""
-    arch._check_neuron(k, i)
-    return arch.layer(k)[2].start + i
 
 
 @dataclass
@@ -140,13 +120,6 @@ class ParamVector:
     def neuron_subvector(self, key: NeuronKey) -> np.ndarray:
         """Incoming weights followed by the bias of one neuron (a copy)."""
         return self.values[self.arch.neuron_indices(key)]
-
-    def set_neuron_subvector(self, key: NeuronKey, sub) -> None:
-        idx = self.arch.neuron_indices(key)
-        sub = np.asarray(sub, dtype=float)
-        if sub.shape != idx.shape:
-            raise ValueError(f"subvector for {key} must have length {idx.size}")
-        self.values[idx] = sub
 
 
 def random_params(arch: Architecture, rng: np.random.Generator, scale: float = 1.0) -> ParamVector:

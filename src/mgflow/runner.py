@@ -16,7 +16,7 @@ import numpy as np
 
 from . import one_neuron as on
 from .dynamics import FlowConfig, TrajectoryRecord, check_schedule, gd_run, integrate_flow
-from .params import Architecture, ParamVector
+from .params import Architecture, ParamVector, random_params
 from .quadrature import InputMeasure, discrete_measure, uniform_measure
 from .smoothing import INF
 from .targets import (
@@ -213,7 +213,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if cfg.theta0 is not None:
             xi = ParamVector(arch, np.asarray(cfg.theta0, dtype=float))
         else:
-            xi = ParamVector(arch, rng.standard_normal(arch.param_count))
+            xi = random_params(arch, rng)
         if cfg.mode == "flow":
             flow_cfg = FlowConfig(
                 t_end=cfg.t_end,

@@ -21,7 +21,7 @@ from .dynamics import FlowConfig, integrate_flow
 from .gradients import fd_gradient, generalized_gradient
 from .manifold import project_gradient, random_on_manifold, rescale_full
 from .network import forward, realize
-from .params import Architecture, ParamVector
+from .params import Architecture, ParamVector, random_params
 from .quadrature import integrate, quadrature_nodes, uniform_measure
 from .runner import ExperimentConfig, run_experiment
 from .smoothing import activation_knots
@@ -80,7 +80,7 @@ def _theta_draws(seed, count_per_arch=(67, 67, 66)):
         arch = Architecture(dims)
         rng = _rng(seed, 1, dims[0], len(dims))
         for _ in range(count):
-            yield arch, ParamVector(arch, rng.standard_normal(arch.param_count))
+            yield arch, random_params(arch, rng)
 
 
 def check_rescaling_invariance(seed) -> CheckResult:
@@ -108,8 +108,9 @@ def check_unit_norms(seed) -> CheckResult:
     worst = 0.0
     for arch, theta in _theta_draws(seed):
         out = rescale_full(theta)
-        for key in arch.hidden_keys():
-            worst = max(worst, abs(float(np.linalg.norm(out.neuron_subvector(key))) - 1.0))
+        for idx in arch.subvector_rows[:-1]:
+            V = out.values[idx]
+            worst = max(worst, float(np.max(np.abs(np.sqrt(np.vecdot(V, V)) - 1.0))))
     return CheckResult(
         "unit_norm_postcondition",
         worst <= 1e-12,
@@ -126,7 +127,7 @@ def check_flow_invariance(seed):
     for dims in ARCHS:
         arch = Architecture(dims)
         rng = _rng(seed, 3, len(dims), dims[1])
-        xi = ParamVector(arch, rng.standard_normal(arch.param_count))
+        xi = random_params(arch, rng)
         measure, f, res = _measure_for(dims), _target_for(dims), _resolution_for(dims)
         for reproject, tol in ((False, 1e-6), (True, 1e-12)):
             cfg = FlowConfig(t_end=1.0, step=1e-3, reproject=reproject, resolution=res)
@@ -161,9 +162,8 @@ def check_tangency(seed) -> CheckResult:
         for _ in range(1000):
             theta = random_on_manifold(arch, rng)
             G = project_gradient(theta, generalized_gradient(theta, measure, f, resolution=res))
-            for key in arch.hidden_keys():
-                idx = arch.neuron_indices(key)
-                worst = max(worst, abs(2.0 * float(theta.values[idx] @ G[idx])))
+            for idx in arch.subvector_rows[:-1]:
+                worst = max(worst, float(np.max(np.abs(2.0 * np.vecdot(theta.values[idx], G[idx])))))
     return CheckResult(
         "projected_gradient_tangency",
         worst <= 1e-12,
@@ -177,7 +177,7 @@ def _smooth_region_theta(arch, measure, rng, r, resolution, margin_factor=0.5, t
     X, _ = quadrature_nodes(measure, resolution=resolution or 64)
     knots = activation_knots(r)
     for _ in range(tries):
-        theta = ParamVector(arch, rng.standard_normal(arch.param_count))
+        theta = random_params(arch, rng)
         pres, _ = forward(theta, X, r=r)
         dist = min(float(np.min(np.abs(z[..., None] - knots))) for z in pres)
         if dist > margin_factor / r:

@@ -182,15 +182,16 @@ class TestGradientDescent:
     def test_nan_row_beside_a_zero_row_is_not_a_degenerate_event(self):
         # the first step overflows hidden row 1 into nan while row 2 stays
         # zero: the run ends non-finite, and the zero row counts only on
-        # finite states
+        # finite states, so only the (finite) start counts it
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(42))
-        xi.set_neuron_subvector(NeuronKey(1, 2), [0.0, 0.0])
+        xi.values[arch.neuron_indices(NeuronKey(1, 2))] = 0.0
         f = TargetFunction.from_scalar(affine_target(0.0, 100.0))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.warns(RuntimeWarning, match="zero hidden subvector"):
             rec = gd_run(xi, MU, f, steps=3, gammas=1.7e308)
         assert rec.termination == "nonfinite"
-        assert rec.degenerate_events == 0
+        assert rec.degenerate_events == 1
 
     @pytest.mark.parametrize("gamma, word", [(1e15, "divergence_guard"), (1e308, "nonfinite")])
     def test_termination_names_the_freeze_reason(self, gamma, word):
@@ -218,12 +219,26 @@ class TestGradientDescent:
         # the start and each of the 5 retracted states count once
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(47))
-        xi.set_neuron_subvector(NeuronKey(1, 2), [0.0, 0.0])
+        xi.values[arch.neuron_indices(NeuronKey(1, 2))] = 0.0
         with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
             rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.05, step=1e-2, integrator="euler"))
         assert rec.degenerate_events == 6
         nonzero = random_params(arch, np.random.default_rng(48))
         assert integrate_flow(nonzero, MU, F, FlowConfig(t_end=0.05, step=1e-2)).degenerate_events == 0
+
+    def test_flow_and_descent_count_every_zero_row_of_the_start(self):
+        # both hidden rows start and stay at zero: the rescaled start and
+        # each retracted state count 2, for the flow and for descent alike
+        arch = Architecture((1, 2, 1))
+        xi = random_params(arch, np.random.default_rng(49))
+        for k in (1, 2):
+            xi.values[arch.neuron_indices(NeuronKey(1, k))] = 0.0
+        with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
+            rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.05, step=1e-2, integrator="euler"))
+        assert rec.degenerate_events == 2 + 5 * 2
+        with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
+            rec = gd_run(xi, MU, F, steps=3, gammas=0.1)
+        assert rec.degenerate_events == 2 + 3 * 2
 
 
 class TestRescaledGamma:

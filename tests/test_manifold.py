@@ -20,6 +20,7 @@ from mgflow import (
     rescale_layer,
     rho,
 )
+from mgflow.manifold import zero_rows
 
 
 class TestRho:
@@ -215,6 +216,18 @@ class TestScaleSafeNorms:
         theta = ParamVector(Architecture((1, 2, 1)), self.TINY.copy())
         assert min_subvector_norm(theta) == pytest.approx(5e-170, rel=1e-15, abs=0)
 
+    def test_zero_rows_counts_exact_zeros_of_finite_hidden_rows(self):
+        # the tiny row is not zero, although its squares underflow
+        arch = Architecture((1, 2, 1))
+        theta = ParamVector(arch, self.TINY.copy())
+        assert zero_rows(theta) == 0
+        theta.values[arch.neuron_indices(NeuronKey(1, 2))] = 0.0
+        assert zero_rows(theta) == 1
+        theta.values[arch.neuron_indices(NeuronKey(2, 1))] = 0.0  # the output row never counts
+        assert zero_rows(theta) == 1
+        theta.values[0] = np.nan
+        assert zero_rows(theta) == 0
+
     def test_projection_is_tangent(self):
         theta = ParamVector(Architecture((1, 2, 1)), self.TINY.copy())
         raw = np.array([1.0, 2.0, -0.2, 3.0, 4.0, 5.0, 6.0])
@@ -264,7 +277,7 @@ class TestRowwiseAgainstPerNeuron:
         key = keys[rng.integers(len(keys))]
         if special != "none":
             value = {"zero": 0.0, "nan": np.nan, "inf": np.inf}[special]
-            theta.set_neuron_subvector(key, np.full(arch.layer_dims[key.layer - 1] + 1, value))
+            theta.values[arch.neuron_indices(key)] = value
         proj, unit, dev = _per_neuron_reference(theta, raw)
         np.testing.assert_allclose(project_gradient(theta, raw), proj, rtol=0, atol=1e-15)
         np.testing.assert_allclose(renormalize(theta).values, unit, rtol=0, atol=1e-15)

@@ -81,7 +81,7 @@ class TestRealize:
         arch = Architecture((1, 3, 1))
         rng = np.random.default_rng(4)
         theta = random_params(arch, rng)
-        theta.set_neuron_subvector(arch.hidden_keys()[1], [0.0, 0.0])
+        theta.values[arch.neuron_indices(arch.hidden_keys()[1])] = 0.0
         grid = np.linspace(0, 1, 50)
         np.testing.assert_allclose(
             realize(theta, grid, MU), realize(rescale_full(theta), grid, MU), atol=1e-12

@@ -149,7 +149,7 @@ class TestRiskAndGradient:
         problem = on.as_problem(f)
         for _ in range(100):
             t = circle_point(rng.uniform(0.05, 0.95), rng.choice((1.0, -1.0)), rng.standard_normal())
-            raw = on.raw_gradient_batch(t, problem)
+            raw = on._raw_and_j3(t, problem)[0]
             # remove the component along the circle normal (t1, t2, 0)
             normal = np.array([t[0], t[1], 0.0])
             proj = raw - (normal @ raw) / (normal @ normal) * normal
@@ -465,7 +465,7 @@ class TestKernelAgainstExplicitForms:
         # rounding grows with the size of the state, not of the (possibly tiny) result
         scale = (1.0 + states[:, 2] ** 2) * (1.0 + radius**2) ** 2
         for got, ref in ((on.gradient_batch(states, problem), tangent),
-                         (on.raw_gradient_batch(states, problem), raw)):
+                         (on._raw_and_j3(states, problem)[0], raw)):
             assert np.all(np.abs(got - ref) <= 1e-12 * scale[:, None])
         assert np.all(np.abs(on.risk_batch(states, problem) - risk) <= 1e-12 * scale)
 

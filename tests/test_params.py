@@ -3,13 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mgflow import (
-    Architecture,
-    NeuronKey,
-    ParamVector,
-    bias_index,
-    weight_index,
-)
+from mgflow import Architecture, NeuronKey, ParamVector
 
 
 class TestParamCount:
@@ -26,50 +20,43 @@ class TestParamCount:
 
 
 class TestIndexMaps:
+    # the 0-based flat positions of `subvector_rows` and `neuron_indices`:
+    # row i - 1 of layer k holds neuron (k, i)'s weights j = 1..l_{k-1}, then its bias
     def test_tiny_network_layout(self):
         arch = Architecture((1, 1, 1))
-        assert weight_index(arch, 1, 1, 1) == 1
-        assert bias_index(arch, 1, 1) == 2
-        assert weight_index(arch, 2, 1, 1) == 3
-        assert bias_index(arch, 2, 1) == 4
+        np.testing.assert_array_equal(arch.subvector_rows[0], [[0, 1]])
+        np.testing.assert_array_equal(arch.subvector_rows[1], [[2, 3]])
 
     def test_bias_offset_includes_weight_block(self):
-        assert bias_index(Architecture((1, 2, 1)), 1, 2) == 4
+        np.testing.assert_array_equal(Architecture((1, 2, 1)).neuron_indices(NeuronKey(1, 2)), [1, 3])
 
     def test_flat_position_matches_enumeration(self):
         # brute force: walk layer blocks in storage order and compare
         arch = Architecture((2, 3, 1))
-        pos = 1
+        pos = 0
         for k in range(1, arch.depth + 1):
+            n_in = arch.layer_dims[k - 1]
             for i in range(1, arch.layer_dims[k] + 1):
-                for j in range(1, arch.layer_dims[k - 1] + 1):
-                    assert weight_index(arch, k, i, j) == pos
+                for j in range(1, n_in + 1):
+                    assert arch.subvector_rows[k - 1][i - 1, j - 1] == pos
                     pos += 1
             for i in range(1, arch.layer_dims[k] + 1):
-                assert bias_index(arch, k, i) == pos
+                assert arch.neuron_indices(NeuronKey(k, i))[n_in] == pos
                 pos += 1
-        assert weight_index(arch, 2, 1, 2) == 11
+        assert arch.subvector_rows[1][0, 1] == 10
 
     def test_out_of_range_rejected(self):
         arch = Architecture((1, 2, 1))
-        with pytest.raises(ValueError):
-            weight_index(arch, 3, 1, 1)
-        with pytest.raises(ValueError):
-            weight_index(arch, 1, 3, 1)
-        with pytest.raises(ValueError):
-            bias_index(arch, 2, 2)
+        for key in (NeuronKey(0, 1), NeuronKey(3, 1), NeuronKey(2, 2)):
+            with pytest.raises(ValueError):
+                arch.neuron_indices(key)
 
     @given(st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_index_maps_are_a_bijection(self, dims):
         arch = Architecture(tuple(dims))
-        seen = set()
-        for k in range(1, arch.depth + 1):
-            for i in range(1, arch.layer_dims[k] + 1):
-                for j in range(1, arch.layer_dims[k - 1] + 1):
-                    seen.add(weight_index(arch, k, i, j))
-                seen.add(bias_index(arch, k, i))
-        assert seen == set(range(1, arch.param_count + 1))
+        seen = np.concatenate([rows.ravel() for rows in arch.subvector_rows])
+        np.testing.assert_array_equal(np.sort(seen), np.arange(arch.param_count))
 
 
 class TestSubvectors:
@@ -90,7 +77,7 @@ class TestSubvectors:
         theta = ParamVector(arch, rng.standard_normal(arch.param_count))
         for key in arch.hidden_keys() + [NeuronKey(arch.depth, 1)]:
             sub = rng.standard_normal(arch.layer_dims[key.layer - 1] + 1)
-            theta.set_neuron_subvector(key, sub)
+            theta.values[arch.neuron_indices(key)] = sub
             np.testing.assert_array_equal(theta.neuron_subvector(key), sub)
 
     def test_psi_touches_exactly_fan_in_plus_one_coordinates(self):
@@ -104,6 +91,12 @@ class TestSubvectors:
                 theta.neuron_subvector(key) @ theta.neuron_subvector(key),
                 np.sum(theta.values[idx] ** 2),
             )
+
+    def test_out_of_range_neuron_rejected(self):
+        arch = Architecture((1, 2, 1))
+        for key in (NeuronKey(1, 3), NeuronKey(1, 0)):
+            with pytest.raises(ValueError):
+                arch.neuron_indices(key)
 
     def test_wrong_length_vector_rejected(self):
         with pytest.raises(ValueError):
@@ -122,7 +115,7 @@ class TestLayerTable:
         for k in range(1, arch.depth + 1):
             off, n_out, n_in = sum(blocks[: k - 1]), dims[k], dims[k - 1]
             W, b = theta.weights(k), theta.biases(k)
-            assert arch.layer_offset(k) == off
+            assert arch.layer(k)[0].start == off
             assert W.shape == (n_out, n_in) and b.shape == (n_out,)
             np.testing.assert_array_equal(W.ravel(), theta.values[off : off + n_out * n_in])
             np.testing.assert_array_equal(b, theta.values[off + n_out * n_in : off + n_out * (n_in + 1)])
@@ -138,7 +131,7 @@ class TestLayerTable:
         arch = Architecture((2, 3, 1))
         theta = ParamVector(arch)
         for k in (0, arch.depth + 1):
-            for accessor in (theta.weights, theta.biases, arch.layer, arch.layer_offset):
+            for accessor in (theta.weights, theta.biases, arch.layer):
                 with pytest.raises(ValueError):
                     accessor(k)
         for n in (arch.param_count - 1, arch.param_count + 1):
