@@ -126,7 +126,10 @@ class TrajectoryRecord:
 
     @property
     def sup_norm(self) -> float:
-        return max(float(np.linalg.norm(s)) for s in self.states)
+        """The largest Euclidean norm of a recorded state; nan if any state
+        holds a nan.  `np.vecdot` runs the kernel of `np.linalg.norm` per row."""
+        S = self.states
+        return float(np.sqrt(np.vecdot(S, S)).max())
 
 
 def step_factor(raw, proj, gamma):

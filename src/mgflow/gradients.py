@@ -42,7 +42,10 @@ def risk_and_gradient(
     finite r it is the gradient of the smoothed risk on the same nodes.  The
     backprop runs feature-major in the forward pass's workspace: deltas are
     (l_k, n), and a layer's activations are recomputed from its stored
-    pre-activations when the layer above needs them.
+    pre-activations when the layer above needs them.  The mean correction is
+    applied once, on the residual row, which then also takes the node
+    weights: every hidden delta carries them, so a layer's weight gradient is
+    one matrix product and its bias gradient a row sum.
     """
     table = theta.arch.layer_table
     X, w = _nodes_for(theta, measure, f.breakpoints, r, resolution)
@@ -59,19 +62,21 @@ def risk_and_gradient(
     wr.sum(axis=1, out=grad[b_out])
     grad[w_out.start : b_out.stop] *= 2.0
 
-    # Head at the last hidden activations: the direct path minus the signal
-    # routed through the subtracted mean (same for every node).
-    WL2 = 2.0 * v[w_out].reshape(shape)
-    delta = _matmul(WL2.T, R, ws.delta[: shape[1]])
-    delta -= ((R @ w) @ WL2)[:, None]
+    # The signal routed through the subtracted mean is the same for every
+    # node, so it leaves on the residual row: W^T R - (W^T Rbar) 1^T equals
+    # W^T (R - Rbar 1^T), Rbar = R @ w.  The row also takes the node weights,
+    # so every delta below carries them.
+    R -= (R @ w)[:, None]
+    R *= w
+    delta = _matmul(2.0 * v[w_out].reshape(shape).T, R, ws.delta[: shape[1]])
     for k in range(len(table) - 1, 0, -1):
         # layer k's pre-activations are read for the last time: dz replaces them
         w_k, shape, b_k = table[k - 1]
         dz = smoothed_act_deriv(r, ws.pres[k - 1], out=ws.pres[k - 1])
         dz *= delta
         prev = ws.nodes_t(X) if k == 1 else smoothed_act(r, ws.pres[k - 2], out=ws.acts[k - 2])
-        np.matmul(np.multiply(dz, w, out=delta), prev.T, out=grad[w_k].reshape(shape))
-        np.matmul(dz, w, out=grad[b_k])
+        np.matmul(dz, prev.T, out=grad[w_k].reshape(shape))
+        dz.sum(axis=1, out=grad[b_k])
         if k > 1:
             delta = _matmul(v[w_k].reshape(shape).T, dz, ws.delta[: shape[1]])
 

@@ -48,9 +48,10 @@ class _Workspace:
     `pres` holds each hidden layer's pre-activations (backprop overwrites
     them with that layer's dz); `act` and `delta` are (max width, n) scratch
     arrays whose leading rows serve any layer; `resid` holds the output
-    residual.  `_workspace` caches them, and every pass overwrites them, so
-    no result may alias them and passes of one (layer_dims, n) must not
-    overlap (one thread at a time).
+    residual (backprop overwrites it with the weighted, centered residual).
+    `_workspace` caches them, and every pass overwrites them, so no result
+    may alias them and passes of one (layer_dims, n) must not overlap (one
+    thread at a time).
 
     `nodes_t(X)` gives the nodes feature-major, (l_0, n).  For a read-only X
     (the cached composite grid) that is a C-contiguous copy, made once and

@@ -154,21 +154,29 @@ def build_target(cfg: ExperimentConfig) -> TargetFunction:
     )
 
 
+def _row_format(n_cols: int, tag_col: Optional[int] = None) -> str:
+    """%-format of one CSV row: every number with 17 significant digits (the
+    bytes of `format(x, ".17g")`, which round-trip a double), and text at
+    tag_col."""
+    return ",".join("%s" if j == tag_col else "%.17g" for j in range(n_cols))
+
+
 def _write_csv(path: Path, record: TrajectoryRecord, one_neuron_mode: bool, time_label: str):
     dim = record.states.shape[1]
     cols = [time_label] + [f"theta_{i}" for i in range(1, dim + 1)]
     cols += ["risk", "psi_max_dev", "grad_norm"]
     numbers = [record.times, record.states, record.risk, record.psi_max_dev, record.grad_norm]
+    tag_col = dim + 4 if one_neuron_mode else None
     if one_neuron_mode:
         cols += ["regime", "E_full", "V_right", "V_left"]
         code, _ = on._regime_codes(record.states[:, 0], record.states[:, 1])
         numbers += on.lyapunov_values(record.states)
-    lines = [",".join(cols)]
-    for j, row in enumerate(np.column_stack(numbers).tolist()):
-        cells = [format(x, ".17g") for x in row]
-        if one_neuron_mode:
-            cells.insert(dim + 4, on.REGIME_TAGS[code[j]])
-        lines.append(",".join(cells))
+    rows = np.column_stack(numbers).tolist()
+    if one_neuron_mode:
+        for row, c in zip(rows, code):
+            row.insert(tag_col, on.REGIME_TAGS[c])
+    fmt = _row_format(len(cols), tag_col)
+    lines = [",".join(cols)] + [fmt % tuple(row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 

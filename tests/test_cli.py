@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from mgflow.cli import main
-from mgflow.runner import ConfigError, ExperimentConfig, config_from_dict, run_experiment
+from mgflow.runner import ConfigError, ExperimentConfig, _row_format, config_from_dict, run_experiment
 
 
 class TestConfigValidation:
@@ -167,6 +169,17 @@ class TestCsvFormatting:
         assert float(theta1) == float(format(float(theta1), ".17g"))
         # 17 significant digits are enough to round-trip a double exactly
         assert len(theta1.replace("-", "").replace(".", "").lstrip("0")) <= 17
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), max_size=12),
+           st.integers(0, 12))
+    @example([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 5e-324, -2.2250738585072e-308,
+              1.7976931348623157e308, 0.1, 1e16, 123456789012345678.0], 4)
+    def test_row_format_equals_per_cell_format(self, row, tag_at):
+        cells = [format(x, ".17g") for x in row]
+        assert _row_format(len(row)) % tuple(row) == ",".join(cells)
+        tag_at = min(tag_at, len(row))
+        assert (_row_format(len(row) + 1, tag_at) % tuple(row[:tag_at] + ["full"] + row[tag_at:])
+                == ",".join(cells[:tag_at] + ["full"] + cells[tag_at:]))
 
 
 class TestVerifyCommand:

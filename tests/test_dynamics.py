@@ -7,6 +7,7 @@ from mgflow import (
     NeuronKey,
     ParamVector,
     TargetFunction,
+    TrajectoryRecord,
     abs_offset_target,
     affine_target,
     gd_run,
@@ -24,6 +25,24 @@ from mgflow.dynamics import step_factor
 
 MU = uniform_measure(0, 1, 1)
 F = TargetFunction.from_scalar(abs_offset_target(0.3))
+
+
+def _record(states):
+    states = np.asarray(states, dtype=float)
+    rows = np.zeros(len(states))
+    return TrajectoryRecord(rows, states, rows, rows, rows, stopped=np.array(0))
+
+
+class TestSupNorm:
+    def test_equals_the_per_row_norm_loop(self):
+        states = np.random.default_rng(4).normal(size=(50, 13)) * np.logspace(-150, 150, 50)[:, None]
+        rec = _record(states)
+        assert rec.sup_norm == max(float(np.linalg.norm(s)) for s in states)
+
+    def test_a_nan_row_gives_nan_in_any_order(self):
+        # max over a Python generator skipped a nan that came after a number
+        for states in ([[3.0, 4.0], [np.nan, 0.0]], [[np.nan, 0.0], [3.0, 4.0]]):
+            assert np.isnan(_record(states).sup_norm)
 
 
 class TestFlowConfig:

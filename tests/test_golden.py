@@ -50,8 +50,8 @@ DIGESTS = {
         "42e0c75ffef23ead1b9df1a3f32791977f6fb01b1b0b8a6fdaa0f6a16b9b57fe",
     ),
     "gd_2441": (
-        "48d127077a3b7b554f353ba14886a19b999491b2f4dd0745cb56afc62c180b80",
-        "cd093d881bf5e22c0fa025988e15b1c12628f58c1438766e2f7c798718bb491f",
+        "9035bc0b2252c1504c55016e4f88f907596212f8af96b94cd07be83a4cd29dee",
+        "d7b17d803f90da59276639412bece8603d51a509ac628721856f25376a5fee7d",
     ),
     "one_neuron_constant": (
         "b9528382890a8b09476845bf28df72e8bbdbcf86392813db6f38fd53c756bd0f",

@@ -312,3 +312,62 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 16384 * 8
+
+
+class TestTextbookBackprop:
+    """The fused pass against node-major reverse mode written out term by
+    term: the centered readout, every weighted sum over the nodes and the
+    chain rule through the subtracted mean, with no workspace."""
+
+    DIMS = [(1, 8, 1), (2, 4, 4, 1), (3, 2, 5, 2), (1, 3, 3, 3, 1)]
+    MEASURES = ("uniform [0, 1]", "uniform [0, 2]", "discrete, mass 3.5")
+
+    @staticmethod
+    def problem(dims, measure_name, seed):
+        rng = np.random.default_rng(seed)
+        d, m = dims[0], dims[-1]
+        if measure_name == "discrete, mass 3.5":
+            measure = discrete_measure(rng.uniform(0, 1, (7, d)), [0.25, 0.5, 0.25, 1.0, 0.5, 0.75, 0.25])
+        else:
+            measure = uniform_measure(0, 1 if measure_name == "uniform [0, 1]" else 2, d)
+        if d == 1 and m == 1:
+            f = TargetFunction.from_scalar(abs_offset_target(0.3))
+        else:
+            f = TargetFunction.affine_map(rng.uniform(-1, 1, (m, d)), rng.uniform(-1, 1, m))
+        return random_params(Architecture(dims), rng), measure, f
+
+    @staticmethod
+    def textbook(theta, X, w, f, r):
+        layers = [(theta.values[ws].reshape(shape), theta.values[bs]) for ws, shape, bs in theta.arch.layer_table]
+        zs, hs = [], [X]
+        for W, b in layers[:-1]:
+            zs.append(hs[-1] @ W.T + b)
+            hs.append(smoothed_act(r, zs[-1]))
+        mean = sum(wi * hi for wi, hi in zip(w, hs[-1]))  # int h dmu
+        WL, bL = layers[-1]
+        R = (hs[-1] - mean) @ WL.T + bL - f(X)  # (n, out)
+        value = sum(wi * ri @ ri for wi, ri in zip(w, R))
+
+        dO = 2.0 * w[:, None] * R  # d risk / d output, per node
+        grads = [(dO.T @ (hs[-1] - mean), dO.sum(axis=0))]
+        # each node's activations reach the risk directly and through the mean
+        dH = dO @ WL - w[:, None] * (dO.sum(axis=0) @ WL)[None, :]
+        for k in range(len(layers) - 2, -1, -1):
+            dZ = dH * smoothed_act_deriv(r, zs[k])
+            grads.append((dZ.T @ hs[k], dZ.sum(axis=0)))
+            dH = dZ @ layers[k][0]
+        grad = np.concatenate([np.concatenate((gW.ravel(), gb)) for gW, gb in reversed(grads)])
+        return value, grad
+
+    @pytest.mark.parametrize("measure_name", MEASURES)
+    @pytest.mark.parametrize("r", [INF, 100.0, 3.0])
+    @pytest.mark.parametrize("dims", DIMS, ids=lambda dims: ",".join(map(str, dims)))
+    def test_fused_pass_matches(self, dims, r, measure_name):
+        for seed in range(3):
+            theta, measure, f = self.problem(dims, measure_name, seed)
+            resolution = None if dims[0] == 1 else 12
+            X, w = network._nodes_for(theta, measure, f.breakpoints, r, resolution)
+            ref_value, ref_grad = self.textbook(theta, X, w, f, r)
+            value, grad = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
+            assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-12 * np.max(np.abs(ref_grad))
