@@ -127,7 +127,8 @@ class TrajectoryRecord:
     @property
     def sup_norm(self) -> float:
         """The largest Euclidean norm of a recorded state; nan if any state
-        holds a nan.  `np.vecdot` runs the kernel of `np.linalg.norm` per row."""
+        holds a nan.  `np.vecdot` runs the kernel of the 1-d `np.linalg.norm`
+        per row (not that of `np.linalg.norm(..., axis=-1)`)."""
         S = self.states
         return float(np.sqrt(np.vecdot(S, S)).max())
 
@@ -157,26 +158,31 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
 
     Returns the batch record of the rows at step 0, every `record_every`-th
     step, the last step, and the step that froze the last row, and beside it
-    their diagnostics.  |G| comes from the state's first RK4 stage, so
-    recording costs no extra gradient.  `risk` and `psi_max_dev` are left nan
-    for the caller.  Each row's termination names why it froze: "nonfinite"
-    for a non-finite state, "divergence_guard" for one over the guard.
+    their diagnostics.  |G| and the diagnostics come from the state's first
+    RK4 stage, so recording costs no extra field evaluation.  `risk` and
+    `psi_max_dev` are left nan for the caller.  Each row's termination names
+    why it froze: "nonfinite" for a non-finite state, "divergence_guard" for
+    one over the guard.
     """
     Y = np.array(Y, dtype=float)
     stopped = np.zeros(len(Y), dtype=int)
     termination = np.full(len(Y), "completed", dtype="<U16")
-    rows, events = [], 0
+    rows, events, n_stopped = [], 0, 0
 
     def rate(Z, n, record=False):
         G, gamma, diagnosed = field(Z, n, record)
-        return -np.asarray(gamma)[..., None] * G, G, diagnosed
+        if isinstance(gamma, np.ndarray):
+            gamma = gamma[..., None]
+        return -gamma * G, G, diagnosed
 
     for n in range(n_steps + 1):
-        done = n == n_steps or stopped.all()
+        done = n == n_steps or n_stopped == len(Y)
         record = done or n % record_every == 0
         k1, G, diagnosed = rate(Y, n, record)
         if record:
-            rows.append((n, Y, np.linalg.norm(G, axis=-1), diagnosed))
+            # the reduction of np.linalg.norm(G, axis=-1), bit for bit;
+            # np.vecdot matches only the 1-d norm (as in sup_norm), not this
+            rows.append((n, Y, np.sqrt(np.add.reduce(G * G, axis=-1)), diagnosed))
         if done:
             break
         if rk4:
@@ -187,12 +193,14 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
         else:
             Y_new, zero_rows = retract(Y + h * k1)
         events += zero_rows
-        frozen = ~(np.abs(Y_new).max(axis=1) <= DIVERGENCE_GUARD) & (stopped == 0)
-        if frozen.any():
+        size = np.abs(Y_new)
+        if not size.max() <= DIVERGENCE_GUARD:  # some row is over the guard or not finite
+            frozen = ~(size.max(axis=1) <= DIVERGENCE_GUARD) & (stopped == 0)
             stopped[frozen] = n + 1
             termination[frozen] = np.where(np.isfinite(Y_new[frozen]).all(axis=1),
                                            "divergence_guard", "nonfinite")
-        Y = np.where(stopped[:, None] == 0, Y_new, Y) if stopped.any() else Y_new
+            n_stopped += int(frozen.sum())
+        Y = np.where(stopped[:, None] == 0, Y_new, Y) if n_stopped else Y_new
 
     steps, states, grad_norm, diagnostics = zip(*rows)
     unset = np.full((len(rows), len(Y)), np.nan)

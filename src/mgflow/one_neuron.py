@@ -41,19 +41,23 @@ _E_FULL_T1_CAP = 0.999  # conservation monitor needs log(1 - t1^2) well conditio
 
 
 def _intervals(t1, t2):
-    """Activity interval [lo, hi] per batch row (lo = hi when empty)."""
-    q = np.divide(-t2, t1, out=np.full(np.shape(t1), np.inf), where=t1 != 0.0)
+    """Activity-interval ends as one (2, ...) array [lo, hi] (lo = hi when
+    empty), and q = -t2 / t1 (+-inf or nan where t1 = 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -t2 / t1
     c = np.minimum(np.maximum(q, 0.0), 1.0)
-    lo = np.where(t1 > 0.0, c, 0.0)
-    hi = np.where(t1 < 0.0, c, (t1 > 0.0) | ((t1 == 0.0) & (t2 > 0.0)))
-    return lo, hi, q
+    pos, ends = t1 > 0.0, np.empty((2,) + np.shape(t1))
+    ends[0] = np.where(pos, c, 0.0)
+    ends[1] = np.where(t1 < 0.0, c, pos | ((t1 == 0.0) & (t2 > 0.0)))
+    return ends, q
 
 
 def _regime_codes(t1, t2):
     """0 empty, 1 full, 2 right, 3 left; plus q with inf for constant rows.
     A row is partial exactly when 0 < q < 1; rows with a nan are empty."""
-    lo, hi, q = _intervals(t1, t2)
-    return np.where((q > 0.0) & (q < 1.0), 3 - (t1 > 0.0), hi > lo), q
+    ends, q = _intervals(t1, t2)
+    q = np.where(t1 != 0.0, q, np.inf)
+    return np.where((q > 0.0) & (q < 1.0), 3 - (t1 > 0.0), ends[1] > ends[0]), q
 
 
 @dataclass(frozen=True)
@@ -159,58 +163,44 @@ def as_problem(f: Union[PiecewisePolynomial, OneNeuronProblem]) -> OneNeuronProb
     return f if isinstance(f, OneNeuronProblem) else OneNeuronProblem.from_target(f)
 
 
-def _moments(states: np.ndarray, problem: OneNeuronProblem):
-    """(P0, P1, P2, m, A, B) over the activity interval, from one table lookup."""
-    t1, t2 = states[..., 0], states[..., 1]
-    lo, hi, _ = _intervals(t1, t2)
-    P0, P1, P2, F0, F1 = problem.f.interval_moments(lo, hi)
-    return P0, P1, P2, t1 * P1 + t2 * P0, problem.fbar * P0 - F0, problem.fbar * P1 - F1
+def _one_pass(states: np.ndarray, problem: OneNeuronProblem, risk: bool = False):
+    """Tangent gradient G, raw risk gradient R and, when `risk` is set, the
+    risk (else None) at states of shape (..., 3), from one moments lookup.
 
-
-def _raw_and_j3(states: np.ndarray, problem: OneNeuronProblem):
-    """Unprojected risk gradient and J3 = int_0^1 (max(t1 s + t2, 0) - m)^2 ds
-    from one moments pass."""
-    t1, t2, t3 = states[..., 0], states[..., 1], states[..., 2]
-    P0, P1, P2, m, A, B = _moments(states, problem)
+    G = (t2 w, -t1 w, R2) with w = t2 R0 - t1 R1 is the projection of R times
+    t1^2 + t2^2, orthogonal to (t1, t2) at every state.  On the circle it is
+    the projected risk gradient; off it the same expressions keep exact
+    tangency.
+    """
+    # work on component-first views (X[k], GT[k], RT[k] hold component k of
+    # every state), so the (A, B) and (a, b) pairs share one operation each
+    X, G, R = states.T, np.empty(states.shape), np.empty(states.shape)
+    GT, RT, t1, t2, t3 = G.T, R.T, X[0], X[1], X[2]
+    # the ends lie in the domain [0, 1] (or are nan), so no clip is needed
+    M = problem.f.lookup_moments(_intervals(t1, t2)[0])  # P0, P1, P2, F0, F1
+    m = t1 * M[1] + t2 * M[0]
     d = t2 - m
-    a = t1 * P2 + d * P1
-    b = t1 * P1 + d * P0
-    J3 = t1 * a + d * b + m * m * (1.0 - P0)
-    raw = np.empty(states.shape)
-    raw[..., 0] = 2.0 * t3 * (t3 * a + B)
-    raw[..., 1] = 2.0 * t3 * (t3 * b + A)
-    raw[..., 2] = 2.0 * (t3 * J3 + t1 * B + t2 * A)
-    return raw, J3
-
-
-def _tangent(states: np.ndarray, raw: np.ndarray) -> np.ndarray:
-    """(t2 w, -t1 w, R2) with w = t2 R0 - t1 R1: the projection of the raw
-    gradient R times t1^2 + t2^2, orthogonal to (t1, t2) at every state."""
-    t1, t2 = states[..., 0], states[..., 1]
-    w = t2 * raw[..., 0] - t1 * raw[..., 1]
-    out = np.empty(raw.shape)
-    out[..., 0] = t2 * w
-    out[..., 1] = -t1 * w
-    out[..., 2] = raw[..., 2]
-    return out
+    AB = problem.fbar * M[:2] - M[3:]  # (A, B) = fbar (P0, P1) - (F0, F1)
+    ab = t1 * M[2:0:-1] + d * M[1::-1]  # (a, b) = t1 (P2, P1) + d (P1, P0)
+    # J3 = int_0^1 (max(t1 s + t2, 0) - m)^2 ds
+    J3 = t1 * ab[0] + d * ab[1] + m * m * (1.0 - M[0])
+    RT[:2] = R01 = 2.0 * t3 * (t3 * ab + AB[::-1])
+    RT[2] = GT[2] = R2 = 2.0 * (t3 * J3 + t1 * AB[1] + t2 * AB[0])
+    w = t2 * R01[0] - t1 * R01[1]
+    GT[0] = t2 * w
+    GT[1] = -t1 * w
+    # L = t3^2 J3 + 2 t3 (t1 B + t2 A) + int (f - fbar)^2, in the states' layout
+    L = (t3 * R2 - t3 * t3 * J3 + problem.centered_square).T if risk else None
+    return G, R, L
 
 
 def risk_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
-    states = np.asarray(states, dtype=float)
-    t3 = states[..., 2]
-    raw, J3 = _raw_and_j3(states, problem)
-    # L = t3^2 J3 + 2 t3 (t1 B + t2 A) + int (f - fbar)^2, and R2 = 2 (t3 J3 + t1 B + t2 A)
-    return t3 * raw[..., 2] - t3 * t3 * J3 + problem.centered_square
+    return _one_pass(np.asarray(states, dtype=float), problem, True)[2]
 
 
 def gradient_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
-    """Tangent gradient, vectorized over rows of (t1, t2, t3).
-
-    On the circle this is the projected risk gradient; the same expressions
-    extend it off the circle with exact tangency.
-    """
-    states = np.asarray(states, dtype=float)
-    return _tangent(states, _raw_and_j3(states, problem)[0])
+    """Tangent gradient, vectorized over rows of (t1, t2, t3)."""
+    return _one_pass(np.asarray(states, dtype=float), problem)[0]
 
 
 def grad_1n(theta, f) -> np.ndarray:
@@ -266,7 +256,7 @@ def closed_gradient(theta, f) -> np.ndarray:
     t1, t2, t3 = theta
     code, q = _regime_codes(t1, t2)
     tag, q = REGIME_TAGS[int(code)], float(q)
-    A, B = (float(v) for v in _moments(theta, problem)[4:])
+    A, B = (float(v) for v in problem.f.partial_moments(*_intervals(t1, t2)[0], problem.fbar))
     if tag == "right":
         J1 = t1 * t2**2 / 12.0 * (1.0 - q) ** 2 * (7.0 + 2.0 * q + 3.0 * q**2)
         J3 = t1**2 * (1.0 - q) ** 3 * (1.0 / 12.0 + q / 4.0)
@@ -380,21 +370,22 @@ class OneNeuronConfig:
 
 
 def _retract_to_circle(Y):
-    """Scale each row's (t1, t2) to unit norm; rows with t1 = t2 = 0 stay.
-    The circle flow has no hidden rows, so it reports no zero rows."""
+    """Scale each row's (t1, t2) to unit norm in place; rows with t1 = t2 = 0
+    stay.  The circle flow has no hidden rows, so it reports no zero rows."""
     nrm = np.hypot(Y[:, 0], Y[:, 1])
-    out = Y.copy()
-    out[:, :2] /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
-    return out, 0
+    Y[:, :2] /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    return Y, 0
 
 
 def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
     """Integrate the circle flow for a batch of initial states.
 
     Returns the batch record: `states` is (R, B, 3) and `psi_max_dev` holds
-    |t1^2 + t2^2 - 1|.  Trajectories tripping the divergence guard are frozen
-    at their last valid state and marked aborted; the rest continue, and the
-    run ends early once every trajectory has aborted.
+    |t1^2 + t2^2 - 1|.  Each RK4 stage is one moments pass; the pass at a
+    recorded state (its first stage) also gives the recorded risk, so no
+    state is evaluated twice.  Trajectories tripping the divergence guard
+    are frozen at their last valid state and marked aborted; the rest
+    continue, and the run ends early once every trajectory has aborted.
     """
     problem = as_problem(f)
     Y = np.atleast_2d(np.asarray(theta0, dtype=float))
@@ -402,17 +393,13 @@ def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
         raise ValueError("states must have three components")
 
     def field(states, n, record):
-        if not isinstance(cfg.gamma, str):
-            return gradient_batch(states, problem), cfg.gamma, None
-        raw = _raw_and_j3(states, problem)[0]
-        G = _tangent(states, raw)
-        return G, step_factor(raw, G, cfg.gamma), None
+        G, R, L = _one_pass(states, problem, record)
+        return G, step_factor(R, G, cfg.gamma), L
 
     retract = _retract_to_circle if cfg.renormalize else (lambda states: (states, 0))
     n_steps = int(round(cfg.t_end / cfg.step))
-    record, _ = fixed_step(field, Y, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
-    # risk in one vectorized pass over all recorded states
-    record.risk = risk_batch(record.states, problem)
+    record, risks = fixed_step(field, Y, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
+    record.risk = np.array(risks)
     record.psi_max_dev = np.abs(record.states[..., 0] ** 2 + record.states[..., 1] ** 2 - 1.0)
     return record
 

@@ -78,13 +78,20 @@ class PiecewisePolynomial:
         s = np.empty((2,) + hi.shape)
         s[0], s[1] = lo, hi
         np.minimum(np.maximum(s, self.breaks[0], out=s), self.breaks[-1], out=s)
-        piece = np.searchsorted(self._breaks[1:], s, side="right")
+        return tuple(self.lookup_moments(s))
+
+    def lookup_moments(self, ends):
+        """The five moments of `interval_moments` as one (5, ...) array, for
+        ends of shape (2, ...) already inside the domain with ends[0] <= ends[1]
+        (nan ends give nan moments)."""
+        piece = self._breaks[1:].searchsorted(ends, side="right")
         C = self._primitive.take(piece, axis=-1)  # (D, 5, 2, ...)
-        u = s - self._breaks[piece]
-        F = C[-1]
+        u = ends - self._breaks[piece]
+        F = C[-1]  # Horner in place on the fresh gather: F <- C[k] + u F
         for k in range(len(C) - 2, -1, -1):
-            F = C[k] + u * F
-        return tuple(F[:, 1] - F[:, 0])
+            F *= u
+            F += C[k]
+        return F[:, 1] - F[:, 0]
 
     def partial_moments(self, lo, hi, fbar: float):
         """Exact (A, B) with A = int_lo^hi (fbar - f) ds, B = same times s."""

@@ -390,9 +390,9 @@ def check_rescaled_flow_identity(seed) -> CheckResult:
     cfg = on.OneNeuronConfig(t_end=0.5, step=h, renormalize=True, gamma="rescaled")
     rec = on.flow_batch(np.array([[0.6, 0.8, 0.9]]), problem, cfg).row(0)
     L, states = rec.risk, rec.states
-    raw, _ = on._raw_and_j3(states, problem)
+    proj, raw, _ = on._one_pass(states, problem)
     raw2 = np.sum(raw**2, axis=-1)
-    proj2 = np.sum(on._tangent(states, raw) ** 2, axis=-1)
+    proj2 = np.sum(proj**2, axis=-1)
     code, _ = on._regime_codes(states[:, 0], states[:, 1])
     fd = (L[2:] - L[:-2]) / (2.0 * h)
     smooth = (

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mgflow import (
     Architecture,
@@ -21,7 +23,7 @@ from mgflow import (
     uniform_measure,
 )
 from mgflow import one_neuron as on
-from mgflow.dynamics import step_factor
+from mgflow.dynamics import fixed_step, step_factor
 
 MU = uniform_measure(0, 1, 1)
 F = TargetFunction.from_scalar(abs_offset_target(0.3))
@@ -43,6 +45,18 @@ class TestSupNorm:
         # max over a Python generator skipped a nan that came after a number
         for states in ([[3.0, 4.0], [np.nan, 0.0]], [[np.nan, 0.0], [3.0, 4.0]]):
             assert np.isnan(_record(states).sup_norm)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 8), st.sampled_from([3, 25, 37]))
+@settings(max_examples=60, deadline=None)
+def test_recorded_grad_norm_is_linalg_norm_bit_for_bit(seed, B, P):
+    # rows of G over 200 orders of magnitude, some with zeros
+    rng = np.random.default_rng(seed)
+    G = rng.standard_normal((B, P)) * 10.0 ** rng.uniform(-100, 100, (B, 1))
+    G[rng.random((B, P)) < 0.1] = 0.0
+    record, _ = fixed_step(lambda Y, n, record: (G, 0.0, None), np.zeros((B, P)), 1.0, 0,
+                           False, lambda Y: (Y, 0), 1)
+    assert record.grad_norm[0].tobytes() == np.linalg.norm(G, axis=-1).tobytes()
 
 
 class TestFlowConfig:

@@ -15,11 +15,19 @@ from mgflow import (
     uniform_measure,
 )
 from mgflow import one_neuron as on
+from mgflow.dynamics import DIVERGENCE_GUARD
 from mgflow.verify import LYAPUNOV_TARGETS
 
 MU = uniform_measure(0, 1, 1)
 INV_SQRT2 = 2.0**-0.5
 ZERO = on.as_problem(constant_target(0.0))
+
+
+def _mean(theta):
+    """m = int_0^1 max(t1 s + t2, 0) ds from the kernel's interval ends and moments."""
+    t1, t2 = theta[..., 0], theta[..., 1]
+    M = ZERO.f.lookup_moments(on._intervals(t1, t2)[0])
+    return t1 * M[1] + t2 * M[0]
 
 
 def circle_point(q, sign_t1, t3):
@@ -29,7 +37,7 @@ def circle_point(q, sign_t1, t3):
 
 class TestBreakpointAndRegimes:
     def test_breakpoint_values(self):
-        q = on._intervals(np.array([1.0, 0.0, -2.0]), np.array([-0.5, 0.3, 1.0]))[2]
+        q = on._regime_codes(np.array([1.0, 0.0, -2.0]), np.array([-0.5, 0.3, 1.0]))[1]
         assert q[0] == pytest.approx(0.5)
         assert q[1] == math.inf
         assert q[2] == pytest.approx(0.5)
@@ -56,10 +64,10 @@ class TestBreakpointAndRegimes:
         # q = 1 with negative slope: active on [0, 1)
         theta = np.array([-INV_SQRT2, INV_SQRT2, 0.0])
         assert on.REGIME_TAGS[int(on._regime_codes(theta[0], theta[1])[0])] == "full"
-        assert on._moments(theta, ZERO)[3] == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
+        assert _mean(theta) == pytest.approx(1.0 / (2.0 * math.sqrt(2.0)))
 
     def test_mean_examples(self):
-        m = on._moments(np.array([[1.0, -0.5, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]), ZERO)[3]
+        m = _mean(np.array([[1.0, -0.5, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]))
         assert m[0] == pytest.approx(0.125)
         assert m[1] == 0.0
         assert m[2] == pytest.approx(0.5)
@@ -70,9 +78,9 @@ class TestBreakpointAndRegimes:
             t1, t2 = rng.standard_normal(2) * 2.0
             ref = integrate(
                 lambda X: np.maximum(t1 * X[:, 0] + t2, 0.0),
-                MU, breakpoints=[float(on._intervals(t1, t2)[2])],
+                MU, breakpoints=[float(on._intervals(t1, t2)[1])],
             )
-            assert on._moments(np.array([t1, t2, 0.0]), ZERO)[3] == pytest.approx(ref, abs=1e-14)
+            assert _mean(np.array([t1, t2, 0.0])) == pytest.approx(ref, abs=1e-14)
 
 
 class TestRiskAndGradient:
@@ -105,8 +113,8 @@ class TestRiskAndGradient:
             f = piecewise_linear_target(knots, rng.standard_normal(4))
             problem = on.as_problem(f)
             fbar = f.mean()
-            m = on._moments(theta, problem)[3]
-            q = on._intervals(theta[0], theta[1])[2]
+            m = _mean(theta)
+            q = on._intervals(theta[0], theta[1])[1]
             ref = integrate(
                 lambda X: (
                     theta[2] * (np.maximum(theta[0] * X[:, 0] + theta[1], 0.0) - m)
@@ -124,8 +132,8 @@ class TestRiskAndGradient:
             t = circle_point(rng.uniform(0.05, 0.95), rng.choice((1.0, -1.0)), rng.standard_normal())
             t1, t2, t3 = t
             f = abs_offset_target(rng.uniform(0.2, 0.8))
-            fbar, m = f.mean(), on._moments(t, on.as_problem(f))[3]
-            q = on._intervals(t1, t2)[2]
+            fbar, m = f.mean(), _mean(t)
+            q = on._intervals(t1, t2)[1]
             bp = np.concatenate((f.interior_breaks(), [q]))
 
             def resid(s):
@@ -149,7 +157,7 @@ class TestRiskAndGradient:
         problem = on.as_problem(f)
         for _ in range(100):
             t = circle_point(rng.uniform(0.05, 0.95), rng.choice((1.0, -1.0)), rng.standard_normal())
-            raw = on._raw_and_j3(t, problem)[0]
+            raw = on._one_pass(t, problem)[1]
             # remove the component along the circle normal (t1, t2, 0)
             normal = np.array([t[0], t[1], 0.0])
             proj = raw - (normal @ raw) / (normal @ normal) * normal
@@ -162,8 +170,8 @@ class TestRiskAndGradient:
         for _ in range(50):
             t = circle_point(rng.uniform(0.1, 0.9), rng.choice((1.0, -1.0)), rng.standard_normal())
             f = abs_offset_target(rng.uniform(0.2, 0.8))
-            fbar, m = f.mean(), on._moments(t, on.as_problem(f))[3]
-            q = on._intervals(t[0], t[1])[2]
+            fbar, m = f.mean(), _mean(t)
+            q = on._intervals(t[0], t[1])[1]
             val = integrate(
                 lambda X: t[2] * (np.maximum(t[0] * X[:, 0] + t[1], 0.0) - m) + fbar - f(X[:, 0]),
                 MU, breakpoints=np.concatenate((f.interior_breaks(), [q])),
@@ -321,7 +329,7 @@ class TestFlow:
         cfg = on.OneNeuronConfig(t_end=5.0, step=1e-3)
         inits = on.random_circle_states(np.random.default_rng(60), 10, t3_scale=2.0)
         batch = on.flow_batch(inits, problem, cfg)
-        lo, hi, _ = on._intervals(batch.states[..., 0], batch.states[..., 1])
+        (lo, hi), _ = on._intervals(batch.states[..., 0], batch.states[..., 1])
         measure_active = hi - lo
         C = math.sqrt(problem.centered_square)
         for eps in (0.1, 0.3, 0.6):
@@ -420,7 +428,7 @@ def _reference_kernel(states, f):
     """The explicit J1/J2/J3 forms (tangent gradient, raw gradient, risk) on
     moments taken independently of the target's primitive table."""
     t1, t2, t3 = states[:, 0], states[:, 1], states[:, 2]
-    lo, hi, _ = on._intervals(t1, t2)
+    (lo, hi), _ = on._intervals(t1, t2)
     P0, P1, P2 = hi - lo, (hi**2 - lo**2) / 2.0, (hi**3 - lo**3) / 3.0
     x, w = np.polynomial.legendre.leggauss(6)
     fbar, A, B = f.mean(), np.zeros(len(states)), np.zeros(len(states))
@@ -465,17 +473,18 @@ class TestKernelAgainstExplicitForms:
         # rounding grows with the size of the state, not of the (possibly tiny) result
         scale = (1.0 + states[:, 2] ** 2) * (1.0 + radius**2) ** 2
         for got, ref in ((on.gradient_batch(states, problem), tangent),
-                         (on._raw_and_j3(states, problem)[0], raw)):
+                         (on._one_pass(states, problem)[1], raw)):
             assert np.all(np.abs(got - ref) <= 1e-12 * scale[:, None])
         assert np.all(np.abs(on.risk_batch(states, problem) - risk) <= 1e-12 * scale)
 
     def test_one_moments_pass_per_rhs_evaluation(self, monkeypatch):
         # gamma="rescaled" needs the raw and the tangent gradient at every
-        # RK4 stage; both come from one pass, so a step costs 4 passes
+        # RK4 stage, and a recorded state its risk too; all come from one
+        # pass, so a step costs 4 passes and the final state 1 more
         calls = []
-        lookup = PiecewisePolynomial.interval_moments
-        monkeypatch.setattr(PiecewisePolynomial, "interval_moments",
-                            lambda self, lo, hi: calls.append(1) or lookup(self, lo, hi))
+        lookup = PiecewisePolynomial.lookup_moments
+        monkeypatch.setattr(PiecewisePolynomial, "lookup_moments",
+                            lambda self, ends: calls.append(1) or lookup(self, ends))
         problem = on.as_problem(abs_offset_target(0.3))
         counts = []
         for steps in (10, 20):
@@ -483,7 +492,128 @@ class TestKernelAgainstExplicitForms:
             cfg = on.OneNeuronConfig(t_end=steps * 1e-2, step=1e-2, gamma="rescaled")
             on.flow_batch(on.random_circle_states(np.random.default_rng(71), 4), problem, cfg)
             counts.append(len(calls))
-        assert counts[1] - counts[0] == 4 * 10
+        assert counts == [4 * 10 + 1, 4 * 20 + 1]
+
+
+# The two-pass kernel that `_one_pass` replaced, verbatim but for the names.
+# Every element of G, R and the risk must see the same IEEE operations in the
+# same order in both, so they agree byte for byte.
+
+def _ref_intervals(t1, t2):
+    """Activity interval [lo, hi] per batch row (lo = hi when empty)."""
+    q = np.divide(-t2, t1, out=np.full(np.shape(t1), np.inf), where=t1 != 0.0)
+    c = np.minimum(np.maximum(q, 0.0), 1.0)
+    lo = np.where(t1 > 0.0, c, 0.0)
+    hi = np.where(t1 < 0.0, c, (t1 > 0.0) | ((t1 == 0.0) & (t2 > 0.0)))
+    return lo, hi, q
+
+
+def _ref_moments(states, problem):
+    """(P0, P1, P2, m, A, B) over the activity interval, from one table lookup."""
+    t1, t2 = states[..., 0], states[..., 1]
+    lo, hi, _ = _ref_intervals(t1, t2)
+    P0, P1, P2, F0, F1 = problem.f.interval_moments(lo, hi)
+    return P0, P1, P2, t1 * P1 + t2 * P0, problem.fbar * P0 - F0, problem.fbar * P1 - F1
+
+
+def _ref_raw_and_j3(states, problem):
+    """Unprojected risk gradient and J3 = int_0^1 (max(t1 s + t2, 0) - m)^2 ds
+    from one moments pass."""
+    t1, t2, t3 = states[..., 0], states[..., 1], states[..., 2]
+    P0, P1, P2, m, A, B = _ref_moments(states, problem)
+    d = t2 - m
+    a = t1 * P2 + d * P1
+    b = t1 * P1 + d * P0
+    J3 = t1 * a + d * b + m * m * (1.0 - P0)
+    raw = np.empty(states.shape)
+    raw[..., 0] = 2.0 * t3 * (t3 * a + B)
+    raw[..., 1] = 2.0 * t3 * (t3 * b + A)
+    raw[..., 2] = 2.0 * (t3 * J3 + t1 * B + t2 * A)
+    return raw, J3
+
+
+def _ref_tangent(states, raw):
+    """(t2 w, -t1 w, R2) with w = t2 R0 - t1 R1."""
+    t1, t2 = states[..., 0], states[..., 1]
+    w = t2 * raw[..., 0] - t1 * raw[..., 1]
+    out = np.empty(raw.shape)
+    out[..., 0] = t2 * w
+    out[..., 1] = -t1 * w
+    out[..., 2] = raw[..., 2]
+    return out
+
+
+def _ref_risk_batch(states, problem):
+    states = np.asarray(states, dtype=float)
+    t3 = states[..., 2]
+    raw, J3 = _ref_raw_and_j3(states, problem)
+    return t3 * raw[..., 2] - t3 * t3 * J3 + problem.centered_square
+
+
+BITWISE_TARGETS = (  # the circle_batch benchmark's targets and a degree-5 piece
+    affine_target(0.0, 1.0),
+    abs_offset_target(0.3),
+    affine_target(1.0, -1.0),
+    piecewise_linear_target(np.linspace(0.0, 1.0, 9), np.random.default_rng(5).uniform(-1.0, 1.0, 9)),
+    PiecewisePolynomial((0.0, 0.55, 1.0), ((0.2, -1.0, 3.0, 0.5, -2.0, 1.5), (0.4, 1.0, -0.5))),
+)
+# (t1, t2) rows: t1 = 0 with t2 > 0, < 0 and = 0 (and t1 = -0), q exactly 0
+# and exactly 1, and a nan in either slot
+EDGE_ROWS = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.0], [-0.0, 0.5], [0.6, 0.0], [-0.6, -0.0],
+                      [0.6, -0.6], [-INV_SQRT2, INV_SQRT2], [np.nan, 0.5], [0.5, np.nan]])
+
+
+def _same_bits(got, ref):
+    """Equal bytes wherever ref is a number, and nan exactly where ref is."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    nan = np.isnan(ref)
+    return (got.shape == ref.shape and np.array_equal(np.isnan(got), nan)
+            and np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, ref).tobytes())
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([(), (1,), (34,), (3, 17)]),
+       st.integers(0, len(BITWISE_TARGETS) - 1), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_one_pass_matches_the_two_pass_formulas_bit_for_bit(seed, shape, target, on_circle):
+    # states of shape (3,), (B, 3) and (R, B, 3); off the circle the radius
+    # ranges over [0.05, 3]
+    rng = np.random.default_rng(seed)
+    problem = on.as_problem(BITWISE_TARGETS[target])
+    n = math.prod(shape)
+    angle = rng.uniform(0.0, 2.0 * np.pi, n)
+    radius = 1.0 if on_circle else rng.uniform(0.05, 3.0, n)
+    rows = np.column_stack([radius * np.cos(angle), radius * np.sin(angle), 3.0 * rng.standard_normal(n)])
+    edge = rng.choice(n, size=rng.integers(0, n + 1), replace=False)
+    rows[edge, :2] = EDGE_ROWS[rng.integers(0, len(EDGE_ROWS), len(edge))]
+    if rng.random() < 0.2:
+        rows[rng.integers(n), 2] = np.nan
+    states = rows.reshape(shape + (3,))
+    with np.errstate(invalid="ignore"):
+        raw = _ref_raw_and_j3(states, problem)[0]
+        tangent, risk = _ref_tangent(states, raw), _ref_risk_batch(states, problem)
+    G, R, L = on._one_pass(states, problem, True)
+    assert _same_bits(G, tangent) and _same_bits(R, raw) and _same_bits(L, risk)
+    assert _same_bits(on.gradient_batch(states, problem), tangent)
+    assert _same_bits(on.risk_batch(states, problem), risk)
+
+
+class TestRecordedRisk:
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    @pytest.mark.parametrize("gamma", [1.0, "rescaled"])
+    def test_recorded_risk_is_risk_batch_of_the_recorded_states(self, gamma, integrator, renormalize):
+        # every third of 50 steps and the last; row 2 starts over the
+        # divergence guard and is frozen at its start after one step
+        problem = on.as_problem(abs_offset_target(0.3))
+        inits = on.random_circle_states(np.random.default_rng(64), 5, t3_scale=2.0)
+        inits[2, 2] = 2.0 * DIVERGENCE_GUARD
+        cfg = on.OneNeuronConfig(t_end=0.5, step=1e-2, integrator=integrator,
+                                 renormalize=renormalize, gamma=gamma, record_every=3)
+        with np.errstate(over="ignore", invalid="ignore"):  # row 2's RK4 stages overflow
+            batch = on.flow_batch(inits, problem, cfg)
+        np.testing.assert_array_equal(batch.stopped, [0, 0, 1, 0, 0])
+        np.testing.assert_allclose(batch.times, np.r_[0:49:3, 50] * 1e-2)
+        assert batch.risk.tobytes() == on.risk_batch(batch.states, problem).tobytes()
 
 
 def _monitor_rates(states, problem):
