@@ -19,6 +19,7 @@ import json
 import sys
 from pathlib import Path
 
+from .quadrature import QuadratureError
 from .runner import ConfigError, ExperimentConfig, config_from_dict, run_experiment
 from .verify import verify_all
 
@@ -122,6 +123,9 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except QuadratureError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     print(f"termination: {summary['termination']}  rows: {summary['rows']}  "
           f"final risk: {summary['final_risk']:.6g}  output: {cfg.out}")
     return 0

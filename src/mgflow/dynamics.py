@@ -22,15 +22,13 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .gradients import _flat, _risk_and_rows
 from .gradients import generalized_gradient  # noqa: F401  (bench/tracing.py wraps dynamics.generalized_gradient)
-from .gradients import risk_and_gradient
-from .manifold import (
+from .manifold import _max_deviation, _tangent_rows, renormalize, rescale_full, zero_rows
+from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* names)
     max_constraint_deviation,
-    min_subvector_norm,  # noqa: F401  (bench/tracing.py wraps dynamics.min_subvector_norm)
+    min_subvector_norm,
     project_gradient,
-    renormalize,
-    rescale_full,
-    zero_rows,
 )
 from .network import risk  # noqa: F401  (bench/tracing.py wraps dynamics.risk)
 from .params import ParamVector
@@ -208,16 +206,29 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
                             np.array(grad_norm), stopped, termination, events), diagnostics
 
 
+def _network_field(arch, measure, f, r, resolution, gamma_at):
+    """The `fixed_step` field of one network, as a (1, P) batch: G equals
+    `project_gradient(theta, risk_and_gradient(theta, ...)[1])` bit for bit.
+    The hidden rows' gradients are projected against the rows the pass
+    gathered, and the diagnostics (risk, max |psi - 1|) come from the same
+    pass and rows."""
+
+    def field(Y, n, diagnose):
+        value, rows, grads = _risk_and_rows(arch, Y[0], measure, f, r, resolution)
+        G = _flat(arch, [_tangent_rows(V, g) for V, g in zip(rows, grads[:-1])] + grads[-1:])
+        gamma = gamma_at(n)
+        if isinstance(gamma, str):
+            gamma = step_factor(_flat(arch, grads), G, gamma)
+        diagnostics = (value, _max_deviation(rows[:-1])) if diagnose else None
+        return G[None, :], gamma, diagnostics
+
+    return field
+
+
 def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> TrajectoryRecord:
     """Run `fixed_step` on one network from the rescaled xi; returns its record."""
     arch = xi.arch
-
-    def field(Y, n, diagnose):
-        theta = ParamVector(arch, Y[0])
-        risk_val, raw = risk_and_gradient(theta, measure, f, r=cfg.r, resolution=cfg.resolution)
-        proj = project_gradient(theta, raw)
-        diagnostics = (risk_val, max_constraint_deviation(theta)) if diagnose else None
-        return proj[None, :], step_factor(raw, proj, gamma_at(n)), diagnostics
+    field = _network_field(arch, measure, f, cfg.r, cfg.resolution, gamma_at)
 
     def retract(Y):
         theta = ParamVector(arch, Y[0])

@@ -19,12 +19,57 @@ from typing import Optional
 
 import numpy as np
 
-from .network import _matmul, _nodes_for, _risk_pass, risk
+from .network import _layer_rows, _matmul, _nodes_for, _risk_pass, risk
 from .network import forward  # noqa: F401  (bench/tracing.py wraps gradients.forward)
 from .params import ParamVector
 from .quadrature import InputMeasure, QuadratureError
-from .smoothing import INF, smoothed_act, smoothed_act_deriv
+from .smoothing import INF, smoothed_act_deriv
 from .targets import TargetFunction
+
+
+def _risk_and_rows(arch, values: np.ndarray, measure: InputMeasure, f: TargetFunction, r,
+                   resolution: Optional[int]) -> tuple[float, list, list]:
+    """(risk, rows, grads) from one node set, one forward pass and one target
+    evaluation: per layer k = 1..L, rows[k - 1] is [W_k | b_k] as gathered
+    from `values` and grads[k - 1] the risk gradient in that row layout.
+
+    The backprop runs feature-major in the forward pass's workspace: deltas
+    are (l_k, n), and a layer's gradient is the single product
+    dz @ [a_{k-1}; 1].T with the activations the forward pass kept.  The
+    mean correction is applied once, on the residual row, which then also
+    takes the node weights: every hidden delta carries them.
+    """
+    rows = _layer_rows(arch, values)
+    X, w = _nodes_for(arch, rows, measure, f.breakpoints, r, resolution)
+    if X.shape[0] == 0:
+        return 0.0, rows, [np.zeros_like(V) for V in rows]
+    value, ws = _risk_pass(arch, rows, X, w, f, r)
+    H, R = ws.acts[-1], ws.resid  # [centered last hidden activations; 1], residual
+
+    grads = [None] * len(rows)
+    wr = np.multiply(R, w, out=ws.scratch)
+    grads[-1] = wr @ H.T
+    grads[-1] *= 2.0
+
+    # The signal routed through the subtracted mean is the same for every
+    # node, so it leaves on the residual row: W^T R - (W^T Rbar) 1^T equals
+    # W^T (R - Rbar 1^T), Rbar = R @ w.  The row also takes the node weights,
+    # so every delta below carries them.
+    R -= (R @ w)[:, None]
+    R *= w
+    delta = _matmul(2.0 * rows[-1][:, :-1].T, R, H[:-1])
+    for k in range(len(rows) - 1, 0, -1):
+        # layer k's pre-activations are read for the last time: dz replaces them
+        dz = smoothed_act_deriv(r, ws.pres[k - 1], out=ws.pres[k - 1])
+        dz *= delta
+        prev = ws.acts[k - 2] if k > 1 else ws.nodes
+        grads[k - 1] = dz @ prev.T
+        if k > 1:  # layer k - 1's activations are read for the last time
+            delta = _matmul(rows[k - 1][:, :-1].T, dz, prev[:-1])
+
+    if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
+        raise QuadratureError("risk or gradient has non-finite components")
+    return value, rows, grads
 
 
 def risk_and_gradient(
@@ -40,49 +85,20 @@ def risk_and_gradient(
     The risk equals `network.risk` bit for bit.  With r = inf the gradient is
     the exact-ReLU generalized gradient (indicator convention at kinks); with
     finite r it is the gradient of the smoothed risk on the same nodes.  The
-    backprop runs feature-major in the forward pass's workspace: deltas are
-    (l_k, n), and a layer's activations are recomputed from its stored
-    pre-activations when the layer above needs them.  The mean correction is
-    applied once, on the residual row, which then also takes the node
-    weights: every hidden delta carries them, so a layer's weight gradient is
-    one matrix product and its bias gradient a row sum.
+    per-layer gradients of `_risk_and_rows` are scattered into the flat
+    layout (`_flat`).
     """
-    table = theta.arch.layer_table
-    X, w = _nodes_for(theta, measure, f.breakpoints, r, resolution)
-    grad = np.zeros(theta.arch.param_count)
-    if X.shape[0] == 0:
-        return 0.0, grad
-    value, ws = _risk_pass(theta, X, w, f, r)
-    H, R = ws.acts[-1], ws.resid  # centered last hidden activations, residual
+    value, _, grads = _risk_and_rows(theta.arch, theta.values, measure, f, r, resolution)
+    return value, _flat(theta.arch, grads)
 
-    v = theta.values
-    w_out, shape, b_out = table[-1]
-    wr = np.multiply(R, w, out=ws.delta[: shape[0]])
-    np.matmul(wr, H.T, out=grad[w_out].reshape(shape))
-    wr.sum(axis=1, out=grad[b_out])
-    grad[w_out.start : b_out.stop] *= 2.0
 
-    # The signal routed through the subtracted mean is the same for every
-    # node, so it leaves on the residual row: W^T R - (W^T Rbar) 1^T equals
-    # W^T (R - Rbar 1^T), Rbar = R @ w.  The row also takes the node weights,
-    # so every delta below carries them.
-    R -= (R @ w)[:, None]
-    R *= w
-    delta = _matmul(2.0 * v[w_out].reshape(shape).T, R, ws.delta[: shape[1]])
-    for k in range(len(table) - 1, 0, -1):
-        # layer k's pre-activations are read for the last time: dz replaces them
-        w_k, shape, b_k = table[k - 1]
-        dz = smoothed_act_deriv(r, ws.pres[k - 1], out=ws.pres[k - 1])
-        dz *= delta
-        prev = ws.nodes_t(X) if k == 1 else smoothed_act(r, ws.pres[k - 2], out=ws.acts[k - 2])
-        np.matmul(dz, prev.T, out=grad[w_k].reshape(shape))
-        dz.sum(axis=1, out=grad[b_k])
-        if k > 1:
-            delta = _matmul(v[w_k].reshape(shape).T, dz, ws.delta[: shape[1]])
-
-    if not (math.isfinite(value) and np.isfinite(grad).all()):
-        raise QuadratureError("risk or gradient has non-finite components")
-    return value, grad
+def _flat(arch, grads: list) -> np.ndarray:
+    """Per-layer arrays in the row layout of `subvector_rows`, scattered into
+    one flat parameter-sized vector."""
+    out = np.empty(arch.param_count)
+    for idx, g in zip(arch.subvector_rows, grads):
+        out[idx] = g
+    return out
 
 
 def generalized_gradient(theta: ParamVector, measure: InputMeasure, f: TargetFunction,

@@ -56,11 +56,22 @@ def _unit_rows(V: np.ndarray):
     return U, n
 
 
-def max_constraint_deviation(theta: ParamVector) -> float:
-    """max over hidden neurons of |psi - 1|."""
-    hidden = [theta.values[idx] for idx in theta.arch.subvector_rows[:-1]]
+def _max_deviation(hidden) -> float:
+    """max |psi - 1| over the rows of the hidden layers' [W_k | b_k] arrays."""
     psis = np.concatenate([np.vecdot(V, V) for V in hidden])
     return float(np.max(np.abs(psis - 1.0)))
+
+
+def max_constraint_deviation(theta: ParamVector) -> float:
+    """max over hidden neurons of |psi - 1|."""
+    return _max_deviation([theta.values[idx] for idx in theta.arch.subvector_rows[:-1]])
+
+
+def _tangent_rows(V: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """G with each row's component along the matching row of V removed (see
+    `project_gradient`)."""
+    U = _unit_rows(V)[0]
+    return G - np.vecdot(U, G)[:, None] * U
 
 
 def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
@@ -75,9 +86,7 @@ def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
     if out.shape != (theta.arch.param_count,):
         raise ValueError("raw gradient length must match the parameter count")
     for idx in theta.arch.subvector_rows[:-1]:
-        U = _unit_rows(theta.values[idx])[0]
-        G = out[idx]
-        out[idx] = G - np.vecdot(U, G)[:, None] * U
+        out[idx] = _tangent_rows(theta.values[idx], out[idx])
     return out
 
 

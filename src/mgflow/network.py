@@ -45,32 +45,36 @@ class _Workspace:
     buffer is unit i of its layer across the n nodes, so every elementwise op
     and matrix product runs along the long node axis.
 
-    `pres` holds each hidden layer's pre-activations (backprop overwrites
-    them with that layer's dz); `act` and `delta` are (max width, n) scratch
-    arrays whose leading rows serve any layer; `resid` holds the output
-    residual (backprop overwrites it with the weighted, centered residual).
+    `nodes` holds the nodes as (l_0 + 1, n) and `acts[k - 1]` layer k's
+    activations as (l_k + 1, n); the last row of each is ones and no pass
+    writes it, so layer k's map is the single product V_k @ [a_{k-1}; 1]
+    with V_k = [W_k | b_k], and its gradient the single product
+    dz @ [a_{k-1}; 1].T, already in that row layout.  `pres` holds each
+    hidden layer's pre-activations (backprop overwrites them with that
+    layer's dz); backprop writes each delta into the activation rows of the
+    layer it reaches once that layer's gradient is taken.  `resid` holds the
+    output residual (backprop overwrites it with the weighted, centered
+    residual) and, in `scratch`, one more residual-sized array.
     `_workspace` caches them, and every pass overwrites them, so no result
     may alias them and passes of one (layer_dims, n) must not overlap (one
     thread at a time).
 
-    `nodes_t(X)` gives the nodes feature-major, (l_0, n).  For a read-only X
-    (the cached composite grid) that is a C-contiguous copy, made once and
-    kept while the same X returns: the first layer's products then run
-    along contiguous rows.
+    `load(X)` copies the nodes X (n, l_0) into `nodes`.  A read-only X (the
+    cached composite grid) is copied once and kept while the same X returns.
     """
 
     def __init__(self, dims: tuple, n: int):
-        width = max(dims[1:])
+        self.nodes = np.ones((dims[0] + 1, n))
         self.pres = [np.empty((l, n)) for l in dims[1:-1]]
-        self.act, self.delta = np.empty((width, n)), np.empty((width, n))
-        self.acts = [self.act[:l] for l in dims[1:-1]]
-        self.resid = np.empty((dims[-1], n))
-        self._X = self._XT = None
+        self.acts = [np.ones((l + 1, n)) for l in dims[1:-1]]
+        self.resid, self.scratch = np.empty((2, dims[-1], n))
+        self._X = None
 
-    def nodes_t(self, X: np.ndarray) -> np.ndarray:
+    def load(self, X: np.ndarray) -> np.ndarray:
         if X is not self._X:
-            self._X, self._XT = X, X.T if X.flags.writeable else np.ascontiguousarray(X.T)
-        return self._XT
+            self.nodes[:-1] = X.T
+            self._X = None if X.flags.writeable else X
+        return self.nodes
 
 
 _workspace = functools.lru_cache(maxsize=4)(_Workspace)
@@ -85,15 +89,22 @@ def _matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.matmul(A, B, out=out)
 
 
-def _forward_into(theta: ParamVector, XT: np.ndarray, r, pres, acts) -> np.ndarray:
-    """Feature-major forward pass over the columns of XT, shape (l_0, n):
-    layer k's pre-activations go to pres[k - 1] and its activations to
-    acts[k - 1], both (l_k, n).  Returns the last hidden activations."""
-    h, v = XT, theta.values
-    for (w, shape, b), z, a in zip(theta.arch.layer_table, pres, acts):
-        _matmul(v[w].reshape(shape), h, z)
-        z += v[b][:, None]
-        h = smoothed_act(r, z, out=a)
+def _layer_rows(arch, values: np.ndarray) -> list:
+    """Per layer k = 1..L, the rows [W_k | b_k] of `values`, (l_k, l_{k-1} + 1)."""
+    return [values[idx] for idx in arch.subvector_rows]
+
+
+def _forward_into(rows, nodes: np.ndarray, r, pres, acts) -> np.ndarray:
+    """Feature-major forward pass over the columns of nodes, (l_0 + 1, n)
+    with a last row of ones: layer k's pre-activations V_k @ [a_{k-1}; 1] go
+    to pres[k - 1], (l_k, n), and its activations to the leading rows of
+    acts[k - 1], (l_k + 1, n), whose last row stays ones.  Returns the last
+    hidden activations with their row of ones."""
+    h = nodes
+    for V, z, a in zip(rows, pres, acts):
+        np.matmul(V, h, out=z)
+        smoothed_act(r, z, out=a[:-1])
+        h = a
     return h
 
 
@@ -105,11 +116,23 @@ def forward(theta: ParamVector, x, r=INF):
     final affine map and the centering term are applied by `realize`, which
     needs the input measure.
     """
-    X, _ = _as_batch(x, theta.arch.layer_dims[0])
-    pres = [np.empty((l, X.shape[0])) for l in theta.arch.layer_dims[1:-1]]
-    acts = [np.empty_like(z) for z in pres]
-    _forward_into(theta, X.T, r, pres, acts)
-    return [z.T for z in pres], [h.T for h in acts]
+    dims = theta.arch.layer_dims
+    X, _ = _as_batch(x, dims[0])
+    ws = _Workspace(dims, X.shape[0])
+    _forward_into(_layer_rows(theta.arch, theta.values), ws.load(X), r, ws.pres, ws.acts)
+    return [z.T for z in ws.pres], [a[:-1].T for a in ws.acts]
+
+
+def _breakpoints(arch, V1: np.ndarray, f_breaks, r) -> Optional[np.ndarray]:
+    """`exact_breakpoints` from the first layer's rows V1 = [W_1 | b_1]."""
+    if arch.depth != 2 or arch.layer_dims[0] != 1:
+        return None
+    w, b = V1.T
+    nz = w != 0.0
+    pts = ((activation_knots(r)[:, None] - b[nz]) / w[nz]).ravel()
+    if f_breaks is None:
+        return pts
+    return np.concatenate((pts, np.asarray(f_breaks, dtype=float).ravel()))
 
 
 def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.ndarray]:
@@ -120,19 +143,11 @@ def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.n
     activation knot at a single computable point.  Returns None otherwise.
     """
     arch = theta.arch
-    if arch.depth != 2 or arch.layer_dims[0] != 1:
-        return None
-    w, _, b = arch.layer_table[0]
-    w, b = theta.values[w], theta.values[b]
-    nz = w != 0.0
-    pts = ((activation_knots(r)[:, None] - b[nz]) / w[nz]).ravel()
-    if f_breaks is None:
-        return pts
-    return np.concatenate((pts, np.asarray(f_breaks, dtype=float).ravel()))
+    return _breakpoints(arch, theta.values[arch.subvector_rows[0]], f_breaks, r)
 
 
-def _nodes_for(theta, measure, f_breaks, r, resolution):
-    bp = exact_breakpoints(theta, f_breaks=f_breaks, r=r) if measure.kind == "uniform" else None
+def _nodes_for(arch, rows, measure, f_breaks, r, resolution):
+    bp = _breakpoints(arch, rows[0], f_breaks, r) if measure.kind == "uniform" else None
     return quadrature_nodes(measure, breakpoints=bp, resolution=resolution)
 
 
@@ -143,11 +158,13 @@ def hidden_mean(
     resolution: Optional[int] = None,
 ) -> np.ndarray:
     """mu-integral of the last hidden layer's activations (not mass-normalized)."""
-    X, w = _nodes_for(theta, measure, None, r, resolution)
+    arch = theta.arch
+    rows = _layer_rows(arch, theta.values)
+    X, w = _nodes_for(arch, rows, measure, None, r, resolution)
     if X.shape[0] == 0:
-        return np.zeros(theta.arch.layer_dims[-2])
-    ws = _workspace(theta.arch.layer_dims, X.shape[0])
-    m = _forward_into(theta, ws.nodes_t(X), r, ws.pres, ws.acts) @ w
+        return np.zeros(arch.layer_dims[-2])
+    ws = _workspace(arch.layer_dims, X.shape[0])
+    m = _forward_into(rows, ws.load(X), r, ws.pres, ws.acts)[:-1] @ w
     if not np.all(np.isfinite(m)):
         raise QuadratureError("hidden mean is non-finite")
     return m
@@ -170,23 +187,23 @@ def realize(
     return out[0] if squeeze else out
 
 
-def _risk_pass(theta: ParamVector, X: np.ndarray, w: np.ndarray, f: TargetFunction, r):
+def _risk_pass(arch, rows, X: np.ndarray, w: np.ndarray, f: TargetFunction, r):
     """The risk on the nodes X (n, l_0) with weights w, in the workspace of
     (layer_dims, n); returns (risk, workspace).
 
     The workspace is left holding what backprop reads: the hidden
     pre-activations in `pres`, the centered last hidden activations
-    h - int h dmu in `acts[-1]` and the output residual in `resid`.
+    h - int h dmu in `acts[-1]` (above its row of ones) and the output
+    residual in `resid`.
     """
     fX = f(X)  # first: a target may itself run a pass in this workspace
-    ws = _workspace(theta.arch.layer_dims, X.shape[0])
-    H = _forward_into(theta, ws.nodes_t(X), r, ws.pres, ws.acts)
-    H -= (H @ w)[:, None]
-    w_out, shape, b_out = theta.arch.layer_table[-1]
-    R = _matmul(theta.values[w_out].reshape(shape), H, ws.resid)
-    R += theta.values[b_out][:, None]
+    ws = _workspace(arch.layer_dims, X.shape[0])
+    H = _forward_into(rows, ws.load(X), r, ws.pres, ws.acts)
+    h = H[:-1]
+    h -= (h @ w)[:, None]
+    R = np.matmul(rows[-1], H, out=ws.resid)
     R -= fX.T
-    sq = np.multiply(R, R, out=ws.delta[: len(R)])
+    sq = np.multiply(R, R, out=ws.scratch)
     return float(sum(np.vecdot(sq, w))), ws  # vecdot: the kernel of row @ w, per row
 
 
@@ -198,10 +215,12 @@ def risk(
     resolution: Optional[int] = None,
 ) -> float:
     """mu-integral of the squared output error against the target."""
-    X, w = _nodes_for(theta, measure, f.breakpoints, r, resolution)
+    arch = theta.arch
+    rows = _layer_rows(arch, theta.values)
+    X, w = _nodes_for(arch, rows, measure, f.breakpoints, r, resolution)
     if X.shape[0] == 0:
         return 0.0
-    value = _risk_pass(theta, X, w, f, r)[0]
+    value = _risk_pass(arch, rows, X, w, f, r)[0]
     if not math.isfinite(value):
         raise QuadratureError("risk is non-finite")
     return value

@@ -65,6 +65,15 @@ class TestCliExitCodes:
         assert (tmp_path / "trajectory.csv").exists()
         assert (tmp_path / "summary.json").exists()
 
+    def test_non_finite_start_exits_nonzero_with_one_error_line(self, tmp_path, capsys):
+        # the rescaled start overflows, so the first risk is not finite
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"architecture": [1, 8, 1], "theta0": [1e200] * 25}))
+        with pytest.warns(RuntimeWarning):
+            rc = main(["flow", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc != 0
+        assert capsys.readouterr().err.splitlines() == ["error: risk or gradient has non-finite components"]
+
 
 class TestExperimentOutputs:
     def test_one_neuron_stationary_writes_two_identical_rows(self, tmp_path):

@@ -12,6 +12,7 @@ from mgflow import (
     TrajectoryRecord,
     abs_offset_target,
     affine_target,
+    discrete_measure,
     gd_run,
     generalized_gradient,
     grad_psi,
@@ -20,10 +21,11 @@ from mgflow import (
     project_gradient,
     random_on_manifold,
     random_params,
+    risk_and_gradient,
     uniform_measure,
 )
 from mgflow import one_neuron as on
-from mgflow.dynamics import fixed_step, step_factor
+from mgflow.dynamics import _network_field, fixed_step, step_factor
 
 MU = uniform_measure(0, 1, 1)
 F = TargetFunction.from_scalar(abs_offset_target(0.3))
@@ -318,3 +320,37 @@ class TestRescaledGamma:
         proj = project_gradient(theta, raw)
         assert not proj.any()
         assert step_factor(raw, proj, "rescaled") == 0.0
+
+
+class TestNetworkField:
+    """The network field projects the per-layer gradients against the rows
+    its pass gathered; it must give what the flat functions give."""
+
+    SETUPS = {
+        "1,8,1 exact ReLU": ((1, 8, 1), MU, None, float("inf")),
+        "1,8,1 r = 50": ((1, 8, 1), MU, None, 50.0),
+        "2,4,4,1 grid 16": ((2, 4, 4, 1), uniform_measure(0, 1, 2), 16, float("inf")),
+        "1,3,3,1 grid 32": ((1, 3, 3, 1), MU, 32, float("inf")),
+        "1,4,1 discrete": ((1, 4, 1), discrete_measure([[0.1], [0.35], [0.8]], [0.5, 1.0, 2.0]),
+                           None, float("inf")),
+    }
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(SETUPS)),
+           st.sampled_from(["manifold", "off", "zero row"]))
+    @settings(max_examples=60, deadline=None)
+    def test_field_equals_the_flat_projection_bit_for_bit(self, seed, setup, start):
+        dims, measure, resolution, r = self.SETUPS[setup]
+        arch = Architecture(dims)
+        f = F if dims[0] == 1 else TargetFunction.affine_map([[0.5, -0.25]], [0.1])
+        rng = np.random.default_rng(seed)
+        theta = random_on_manifold(arch, rng) if start == "manifold" else random_params(arch, rng)
+        if start == "zero row":
+            theta.values[arch.subvector_rows[0][-1]] = 0.0
+        field = _network_field(arch, measure, f, r, resolution, lambda n: "rescaled")
+        G, factor, (value, deviation) = field(theta.values[None, :], 0, True)
+        expected_value, raw = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
+        proj = project_gradient(theta, raw)
+        assert G.shape == (1, arch.param_count)
+        assert np.array_equal(G[0], proj)
+        assert np.array_equal(factor, step_factor(raw, proj, "rescaled"))
+        assert value == expected_value and deviation == max_constraint_deviation(theta)

@@ -38,20 +38,20 @@ CONFIGS = {
 # (trajectory.csv, summary.json without config.out)
 DIGESTS = {
     "flow_181": (
-        "9243f8dc254772874d6e74e46592a548a4b2ec723e7ed7d620d92f7583a4b154",
+        "e7930776a3d68b6a8e73b0a65f3e193af88b451968050c0746346edfec5a8242",
         "91135ec2959511ed04971f7386b0ca54407683fe6be8a49eab016454bb62b5e5",
     ),
     "flow_181_r50": (
-        "ea3400980635b8a33fdc0a2e0e4be83c93b24c7a976bb318bcacbc4fca0af1a0",
+        "699fbbaf6c0f9335f2faf6afc32055ee504dffac9d331d2931f2a00b44f674fb",
         "219823f93f0fc33d73941e98ec81a6b2721cb898c07bc43565223e92d68a1097",
     ),
     "flow_181_rescaled": (
-        "0374c3f821fbff558e98197bfe4278e023a941f71b421fd50788351901986b6a",
+        "edc8cab5543a30f55fba15854d3fa50663d6538bdabc6010bc0d4b7495db086a",
         "42e0c75ffef23ead1b9df1a3f32791977f6fb01b1b0b8a6fdaa0f6a16b9b57fe",
     ),
     "gd_2441": (
-        "9035bc0b2252c1504c55016e4f88f907596212f8af96b94cd07be83a4cd29dee",
-        "d7b17d803f90da59276639412bece8603d51a509ac628721856f25376a5fee7d",
+        "d594fb77d5dee81d6690f1f2f10bfa007288f1540b69cff1de783298c8334a52",
+        "e26cf580c5ad09f6b776d051b86f2effa233e28e619e4f3075a397d22cc66344",
     ),
     "one_neuron_constant": (
         "b9528382890a8b09476845bf28df72e8bbdbcf86392813db6f38fd53c756bd0f",

@@ -312,6 +312,14 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 16384 * 8
+        # the cached workspace: 23 node rows (nodes and two hidden layers with
+        # their ones rows, two pre-activation arrays, residual and scratch);
+        # `_X` is the caller's grid, not a buffer of the workspace
+        ws = network._workspace((2, 4, 4, 1), 16384)
+        arrays = [a for name, v in vars(ws).items() if name != "_X"
+                  for a in (v if isinstance(v, list) else [v])]
+        owned = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
+        assert sum(b.nbytes for b in owned.values()) <= 23 * 16384 * 8
 
 
 class TestTextbookBackprop:
@@ -366,7 +374,8 @@ class TestTextbookBackprop:
         for seed in range(3):
             theta, measure, f = self.problem(dims, measure_name, seed)
             resolution = None if dims[0] == 1 else 12
-            X, w = network._nodes_for(theta, measure, f.breakpoints, r, resolution)
+            rows = network._layer_rows(theta.arch, theta.values)
+            X, w = network._nodes_for(theta.arch, rows, measure, f.breakpoints, r, resolution)
             ref_value, ref_grad = self.textbook(theta, X, w, f, r)
             value, grad = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)

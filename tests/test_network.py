@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from mgflow import (
     Architecture,
     ParamVector,
     TargetFunction,
+    abs_offset_target,
     discrete_measure,
+    exact_breakpoints,
     forward,
     hidden_mean,
     random_params,
@@ -14,6 +18,8 @@ from mgflow import (
     risk,
     uniform_measure,
 )
+from mgflow.quadrature import quadrature_nodes
+from mgflow.smoothing import INF, smoothed_act
 
 MU = uniform_measure(0, 1, 1)
 ARCH = Architecture((1, 1, 1))
@@ -134,3 +140,77 @@ class TestRisk:
         f = TargetFunction.zero(out_dim=2)
         val = risk(theta, mu2, f, resolution=24)
         assert np.isfinite(val) and val >= 0.0
+
+
+# The forward pass and risk pass before the biases were folded into the layer
+# products (separate `z += b` and `R += b_L`), verbatim but for the `_ref_`
+# names: the folded pass must reproduce their risk bit for bit.
+class _RefWorkspace:
+    def __init__(self, dims: tuple, n: int):
+        width = max(dims[1:])
+        self.pres = [np.empty((l, n)) for l in dims[1:-1]]
+        self.act, self.delta = np.empty((width, n)), np.empty((width, n))
+        self.acts = [self.act[:l] for l in dims[1:-1]]
+        self.resid = np.empty((dims[-1], n))
+        self._X = self._XT = None
+
+    def nodes_t(self, X: np.ndarray) -> np.ndarray:
+        if X is not self._X:
+            self._X, self._XT = X, X.T if X.flags.writeable else np.ascontiguousarray(X.T)
+        return self._XT
+
+
+_ref_workspace = functools.lru_cache(maxsize=4)(_RefWorkspace)
+
+
+def _ref_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
+    if A.shape[1] == 1:
+        return np.multiply(A, B, out=out)
+    return np.matmul(A, B, out=out)
+
+
+def _ref_forward_into(theta: ParamVector, XT: np.ndarray, r, pres, acts) -> np.ndarray:
+    h, v = XT, theta.values
+    for (w, shape, b), z, a in zip(theta.arch.layer_table, pres, acts):
+        _ref_matmul(v[w].reshape(shape), h, z)
+        z += v[b][:, None]
+        h = smoothed_act(r, z, out=a)
+    return h
+
+
+def _ref_risk_pass(theta: ParamVector, X: np.ndarray, w: np.ndarray, f: TargetFunction, r):
+    fX = f(X)  # first: a target may itself run a pass in this workspace
+    ws = _ref_workspace(theta.arch.layer_dims, X.shape[0])
+    H = _ref_forward_into(theta, ws.nodes_t(X), r, ws.pres, ws.acts)
+    H -= (H @ w)[:, None]
+    w_out, shape, b_out = theta.arch.layer_table[-1]
+    R = _ref_matmul(theta.values[w_out].reshape(shape), H, ws.resid)
+    R += theta.values[b_out][:, None]
+    R -= fX.T
+    sq = np.multiply(R, R, out=ws.delta[: len(R)])
+    return float(sum(np.vecdot(sq, w))), ws  # vecdot: the kernel of row @ w, per row
+
+
+class TestFoldedBiases:
+    CASES = {
+        "1,8,1 exact": ((1, 8, 1), MU, None),
+        "2,4,4,1 grid 4": ((2, 4, 4, 1), uniform_measure(0, 1, 2), 4),
+        "2,4,4,1 grid 128": ((2, 4, 4, 1), uniform_measure(0, 1, 2), 128),
+        "1,3,3,1 grid 64": ((1, 3, 3, 1), MU, 64),
+    }
+
+    @pytest.mark.parametrize("r", [INF, 50.0])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_risk_equals_the_separate_bias_pass_bit_for_bit(self, case, r):
+        dims, measure, resolution = self.CASES[case]
+        if dims[0] == 1:
+            f = TargetFunction.from_scalar(abs_offset_target(0.3))
+        else:
+            f = TargetFunction.affine_map([[0.5, -0.25]], [0.1])
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            theta = random_params(Architecture(dims), rng)
+            bp = exact_breakpoints(theta, f.breakpoints, r)
+            X, w = quadrature_nodes(measure, breakpoints=bp, resolution=resolution)
+            expected = _ref_risk_pass(theta, X, w, f, r)[0]
+            assert risk(theta, measure, f, r=r, resolution=resolution) == expected
