@@ -22,8 +22,12 @@ CONFIGS = {
                          smoothing_r=50.0, seed=0),
     "flow_181_rescaled": dict(mode="flow", architecture=(1, 8, 1), t_end=0.02, step=1e-3,
                               gamma="rescaled", seed=0),
+    "flow_141_no_reproject": dict(mode="flow", architecture=(1, 4, 1), t_end=0.02, step=1e-3,
+                                  reproject=False, seed=0),
     "gd_2441": dict(mode="gd", architecture=(2, 4, 4, 1), target=AFFINE_MAP, steps=10,
                     quad_nodes=16, seed=0),
+    "gd_1331_rescaled": dict(mode="gd", architecture=(1, 3, 3, 1), gamma="rescaled", steps=10,
+                             seed=2),
     "one_neuron_constant": dict(mode="one-neuron", architecture=(1, 1, 1), t_end=0.5,
                                 step=1e-2, record_every=3, seed=3),
     "one_neuron_rescaled": dict(mode="one-neuron", architecture=(1, 1, 1), t_end=0.5,
@@ -48,6 +52,14 @@ DIGESTS = {
     "flow_181_rescaled": (
         "edc8cab5543a30f55fba15854d3fa50663d6538bdabc6010bc0d4b7495db086a",
         "42e0c75ffef23ead1b9df1a3f32791977f6fb01b1b0b8a6fdaa0f6a16b9b57fe",
+    ),
+    "flow_141_no_reproject": (
+        "83c143db10a2e3a1ae1e6ddb609ada4be7f566811d3df0e0999f4a243f43a25b",
+        "9a000f2a34d609823e0fd8b204043dba37b35457ee558ee4a701aa6608f2b486",
+    ),
+    "gd_1331_rescaled": (
+        "6744d1aff1d5733883cb893cb3ffdddb074252dce1992441807bca665a4565d4",
+        "15fa2f0677a4457c9e03c28ff6c29dbdf1a8fa21299b2e59e8157cd8c9b7a9cd",
     ),
     "gd_2441": (
         "d594fb77d5dee81d6690f1f2f10bfa007288f1540b69cff1de783298c8334a52",
