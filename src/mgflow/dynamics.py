@@ -24,15 +24,17 @@ import numpy as np
 
 from .gradients import _flat, _risk_and_rows
 from .gradients import generalized_gradient  # noqa: F401  (bench/tracing.py wraps dynamics.generalized_gradient)
-from .manifold import _max_deviation, _tangent_rows, renormalize, rescale_full, zero_rows
+from .manifold import _max_deviation, _retract, _tangent_rows, rescale_full, zero_rows
 from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* names)
     max_constraint_deviation,
     min_subvector_norm,
     project_gradient,
+    renormalize,
 )
+from .network import _inner_breaks
 from .network import risk  # noqa: F401  (bench/tracing.py wraps dynamics.risk)
 from .params import ParamVector
-from .quadrature import InputMeasure
+from .quadrature import InputMeasure, QuadratureError
 from .smoothing import INF
 from .targets import TargetFunction
 
@@ -209,34 +211,42 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
 def _network_field(arch, measure, f, r, resolution, gamma_at):
     """The `fixed_step` field of one network, as a (1, P) batch: G equals
     `project_gradient(theta, risk_and_gradient(theta, ...)[1])` bit for bit.
-    The hidden rows' gradients are projected against the rows the pass
-    gathered, and the diagnostics (risk, max |psi - 1|) come from the same
-    pass and rows."""
+
+    The target breaks inside the measure's interval are read once, and each
+    call adds the kinks of the rows it gathers (`network._nodes_for`).  The
+    hidden rows' gradients are projected against those rows, and the
+    diagnostics (risk, max |psi - 1|) come from the same pass and from the
+    squared row norms the projection took."""
+    f_breaks = _inner_breaks(measure, f.breakpoints)
 
     def field(Y, n, diagnose):
-        value, rows, grads = _risk_and_rows(arch, Y[0], measure, f, r, resolution)
-        G = _flat(arch, [_tangent_rows(V, g) for V, g in zip(rows, grads[:-1])] + grads[-1:])
+        value, rows, grads = _risk_and_rows(arch, Y[0], measure, f, r, resolution, f_breaks)
+        tangent, squares = zip(*map(_tangent_rows, rows[:-1], grads[:-1]))
+        G = _flat(arch, tangent + (grads[-1],))
         gamma = gamma_at(n)
         if isinstance(gamma, str):
             gamma = step_factor(_flat(arch, grads), G, gamma)
-        diagnostics = (value, _max_deviation(rows[:-1])) if diagnose else None
+        diagnostics = (value, _max_deviation(squares)) if diagnose else None
         return G[None, :], gamma, diagnostics
 
     return field
 
 
 def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> TrajectoryRecord:
-    """Run `fixed_step` on one network from the rescaled xi; returns its record."""
+    """Run `fixed_step` on one network from the rescaled xi; returns its
+    record, or raises QuadratureError if the rescaled xi is not finite.  The
+    retraction (`manifold._retract`) counts the zero hidden rows of the
+    state, and renormalizes it with `reproject`."""
     arch = xi.arch
     field = _network_field(arch, measure, f, cfg.r, cfg.resolution, gamma_at)
 
     def retract(Y):
-        theta = ParamVector(arch, Y[0])
-        if cfg.reproject:
-            theta = renormalize(theta)
-        return theta.values[None, :], zero_rows(theta)
+        values, zeros = _retract(arch, Y[0])
+        return (values[None, :] if cfg.reproject else Y), zeros
 
     start = rescale_full(xi)
+    if not np.isfinite(start.values).all():
+        raise QuadratureError("rescaled start has non-finite components")
     degenerate = zero_rows(start)
     if degenerate:
         warnings.warn(

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import _layer_rows, _matmul, _nodes_for, _risk_pass, risk
+from .network import _inner_breaks, _layer_rows, _matmul, _nodes_for, _risk_pass, risk
 from .network import forward  # noqa: F401  (bench/tracing.py wraps gradients.forward)
 from .params import ParamVector
 from .quadrature import InputMeasure, QuadratureError
@@ -28,10 +28,12 @@ from .targets import TargetFunction
 
 
 def _risk_and_rows(arch, values: np.ndarray, measure: InputMeasure, f: TargetFunction, r,
-                   resolution: Optional[int]) -> tuple[float, list, list]:
+                   resolution: Optional[int], f_breaks) -> tuple[float, list, list]:
     """(risk, rows, grads) from one node set, one forward pass and one target
     evaluation: per layer k = 1..L, rows[k - 1] is [W_k | b_k] as gathered
     from `values` and grads[k - 1] the risk gradient in that row layout.
+    f_breaks are the target breaks the node build keeps
+    (`network._inner_breaks`), which a run reads once.
 
     The backprop runs feature-major in the forward pass's workspace: deltas
     are (l_k, n), and a layer's gradient is the single product
@@ -40,7 +42,7 @@ def _risk_and_rows(arch, values: np.ndarray, measure: InputMeasure, f: TargetFun
     takes the node weights: every hidden delta carries them.
     """
     rows = _layer_rows(arch, values)
-    X, w = _nodes_for(arch, rows, measure, f.breakpoints, r, resolution)
+    X, w = _nodes_for(arch, rows, measure, f_breaks, r, resolution)
     if X.shape[0] == 0:
         return 0.0, rows, [np.zeros_like(V) for V in rows]
     value, ws = _risk_pass(arch, rows, X, w, f, r)
@@ -88,7 +90,8 @@ def risk_and_gradient(
     per-layer gradients of `_risk_and_rows` are scattered into the flat
     layout (`_flat`).
     """
-    value, _, grads = _risk_and_rows(theta.arch, theta.values, measure, f, r, resolution)
+    f_breaks = _inner_breaks(measure, f.breakpoints)
+    value, _, grads = _risk_and_rows(theta.arch, theta.values, measure, f, r, resolution, f_breaks)
     return value, _flat(theta.arch, grads)
 
 

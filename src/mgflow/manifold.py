@@ -35,17 +35,19 @@ def grad_psi(theta: ParamVector, key: NeuronKey) -> np.ndarray:
 
 
 def _unit_rows(V: np.ndarray):
-    """(rows of V divided by their norms, the norms), as `rho` does per row:
-    zero rows stay zero, non-finite rows become nan.  Rows whose norm lies
-    outside [1e-140, 1e140], where the squares lose precision, are scaled by
-    their largest |entry| first (Blue 1978; LAPACK dnrm2).
+    """(rows of V divided by their norms, the norms, the squares
+    vecdot(V, V)), as `rho` does per row: zero rows stay zero, non-finite
+    rows become nan.  Rows whose norm lies outside [1e-140, 1e140], where the
+    squares lose precision, are scaled by their largest |entry| first
+    (Blue 1978; LAPACK dnrm2); the squares returned stay unscaled.
 
     Row dot products here and below use np.vecdot, which runs the kernel of
     `a @ b`: each equals the per-vector dot product bit for bit."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        n = np.sqrt(np.vecdot(V, V))
+        sq = np.vecdot(V, V)
+        n = np.sqrt(sq)
         if 1e-140 < n.min() and n.max() < 1e140:  # false for nan too
-            return V / n[:, None], n
+            return V / n[:, None], n, sq
         off = ~((n > 1e-140) & (n < 1e140))
         U = V / n[:, None]
         s = np.max(np.abs(V[off]), axis=1, keepdims=True, initial=0.0)
@@ -53,25 +55,26 @@ def _unit_rows(V: np.ndarray):
         m = np.sqrt(np.vecdot(X, X))[:, None]
         U[off] = np.where(s == 0.0, 0.0, X / m)
         n[off] = np.where(s == 0.0, 0.0, s * m)[:, 0]
-    return U, n
+    return U, n, sq
 
 
-def _max_deviation(hidden) -> float:
-    """max |psi - 1| over the rows of the hidden layers' [W_k | b_k] arrays."""
-    psis = np.concatenate([np.vecdot(V, V) for V in hidden])
-    return float(np.max(np.abs(psis - 1.0)))
+def _max_deviation(squares) -> float:
+    """max |psi - 1| over the hidden rows, from their squared norms psi (one
+    array per hidden layer)."""
+    return float(np.abs(np.concatenate(squares) - 1.0).max())
 
 
 def max_constraint_deviation(theta: ParamVector) -> float:
     """max over hidden neurons of |psi - 1|."""
-    return _max_deviation([theta.values[idx] for idx in theta.arch.subvector_rows[:-1]])
+    hidden = [theta.values[idx] for idx in theta.arch.subvector_rows[:-1]]
+    return _max_deviation([np.vecdot(V, V) for V in hidden])
 
 
-def _tangent_rows(V: np.ndarray, G: np.ndarray) -> np.ndarray:
-    """G with each row's component along the matching row of V removed (see
-    `project_gradient`)."""
-    U = _unit_rows(V)[0]
-    return G - np.vecdot(U, G)[:, None] * U
+def _tangent_rows(V: np.ndarray, G: np.ndarray):
+    """(G with each row's component along the matching row of V removed, see
+    `project_gradient`; the squared norms of V's rows)."""
+    U, _, sq = _unit_rows(V)
+    return G - np.vecdot(U, G)[:, None] * U, sq
 
 
 def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
@@ -86,16 +89,30 @@ def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
     if out.shape != (theta.arch.param_count,):
         raise ValueError("raw gradient length must match the parameter count")
     for idx in theta.arch.subvector_rows[:-1]:
-        out[idx] = _tangent_rows(theta.values[idx], out[idx])
+        out[idx] = _tangent_rows(theta.values[idx], out[idx])[0]
     return out
+
+
+def _retract(arch, values: np.ndarray):
+    """(a copy of `values` with every hidden row [W_k | b_k] divided by its
+    norm, the number of zero hidden rows), for `renormalize` and `zero_rows`.
+    A row's norm is 0 exactly when every entry is, and nan exactly when the
+    row holds a nan or an inf (and its unit row is then nan), so the count is
+    read off the norms, and is 0 when any norm is nan."""
+    out = values.copy()
+    zeros, finite = 0, True
+    for idx in arch.subvector_rows[:-1]:
+        out[idx], n, _ = _unit_rows(values[idx])
+        lo = n.min()
+        if lo == 0.0:
+            zeros += int(np.count_nonzero(n == 0.0))
+        finite = finite and lo == lo
+    return out, zeros if finite else 0
 
 
 def renormalize(theta: ParamVector) -> ParamVector:
     """Map every hidden subvector V to V/|V| (zero stays zero); output layer untouched."""
-    out = theta.copy()
-    for idx in theta.arch.subvector_rows[:-1]:
-        out.values[idx] = _unit_rows(out.values[idx])[0]
-    return out
+    return ParamVector(theta.arch, _retract(theta.arch, theta.values)[0])
 
 
 def rescale_layer(theta: ParamVector, k: int) -> ParamVector:
@@ -106,9 +123,10 @@ def rescale_layer(theta: ParamVector, k: int) -> ParamVector:
         raise ValueError(f"cascade layer {k} out of range 1..{arch.depth - 1}")
     out = theta.copy()
     idx = arch.subvector_rows[k - 1]
-    U, norms = _unit_rows(out.values[idx])
+    U, norms, _ = _unit_rows(out.values[idx])
     out.values[idx] = U
-    out.weights(k + 1)[:] = out.weights(k + 1) * norms[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is the caller's to report
+        out.weights(k + 1)[:] = out.weights(k + 1) * norms[None, :]
     return out
 
 
@@ -136,9 +154,7 @@ def min_subvector_norm(theta: ParamVector) -> float:
 def zero_rows(theta: ParamVector) -> int:
     """How many hidden rows [W_k | b_k] have no nonzero entry (a row's norm is 0
     exactly when every entry is); 0 on a state with a non-finite hidden entry."""
-    hidden = [theta.values[idx] for idx in theta.arch.subvector_rows[:-1]]
-    finite = all(np.isfinite(V).all() for V in hidden)
-    return sum(int((~V.any(axis=1)).sum()) for V in hidden) if finite else 0
+    return _retract(theta.arch, theta.values)[1]
 
 
 def random_on_manifold(arch: Architecture, rng: np.random.Generator, scale: float = 1.0) -> ParamVector:

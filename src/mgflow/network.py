@@ -124,15 +124,15 @@ def forward(theta: ParamVector, x, r=INF):
 
 
 def _breakpoints(arch, V1: np.ndarray, f_breaks, r) -> Optional[np.ndarray]:
-    """`exact_breakpoints` from the first layer's rows V1 = [W_1 | b_1]."""
+    """The kinks (knot - b) / w of the first layer's rows V1 = [W_1 | b_1],
+    knot-major, then the 1-d array f_breaks; None off the exact path.  A row
+    with w = 0 gives +-inf or nan, which the node build's range test drops."""
     if arch.depth != 2 or arch.layer_dims[0] != 1:
         return None
-    w, b = V1.T
-    nz = w != 0.0
-    pts = ((activation_knots(r)[:, None] - b[nz]) / w[nz]).ravel()
-    if f_breaks is None:
-        return pts
-    return np.concatenate((pts, np.asarray(f_breaks, dtype=float).ravel()))
+    w, b = V1[:, 0], V1[:, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pts = (0.0 - b) / w if r == INF else ((activation_knots(r)[:, None] - b) / w).ravel()
+    return pts if f_breaks is None else np.concatenate((pts, f_breaks))
 
 
 def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.ndarray]:
@@ -140,13 +140,25 @@ def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.n
 
     Only available for shallow networks (one hidden layer) with 1-d input,
     where every hidden pre-activation is affine in x: it crosses each
-    activation knot at a single computable point.  Returns None otherwise.
+    activation knot at a single computable point (a neuron with zero input
+    weight gives +-inf or nan, which `quadrature_nodes` drops).  The target
+    breaks f_breaks follow.  Returns None otherwise.
     """
     arch = theta.arch
+    f_breaks = None if f_breaks is None else np.asarray(f_breaks, dtype=float).ravel()
     return _breakpoints(arch, theta.values[arch.subvector_rows[0]], f_breaks, r)
 
 
+def _inner_breaks(measure: InputMeasure, f_breaks) -> Optional[np.ndarray]:
+    """The target breaks the exact node build keeps: those inside (a, b)."""
+    if f_breaks is None:
+        return None
+    bp = np.asarray(f_breaks, dtype=float).ravel()
+    return bp[(bp > measure.a) & (bp < measure.b)]
+
+
 def _nodes_for(arch, rows, measure, f_breaks, r, resolution):
+    """One pass's nodes and weights; f_breaks comes from `_inner_breaks`."""
     bp = _breakpoints(arch, rows[0], f_breaks, r) if measure.kind == "uniform" else None
     return quadrature_nodes(measure, breakpoints=bp, resolution=resolution)
 
@@ -217,7 +229,7 @@ def risk(
     """mu-integral of the squared output error against the target."""
     arch = theta.arch
     rows = _layer_rows(arch, theta.values)
-    X, w = _nodes_for(arch, rows, measure, f.breakpoints, r, resolution)
+    X, w = _nodes_for(arch, rows, measure, _inner_breaks(measure, f.breakpoints), r, resolution)
     if X.shape[0] == 0:
         return 0.0
     value = _risk_pass(arch, rows, X, w, f, r)[0]

@@ -93,8 +93,8 @@ def segment_rule(edges: np.ndarray, order: int = SEGMENT_GL_ORDER):
     lo = edges[:-1, None]
     hi = edges[1:, None]
     half = (hi - lo) / 2.0
-    nodes = (lo + hi) / 2.0 + half * x_ref[None, :]
-    weights = half * w_ref[None, :]
+    nodes = (lo + hi) / 2.0 + half * x_ref
+    weights = half * w_ref
     return nodes.ravel(), weights.ravel()
 
 
@@ -110,9 +110,9 @@ def _segment_edges(breakpoints, a: float, b: float) -> np.ndarray:
     order, then b.  Nan and infinite breakpoints fail the range test."""
     bp = np.asarray(breakpoints, dtype=float).ravel()
     inner = bp[(bp > a) & (bp < b)]
+    inner.sort()
     edges = np.empty(inner.size + 2)
     edges[0], edges[1:-1], edges[-1] = a, inner, b
-    edges[1:-1].sort()
     keep = np.empty(edges.size, dtype=bool)
     keep[0] = True
     np.not_equal(edges[1:], edges[:-1], out=keep[1:])

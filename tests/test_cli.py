@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -65,14 +66,18 @@ class TestCliExitCodes:
         assert (tmp_path / "trajectory.csv").exists()
         assert (tmp_path / "summary.json").exists()
 
-    def test_non_finite_start_exits_nonzero_with_one_error_line(self, tmp_path, capsys):
-        # the rescaled start overflows, so the first risk is not finite
+    @pytest.mark.parametrize("theta0", [[1e200] * 25, [0.5] * 3 + [float("nan")] + [0.5] * 21],
+                             ids=["overflowing", "one_nan"])
+    def test_non_finite_start_exits_nonzero_with_one_error_line(self, theta0, tmp_path, capsys):
+        # the rescaled start is not finite (1e200 overflows the cascade), so
+        # the run stops before any pass, with no numpy warning
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"architecture": [1, 8, 1], "theta0": [1e200] * 25}))
-        with pytest.warns(RuntimeWarning):
+        config.write_text(json.dumps({"architecture": [1, 8, 1], "theta0": theta0}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             rc = main(["flow", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc != 0
-        assert capsys.readouterr().err.splitlines() == ["error: risk or gradient has non-finite components"]
+        assert capsys.readouterr().err.splitlines() == ["error: rescaled start has non-finite components"]
 
 
 class TestExperimentOutputs:

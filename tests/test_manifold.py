@@ -289,3 +289,46 @@ class TestRowwiseAgainstPerNeuron:
         if special in ("nan", "inf"):  # nan, as from rho
             assert np.isnan(renormalize(theta).values[idx]).all()
             assert np.isnan(project_gradient(theta, raw)[idx]).all()
+
+
+# how the retraction test alters one hidden row [W_k | b_k]: tiny and huge
+# rows take the scaled path
+_ROW_CASES = ("keep", "zero", "tiny", "huge", "inf", "nan")
+_RETRACTION_DRAWS = st.sampled_from([(1, 8, 1), (2, 4, 4, 1), (1, 3, 3, 1)]).flatmap(
+    lambda dims: st.tuples(st.just(dims), st.lists(st.sampled_from(_ROW_CASES), min_size=sum(dims[1:-1]),
+                                                   max_size=sum(dims[1:-1]))))
+
+
+class TestRowFormRetraction:
+    @given(st.integers(0, 2**32 - 1), _RETRACTION_DRAWS)
+    @example(0, ((1, 8, 1), ["zero", "nan"] + ["keep"] * 6))  # a nan row cancels the count
+    @example(0, ((1, 3, 3, 1), ["zero", "huge", "tiny", "zero", "keep", "inf"]))
+    @example(0, ((2, 4, 4, 1), ["zero", "huge", "tiny", "keep"] * 2))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_renormalize_and_zero_rows_bit_for_bit(self, seed, draw):
+        from mgflow.manifold import _retract
+
+        dims, cases = draw
+        arch = Architecture(dims)
+        rng = np.random.default_rng(seed)
+        theta = random_params(arch, rng)
+        rows = [idx for layer in arch.subvector_rows[:-1] for idx in layer]
+        for idx, case in zip(rows, cases):
+            if case in ("zero", "tiny", "huge"):
+                theta.values[idx] *= {"zero": 0.0, "tiny": 1e-160, "huge": 1e160}[case]
+            elif case != "keep":
+                theta.values[idx[rng.integers(idx.size)]] = np.inf if case == "inf" else np.nan
+
+        values, zeros = _retract(arch, theta.values)
+        unit = renormalize(theta)
+        assert values.tobytes() == unit.values.tobytes()
+        assert zeros == zero_rows(unit)
+        # independent references: rho row by row, and a zero row being one
+        # with no nonzero entry, counted only when every hidden entry is finite
+        expected = theta.values.copy()
+        for idx in rows:
+            expected[idx] = rho(theta.values[idx])
+        assert values.tobytes() == expected.tobytes()
+        finite = all(np.isfinite(values[idx]).all() for idx in rows)
+        assert zeros == (sum(not values[idx].any() for idx in rows) if finite else 0)
+        assert zeros == (0 if {"inf", "nan"} & set(cases) else cases.count("zero"))

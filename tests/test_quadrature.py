@@ -291,22 +291,60 @@ class TestExactNodeBuild:
         got = quadrature_nodes(uniform_measure(a, b, 1), breakpoints=np.array(breakpoints))
         assert _same_bits(got, _nodes_with_unique(breakpoints, a, b))
 
+    # how the node-build test alters hidden row i of a 1,width,1 network
+    # (w, b): a dead neuron, a zero row, a kink at a = 0, the knot 1/r at a,
+    # a kink at b = 1, a kink on the target break 0.5, a copy of the row before
+    _ROW_CASES = ("keep", "w0", "zero", "b0", "knot_at_a", "at_b", "at_break", "copy")
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.sampled_from([1.0, 3.0, 50.0, np.inf]),
-           st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), max_size=3))
-    def test_exact_breakpoints_feed_the_same_nodes(self, seed, width, r, f_breaks):
-        from mgflow import ParamVector, exact_breakpoints
+           st.lists(st.sampled_from([0.0, 0.3, 0.5, 1.0]), max_size=3),
+           st.lists(st.sampled_from(_ROW_CASES), min_size=9, max_size=9))
+    @example(0, 6, np.inf, [0.5], ["w0", "zero", "b0", "at_b", "at_break", "copy"] + ["keep"] * 3)
+    @example(0, 6, 50.0, [0.5, 0.3], ["w0", "b0", "knot_at_a", "at_b", "at_break", "copy"] + ["keep"] * 3)
+    def test_exact_breakpoints_feed_the_same_nodes(self, seed, width, r, f_breaks, cases):
+        from unittest import mock
+
+        from mgflow import ParamVector, exact_breakpoints, network
+        from mgflow.dynamics import _network_field
         from mgflow.params import Architecture
         from mgflow.smoothing import activation_knots
 
         rng = np.random.default_rng(seed)
         theta = ParamVector(Architecture((1, width, 1)), rng.standard_normal(3 * width + 1))
         w, b = theta.weights(1)[:, 0], theta.biases(1)
-        w[rng.random(width) < 0.3] = 0.0  # dead neurons: no breakpoint
-        b[rng.random(width) < 0.3] = 0.0  # kinks at x = 0 and at 1/(r w), on the box
-        nz = w != 0.0
-        loop = [(c - b[nz]) / w[nz] for c in activation_knots(r)] + [np.array(f_breaks, dtype=float)]
+        for i, case in enumerate(cases[:width]):
+            if case in ("w0", "zero"):
+                w[i] = 0.0  # dead neuron: +-inf, or nan for a zero row, dropped
+                b[i] = 0.0 if case == "zero" else b[i]
+            elif case == "b0":
+                b[i] = 0.0  # kink at x = 0
+            elif case == "knot_at_a" and r != np.inf:
+                b[i] = 1.0 / r  # the knot 1/r crosses at x = 0
+            elif case == "at_b":
+                b[i] = -w[i]  # kink at x = 1
+            elif case == "at_break":
+                b[i] = -0.5 * w[i]  # kink at x = 0.5 exactly
+            elif case == "copy" and i > 0:
+                w[i], b[i] = w[i - 1], b[i - 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            loop = [(c - b) / w for c in activation_knots(r)] + [np.array(f_breaks, dtype=float)]
         bp = exact_breakpoints(theta, f_breaks=f_breaks, r=r)
         assert bp.tobytes() == np.concatenate(loop).tobytes()
-        got = quadrature_nodes(uniform_measure(0.0, 1.0, 1), breakpoints=bp)
+        mu = uniform_measure(0.0, 1.0, 1)
+        got = quadrature_nodes(mu, breakpoints=bp)
         assert _same_bits(got, _nodes_with_unique(bp, 0.0, 1.0))
+
+        # the flow's field builds the same nodes, from the rows it gathers and
+        # the target breaks it reads once
+        f = TargetFunction(lambda x: np.abs(x - 0.3), breakpoints=np.array(f_breaks, dtype=float))
+        field = _network_field(theta.arch, mu, f, r, None, lambda n: 1.0)
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(quadrature_nodes(*args, **kwargs))
+            return built[-1]
+
+        with mock.patch.object(network, "quadrature_nodes", spy):
+            field(theta.values[None, :], 0, False)
+        assert len(built) == 1 and _same_bits(built[0], got)
