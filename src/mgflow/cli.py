@@ -35,7 +35,7 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--no-reproject", action="store_true",
                    help="disable the per-step renormalization retraction")
     p.add_argument("--gamma", type=str, default=None,
-                   help="step factor: a number, or 'rescaled'")
+                   help="step factor: a nonnegative number, or 'rescaled'")
     p.add_argument("--record-every", type=int, default=None, dest="record_every")
     p.add_argument("--quad-nodes", type=int, default=None, dest="quad_nodes",
                    help="composite quadrature nodes per axis")

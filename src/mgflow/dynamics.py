@@ -2,7 +2,8 @@
 gradient descent iteration.
 
 The flow starts from the cascade-rescaled initial point and follows
-d theta/dt = -gamma(t) * G(theta), where G projects the risk gradient onto
+d theta/dt = -gamma * G(theta), where gamma is a constant or the rescaled
+factor (`step_factor`) and G projects the risk gradient onto
 the tangent space of the unit-norm constraint set.  Integration is fixed-step
 explicit (Euler or RK4) on purpose: the constraint invariance is exact in
 continuous time, and the tests quantify the discretization drift rather than
@@ -16,6 +17,7 @@ then retract.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional, Union
@@ -44,24 +46,23 @@ GAMMA_CAP = 1e6
 
 
 def check_schedule(t_end, step, integrator, gamma, record_every, error=ValueError) -> None:
-    """Validate a fixed-step schedule; raises `error` naming the offending field."""
+    """Validate a fixed-step schedule; raises `error` naming the offending field.
+    All three dynamics take this one gamma rule: a nonnegative number or "rescaled"."""
 
     def bad(name, why):
         raise error(f"config field '{name}': {why}")
 
-    if not t_end > 0:
-        bad("t_end", "must be positive")
-    if not 0 < step <= t_end:
-        bad("step", "must satisfy 0 < step <= t_end")
+    if not (isinstance(t_end, numbers.Real) and 0 < t_end < np.inf):
+        bad("t_end", f"must be a positive finite number, got {t_end!r}")
+    if not (isinstance(step, numbers.Real) and 0 < step <= t_end and t_end / step < np.inf):
+        bad("step", f"must be a number with 0 < step <= t_end and a finite t_end / step, got {step!r}")
     if integrator not in ("euler", "rk4"):
         bad("integrator", f"must be euler|rk4, got {integrator!r}")
-    if isinstance(gamma, str):
-        if gamma != "rescaled":
-            bad("gamma", "must be a nonnegative number or 'rescaled'")
-    elif not float(gamma) >= 0:
-        bad("gamma", "must be nonnegative")
-    if record_every < 1:
-        bad("record_every", "must be >= 1")
+    rescaled = isinstance(gamma, str) and gamma == "rescaled"
+    if not (rescaled or isinstance(gamma, numbers.Real) and gamma >= 0):
+        bad("gamma", f"must be a nonnegative number or 'rescaled', got {gamma!r}")
+    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+        bad("record_every", f"must be an integer >= 1, got {record_every!r}")
 
 
 @dataclass
@@ -148,11 +149,11 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
     """Advance a (B, P) batch of rows in lockstep through n_steps explicit
     Euler or RK4 steps of dY/dt = -gamma * G, retracting every new state.
 
-    `field(Y, n, record)` returns (G, gamma, diagnostics) at step n; gamma is
-    one number or one per row, and diagnostics, needed only when `record` is
-    true, is passed through.  `retract(Y)` returns the retracted rows and how
-    many zero hidden rows they hold; the record's `degenerate_events` sums
-    those counts over the run.  A row is frozen at its last valid state once
+    `field(Y, record)` returns (G, gamma, diagnostics) at the state Y alone;
+    gamma is one number or one per row, and diagnostics, needed only when
+    `record` is true, is passed through.  `retract(Y)` returns the retracted
+    rows and how many zero hidden rows they hold; the record's
+    `degenerate_events` sums those counts over the run.  A row is frozen at its last valid state once
     its retracted state is non-finite or exceeds DIVERGENCE_GUARD; the run
     ends when no row is left.
 
@@ -169,8 +170,8 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
     termination = np.full(len(Y), "completed", dtype="<U16")
     rows, events, n_stopped = [], 0, 0
 
-    def rate(Z, n, record=False):
-        G, gamma, diagnosed = field(Z, n, record)
+    def rate(Z, record=False):
+        G, gamma, diagnosed = field(Z, record)
         if isinstance(gamma, np.ndarray):
             gamma = gamma[..., None]
         return -gamma * G, G, diagnosed
@@ -178,7 +179,7 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
     for n in range(n_steps + 1):
         done = n == n_steps or n_stopped == len(Y)
         record = done or n % record_every == 0
-        k1, G, diagnosed = rate(Y, n, record)
+        k1, G, diagnosed = rate(Y, record)
         if record:
             # the reduction of np.linalg.norm(G, axis=-1), bit for bit;
             # np.vecdot matches only the 1-d norm (as in sup_norm), not this
@@ -186,9 +187,9 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
         if done:
             break
         if rk4:
-            k2 = rate(Y + 0.5 * h * k1, n)[0]
-            k3 = rate(Y + 0.5 * h * k2, n)[0]
-            k4 = rate(Y + h * k3, n)[0]
+            k2 = rate(Y + 0.5 * h * k1)[0]
+            k3 = rate(Y + 0.5 * h * k2)[0]
+            k4 = rate(Y + h * k3)[0]
             Y_new, zero_rows = retract(Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         else:
             Y_new, zero_rows = retract(Y + h * k1)
@@ -208,9 +209,11 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
                             np.array(grad_norm), stopped, termination, events), diagnostics
 
 
-def _network_field(arch, measure, f, r, resolution, gamma_at):
+def _network_field(arch, measure, f, r, resolution, gamma):
     """The `fixed_step` field of one network, as a (1, P) batch: G equals
-    `project_gradient(theta, risk_and_gradient(theta, ...)[1])` bit for bit.
+    `project_gradient(theta, risk_and_gradient(theta, ...)[1])` bit for bit,
+    and the step factor is `gamma` itself, or for "rescaled" the
+    `step_factor` of the raw and the projected gradient.
 
     The target breaks inside the measure's interval are read once, and each
     call adds the kinks of the rows it gathers (`network._nodes_for`).  The
@@ -219,26 +222,25 @@ def _network_field(arch, measure, f, r, resolution, gamma_at):
     squared row norms the projection took."""
     f_breaks = _inner_breaks(measure, f.breakpoints)
 
-    def field(Y, n, diagnose):
+    def field(Y, diagnose):
         value, rows, grads = _risk_and_rows(arch, Y[0], measure, f, r, resolution, f_breaks)
         tangent, squares = zip(*map(_tangent_rows, rows[:-1], grads[:-1]))
         G = _flat(arch, tangent + (grads[-1],))
-        gamma = gamma_at(n)
-        if isinstance(gamma, str):
-            gamma = step_factor(_flat(arch, grads), G, gamma)
+        factor = step_factor(_flat(arch, grads), G, gamma) if isinstance(gamma, str) else gamma
         diagnostics = (value, _max_deviation(squares)) if diagnose else None
-        return G[None, :], gamma, diagnostics
+        return G[None, :], factor, diagnostics
 
     return field
 
 
-def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, gamma_at) -> TrajectoryRecord:
-    """Run `fixed_step` on one network from the rescaled xi; returns its
-    record, or raises QuadratureError if the rescaled xi is not finite.  The
-    retraction (`manifold._retract`) counts the zero hidden rows of the
-    state, and renormalizes it with `reproject`."""
+def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int) -> TrajectoryRecord:
+    """Run n_steps of `fixed_step` with cfg's step, integrator and gamma on one
+    network from the rescaled xi; returns its record, or raises
+    QuadratureError if the rescaled xi is not finite.  The retraction
+    (`manifold._retract`) counts the zero hidden rows of the state, and
+    renormalizes it with `reproject`."""
     arch = xi.arch
-    field = _network_field(arch, measure, f, cfg.r, cfg.resolution, gamma_at)
+    field = _network_field(arch, measure, f, cfg.r, cfg.resolution, cfg.gamma)
 
     def retract(Y):
         values, zeros = _retract(arch, Y[0])
@@ -274,7 +276,7 @@ def integrate_flow(
     'nonfinite' or 'divergence_guard' when a step leaves non-finite values or
     a component above 1e12; the record then ends with the last valid state.
     """
-    record = _network_run(xi, measure, f, cfg, int(round(cfg.t_end / cfg.step)), lambda n: cfg.gamma)
+    record = _network_run(xi, measure, f, cfg, int(round(cfg.t_end / cfg.step)))
     record.close_if_stationary(cfg.t_end)
     return record
 
@@ -289,23 +291,13 @@ def gd_run(
     resolution: Optional[int] = None,
     record_every: int = 1,
 ) -> TrajectoryRecord:
-    """Normalized gradient descent: step against G, then renormalize.
-
-    `gammas` is a constant, a per-step sequence, or "rescaled".
+    """Normalized gradient descent: `steps` Euler steps of h = 1 against
+    gammas * G, each followed by the retraction.  `gammas` follows the flow's
+    gamma rule (`check_schedule`): a nonnegative number or "rescaled"; any
+    other value raises ValueError naming 'gamma'.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    if isinstance(gammas, str) and gammas != "rescaled":
-        raise ValueError(f"gammas must be a number, a sequence, or 'rescaled', got {gammas!r}")
-    scheduled = not isinstance(gammas, str) and np.ndim(gammas) == 1
-    if scheduled and len(gammas) < steps:
-        raise ValueError(f"gamma schedule has {len(gammas)} entries for {steps} steps")
-
-    def gamma_at(n):
-        if not scheduled:
-            return gammas
-        return gammas[n] if n < steps else 0.0  # the last state takes no step
-
-    cfg = FlowConfig(t_end=max(steps, 1), step=1.0, integrator="euler", record_every=record_every,
-                     r=r, resolution=resolution)
-    return _network_run(xi, measure, f, cfg, steps, gamma_at)
+    cfg = FlowConfig(t_end=max(steps, 1), step=1.0, integrator="euler", gamma=gammas,
+                     record_every=record_every, r=r, resolution=resolution)
+    return _network_run(xi, measure, f, cfg, steps)

@@ -392,7 +392,7 @@ def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
     if Y.shape[1] != 3:
         raise ValueError("states must have three components")
 
-    def field(states, n, record):
+    def field(states, record):
         G, R, L = _one_pass(states, problem, record)
         return G, step_factor(R, G, cfg.gamma), L
 

@@ -8,6 +8,7 @@ files.  Floats are written with 17 significant digits (full round-trip).
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -71,27 +72,41 @@ def validate_config(cfg: ExperimentConfig) -> None:
     def bad(name, why):
         raise ConfigError(f"config field '{name}': {why}")
 
+    def integer(name, low):
+        value = getattr(cfg, name)
+        if not (isinstance(value, numbers.Integral) and value >= low):
+            bad(name, f"must be an integer >= {low}, got {value!r}")
+
     if cfg.mode not in ("flow", "gd", "one-neuron"):
         bad("mode", f"must be flow|gd|one-neuron, got {cfg.mode!r}")
-    if cfg.mode == "one-neuron":
-        if tuple(cfg.architecture) not in ((1, 1, 1),):
-            bad("architecture", "one-neuron mode requires (1, 1, 1)")
-        m = cfg.measure
-        if m.get("kind", "uniform") != "uniform" or (m.get("a", 0.0), m.get("b", 1.0)) != (0.0, 1.0):
-            bad("measure", "one-neuron mode requires the uniform measure on [0, 1]")
+    for name in ("measure", "target"):
+        if not isinstance(getattr(cfg, name), dict):
+            bad(name, f"must be an object, got {getattr(cfg, name)!r}")
     try:
         cfg.architecture = tuple(int(d) for d in cfg.architecture)
         Architecture(cfg.architecture)
     except (TypeError, ValueError) as e:
         bad("architecture", str(e))
+    if cfg.mode == "one-neuron":
+        if cfg.architecture != (1, 1, 1):
+            bad("architecture", "one-neuron mode requires (1, 1, 1)")
+        m = cfg.measure
+        if m.get("kind", "uniform") != "uniform" or (m.get("a", 0.0), m.get("b", 1.0)) != (0.0, 1.0):
+            bad("measure", "one-neuron mode requires the uniform measure on [0, 1]")
     check_schedule(cfg.t_end, cfg.step, cfg.integrator, cfg.gamma, cfg.record_every, ConfigError)
-    if cfg.steps < 0:
-        bad("steps", "must be >= 0")
-    if cfg.quad_nodes is not None and cfg.quad_nodes < 2:
-        bad("quad_nodes", "must be >= 2")
-    if cfg.smoothing_r is not None and not float(cfg.smoothing_r) >= 1:
-        bad("smoothing_r", "must be >= 1")
+    if not isinstance(cfg.reproject, bool):
+        bad("reproject", f"must be true or false, got {cfg.reproject!r}")
+    integer("steps", 0)
+    integer("seed", 0)
+    if cfg.quad_nodes is not None:
+        integer("quad_nodes", 2)
+    if cfg.smoothing_r is not None and not (isinstance(cfg.smoothing_r, numbers.Real) and cfg.smoothing_r >= 1):
+        bad("smoothing_r", f"must be a number >= 1, got {cfg.smoothing_r!r}")
+    if not isinstance(cfg.t3_scale, numbers.Real):
+        bad("t3_scale", f"must be a number, got {cfg.t3_scale!r}")
     if cfg.theta0 is not None:
+        if not (isinstance(cfg.theta0, (list, tuple)) and all(isinstance(v, numbers.Real) for v in cfg.theta0)):
+            bad("theta0", "must be a list of numbers")
         want = 3 if cfg.mode == "one-neuron" else Architecture(cfg.architecture).param_count
         if len(cfg.theta0) != want:
             bad("theta0", f"must have length {want}")

@@ -50,12 +50,46 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="'target'"):
             run_experiment(cfg)
 
+    @pytest.mark.parametrize("name, mode, raw", [
+        ("t_end", "flow", {"t_end": "1"}),
+        ("t_end", "flow", {"t_end": float("inf"), "step": 0.5}),
+        ("step", "flow", {"step": None}),
+        ("step", "flow", {"t_end": 1e300, "step": 1e-10}),
+        ("record_every", "flow", {"record_every": "2"}),
+        ("steps", "gd", {"steps": "5"}),
+        ("quad_nodes", "flow", {"quad_nodes": "64"}),
+        ("smoothing_r", "flow", {"smoothing_r": "x"}),
+        ("theta0", "flow", {"theta0": ["0.5"] * 25}),
+        ("measure", "flow", {"measure": "uniform"}),
+        ("measure", "one-neuron", {"architecture": [1, 1, 1], "measure": "uniform"}),
+        ("target", "flow", {"target": "abs"}),
+        ("seed", "flow", {"seed": "x"}),
+        ("seed", "flow", {"seed": -1}),
+        ("reproject", "flow", {"reproject": "no"}),
+        ("gamma", "gd", {"gamma": [0.1, 0.1]}),
+        ("gamma", "flow", {"gamma": None}),
+    ])
+    def test_mistyped_field_named(self, name, mode, raw, tmp_path):
+        # each of these ended in a traceback, or (reproject) ran silently
+        # with the retraction on; the config names the field and writes nothing
+        with pytest.raises(ConfigError, match=f"'{name}'"):
+            run_experiment(config_from_dict({"mode": mode, **raw, "out": str(tmp_path / "out")}))
+        assert not list(tmp_path.iterdir())
+
 
 class TestCliExitCodes:
     def test_invalid_flag_value_exits_nonzero(self, tmp_path, capsys):
         rc = main(["flow", "--out", str(tmp_path), "--gamma", "warp"])
         assert rc == 2
         assert "gamma" in capsys.readouterr().err
+
+    def test_mistyped_reproject_exits_2_with_one_error_line(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"architecture": [1, 3, 1], "reproject": "no"}))
+        rc = main(["flow", "--config", str(config), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config field 'reproject'")
 
     def test_flow_run_exit_zero(self, tmp_path):
         rc = main([

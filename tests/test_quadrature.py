@@ -338,7 +338,7 @@ class TestExactNodeBuild:
         # the flow's field builds the same nodes, from the rows it gathers and
         # the target breaks it reads once
         f = TargetFunction(lambda x: np.abs(x - 0.3), breakpoints=np.array(f_breaks, dtype=float))
-        field = _network_field(theta.arch, mu, f, r, None, lambda n: 1.0)
+        field = _network_field(theta.arch, mu, f, r, None, 1.0)
         built = []
 
         def spy(*args, **kwargs):
@@ -346,5 +346,5 @@ class TestExactNodeBuild:
             return built[-1]
 
         with mock.patch.object(network, "quadrature_nodes", spy):
-            field(theta.values[None, :], 0, False)
+            field(theta.values[None, :], False)
         assert len(built) == 1 and _same_bits(built[0], got)
