@@ -8,8 +8,9 @@
 A config file is JSON with the fields of ExperimentConfig; command-line flags
 override file values.  Runs write trajectory.csv and summary.json into --out;
 verify writes report.json, and timings.json with each criterion's
-seconds.  Outputs other than timings.json are byte-deterministic for a fixed
-config and seed.
+seconds.  Each output file replaces any file at its path rather than writing
+through it.  Outputs other than timings.json are byte-deterministic for a
+fixed config and seed.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .quadrature import QuadratureError
-from .runner import ConfigError, ExperimentConfig, config_from_dict, run_experiment
+from .runner import ConfigError, ExperimentConfig, _write_new, config_from_dict, run_experiment
 from .verify import verify_all
 
 
@@ -109,12 +110,15 @@ def _resolve_config(args) -> ExperimentConfig:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "verify":
+        if args.seed < 0:  # argparse has already rejected a non-integer
+            print(f"error: config field 'seed': must be an integer >= 0, got {args.seed!r}", file=sys.stderr)
+            return 2
         outcome = verify_all(args.seed, echo=print)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "report.json"
-        report_path.write_text(json.dumps(outcome.report(args.seed), sort_keys=True, indent=1) + "\n")
-        (out / "timings.json").write_text(json.dumps(outcome.timings, indent=1) + "\n")
+        _write_new(report_path, json.dumps(outcome.report(args.seed), sort_keys=True, indent=1) + "\n")
+        _write_new(out / "timings.json", json.dumps(outcome.timings, indent=1) + "\n")
         print(f"report written to {report_path}")
         return 0 if outcome.all_passed else 1
     try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Union
 
@@ -55,15 +55,14 @@ class ExperimentConfig:
     t3_scale: float = 1.0         # one-neuron random init scale
 
 
-_DEFAULTS = ExperimentConfig()
-_FIELDS = set(asdict(_DEFAULTS).keys())
+_FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    unknown = set(raw.keys()) - _FIELDS
+    unknown = set(raw.keys()) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    cfg = ExperimentConfig(**{**asdict(_DEFAULTS), **raw})
+    cfg = ExperimentConfig(**raw)
     validate_config(cfg)
     return cfg
 
@@ -83,6 +82,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not isinstance(getattr(cfg, name), dict):
             bad(name, f"must be an object, got {getattr(cfg, name)!r}")
     try:
+        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in cfg.architecture):
+            raise ValueError(f"layer widths must be integers, got {cfg.architecture!r}")
         cfg.architecture = tuple(int(d) for d in cfg.architecture)
         Architecture(cfg.architecture)
     except (TypeError, ValueError) as e:
@@ -112,6 +113,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
             bad("theta0", f"must have length {want}")
 
 
+def _finite(value) -> np.ndarray:
+    """A config value as a float array; null (which numpy reads as nan), text
+    and non-finite entries raise."""
+    arr = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"expected finite numbers, got {value!r}")
+    return arr
+
+
 def build_measure(cfg: ExperimentConfig) -> InputMeasure:
     m = dict(cfg.measure)
     kind = m.pop("kind", "uniform")
@@ -119,8 +129,9 @@ def build_measure(cfg: ExperimentConfig) -> InputMeasure:
         if kind == "uniform":
             return uniform_measure(m.get("a", 0.0), m.get("b", 1.0), cfg.architecture[0])
         if kind == "discrete":
-            return discrete_measure(m["points"], m["weights"], m.get("a", 0.0), m.get("b", 1.0))
-    except (KeyError, ValueError) as e:
+            points, weights = _finite(m["points"]), _finite(m["weights"])
+            return discrete_measure(points, weights, m.get("a", 0.0), m.get("b", 1.0))
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"config field 'measure': {e}")
     raise ConfigError(f"config field 'measure': unknown kind {kind!r}")
 
@@ -136,13 +147,13 @@ def build_scalar_target(spec: dict):
         if name == "abs_offset":
             return abs_offset_target(float(spec["center"]))
         if name == "piecewise_linear":
-            knots = np.asarray(spec["knots"], dtype=float)
+            knots = _finite(spec["knots"])
             return piecewise_linear_target(knots[:, 0], knots[:, 1])
         if name == "polynomial":
             return polynomial_target([float(c) for c in spec["coeffs"]])
         if name == "zero":
             return constant_target(0.0)
-    except (KeyError, IndexError, ValueError) as e:
+    except (KeyError, IndexError, TypeError, ValueError) as e:
         raise ConfigError(f"config field 'target': {e}")
     raise ConfigError(f"config field 'target': unknown name {name!r}")
 
@@ -152,18 +163,21 @@ def build_target(cfg: ExperimentConfig) -> TargetFunction:
     out_dim = cfg.architecture[-1]
     spec = dict(cfg.target)
     name = spec.get("name")
-    if name == "affine_map":
-        try:
-            return TargetFunction.affine_map(spec["weights"], spec["offset"])
-        except (KeyError, ValueError) as e:
-            raise ConfigError(f"config field 'target': {e}")
-    if in_dim == 1 and out_dim == 1:
+    if in_dim == 1 and out_dim == 1 and name != "affine_map":
         return TargetFunction.from_scalar(build_scalar_target(spec))
-    if name == "zero":
-        return TargetFunction.zero(out_dim)
-    if name == "constant":
-        vals = np.broadcast_to(np.atleast_1d(np.asarray(spec.get("value", 0.0), float)), (out_dim,))
-        return TargetFunction.affine_map(np.zeros((out_dim, in_dim)), vals)
+    try:
+        if name == "affine_map":
+            weights = np.atleast_2d(_finite(spec["weights"]))
+            if weights.shape != (out_dim, in_dim):
+                raise ValueError(f"weights must have shape ({out_dim}, {in_dim}), got {weights.shape}")
+            return TargetFunction.affine_map(weights, _finite(spec["offset"]))
+        if name == "zero":
+            return TargetFunction.zero(out_dim)
+        if name == "constant":
+            vals = np.broadcast_to(np.atleast_1d(_finite(spec.get("value", 0.0))), (out_dim,))
+            return TargetFunction.affine_map(np.zeros((out_dim, in_dim)), vals)
+    except (KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"config field 'target': {e}")
     raise ConfigError(
         f"config field 'target': {name!r} unsupported for input dim {in_dim} / output dim {out_dim}"
     )
@@ -174,6 +188,15 @@ def _row_format(n_cols: int, tag_col: Optional[int] = None) -> str:
     bytes of `format(x, ".17g")`, which round-trip a double), and text at
     tag_col."""
     return ",".join("%s" if j == tag_col else "%.17g" for j in range(n_cols))
+
+
+def _write_new(path: Path, text: str) -> None:
+    """Replace the file at path with a new file holding text.  On ext4,
+    truncating and rewriting an existing file forces writeback when it closes;
+    unlinking it first does not.  A hard link or symlink at path is replaced,
+    not written through."""
+    path.unlink(missing_ok=True)
+    path.write_text(text)
 
 
 def _write_csv(path: Path, record: TrajectoryRecord, one_neuron_mode: bool, time_label: str):
@@ -192,28 +215,31 @@ def _write_csv(path: Path, record: TrajectoryRecord, one_neuron_mode: bool, time
             row.insert(tag_col, on.REGIME_TAGS[c])
     fmt = _row_format(len(cols), tag_col)
     lines = [",".join(cols)] + [fmt % tuple(row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    _write_new(path, "\n".join(lines) + "\n")
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute one flow / gd / one-neuron run; returns the summary dict.
 
-    Writes <out>/trajectory.csv and <out>/summary.json.  An integrator abort
-    is an observed outcome recorded in the summary, not a failure.
+    Writes <out>/trajectory.csv and <out>/summary.json as new files: an
+    existing file, hard link or symlink at either path is replaced, not
+    written through.  summary["config"] echoes cfg's fields without copying
+    them, so its lists and dicts are cfg's own.  An integrator abort is an
+    observed outcome recorded in the summary, not a failure.
     """
     validate_config(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     r = INF if cfg.smoothing_r is None else float(cfg.smoothing_r)
 
-    summary = {"config": asdict(cfg), "seed": cfg.seed}
+    summary = {"config": {name: getattr(cfg, name) for name in _FIELDS}, "seed": cfg.seed}
     if cfg.mode == "one-neuron":
         f = build_scalar_target(cfg.target)
         problem = on.as_problem(f)
         if cfg.theta0 is not None:
             theta0 = np.asarray(cfg.theta0, dtype=float)
         else:
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
             theta0 = on.random_circle_states(rng, 1, t3_scale=cfg.t3_scale)[0]
         oncfg = on.OneNeuronConfig(
             t_end=cfg.t_end,
@@ -236,7 +262,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if cfg.theta0 is not None:
             xi = ParamVector(arch, np.asarray(cfg.theta0, dtype=float))
         else:
-            xi = random_params(arch, rng)
+            xi = random_params(arch, np.random.default_rng(np.random.SeedSequence(cfg.seed)))
         if cfg.mode == "flow":
             flow_cfg = FlowConfig(
                 t_end=cfg.t_end,
@@ -266,6 +292,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         psi_max_dev_max=max(rec.psi_max_dev),
         degenerate_events=rec.degenerate_events,
     )
-    (out / "summary.json").write_text(json.dumps(summary, sort_keys=True, indent=1) + "\n")
+    _write_new(out / "summary.json", json.dumps(summary, sort_keys=True, indent=1) + "\n")
     return summary
 

@@ -1,4 +1,5 @@
 import json
+import os
 import warnings
 
 import numpy as np
@@ -76,6 +77,31 @@ class TestConfigValidation:
             run_experiment(config_from_dict({"mode": mode, **raw, "out": str(tmp_path / "out")}))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, raw", [
+        ("architecture", {"architecture": [1, 8.7, 1]}),
+        ("architecture", {"architecture": [1, True, 1]}),
+        ("architecture", {"architecture": "181"}),
+        ("measure", {"measure": {"kind": "uniform", "a": None}}),
+        ("measure", {"measure": {"kind": "discrete", "points": None, "weights": [1.0]}}),
+        ("target", {"target": {"name": "abs_offset", "center": None}}),
+        ("target", {"target": {"name": "affine", "slope": None}}),
+        ("target", {"target": {"name": "polynomial", "coeffs": None}}),
+        ("target", {"target": {"name": "piecewise_linear", "knots": [[0.0, 0.0], [0.5, None], [1.0, 0.0]]}}),
+        ("target", {"target": {"name": "piecewise_linear", "knots": [[0.0, 0.0], [None, 1.0], [1.0, 0.0]]}}),
+        ("target", {"architecture": [2, 3, 1],
+                    "target": {"name": "affine_map", "weights": [[None, 1.0]], "offset": [0.0]}}),
+        ("target", {"architecture": [2, 3, 1],
+                    "target": {"name": "affine_map", "weights": [[1.0]], "offset": [0.0]}}),
+        ("target", {"architecture": [2, 3, 1], "target": {"name": "constant", "value": None}}),
+        ("target", {"architecture": [2, 3, 1], "target": {"name": "constant", "value": "a"}}),
+    ])
+    def test_bad_shape_named(self, name, raw, tmp_path):
+        # integral floats and booleans were truncated into layer widths; null
+        # entries ended in a TypeError traceback or turned into nan
+        with pytest.raises(ConfigError, match=f"config field '{name}'"):
+            run_experiment(config_from_dict({"mode": "flow", "t_end": 0.002, **raw, "out": str(tmp_path)}))
+        assert not list(tmp_path.iterdir())
+
 
 class TestCliExitCodes:
     def test_invalid_flag_value_exits_nonzero(self, tmp_path, capsys):
@@ -99,6 +125,22 @@ class TestCliExitCodes:
         assert rc == 0
         assert (tmp_path / "trajectory.csv").exists()
         assert (tmp_path / "summary.json").exists()
+
+    def test_negative_verify_seed_exits_2_before_the_suite(self, tmp_path, monkeypatch, capsys):
+        from mgflow import cli
+
+        def no_suite(seed, echo=None):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(cli, "verify_all", no_suite)
+        rc = main(["verify", "--seed", "-1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config field 'seed': ")
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--seed", "1.5", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("theta0", [[1e200] * 25, [0.5] * 3 + [float("nan")] + [0.5] * 21],
                              ids=["overflowing", "one_nan"])
@@ -177,6 +219,25 @@ class TestExperimentOutputs:
         run_experiment(cfg)
         second = (tmp_path / "trajectory.csv").read_bytes(), (tmp_path / "summary.json").read_bytes()
         assert first == second
+
+    def test_rerun_replaces_stale_hard_linked_files(self, tmp_path):
+        # a run unlinks each output path and creates a new file, so a stale,
+        # longer file is gone and a hard-linked sibling keeps its bytes
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(mode="gd", architecture=(1, 2, 1), steps=3, seed=6, out=str(out))
+        run_experiment(cfg)
+        names = ("trajectory.csv", "summary.json")
+        fresh = {name: (out / name).read_bytes() for name in names}
+        for name in names:
+            stale = b"stale\n" * (len(fresh[name]) // 3)
+            sibling = tmp_path / f"sibling_{name}"
+            sibling.write_bytes(stale)
+            (out / name).unlink()
+            os.link(sibling, out / name)
+        run_experiment(cfg)
+        for name in names:
+            assert (out / name).read_bytes() == fresh[name]
+            assert (tmp_path / f"sibling_{name}").read_bytes() == b"stale\n" * (len(fresh[name]) // 3)
 
     def test_different_seeds_differ(self, tmp_path):
         outs = []
