@@ -33,7 +33,7 @@ from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* 
     project_gradient,
     renormalize,
 )
-from .network import _inner_breaks
+from .network import _NodePlan
 from .network import risk  # noqa: F401  (bench/tracing.py wraps dynamics.risk)
 from .params import ParamVector
 from .quadrature import InputMeasure, QuadratureError
@@ -215,15 +215,14 @@ def _network_field(arch, measure, f, r, resolution, gamma):
     and the step factor is `gamma` itself, or for "rescaled" the
     `step_factor` of the raw and the projected gradient.
 
-    The target breaks inside the measure's interval are read once, and each
-    call adds the kinks of the rows it gathers (`network._nodes_for`).  The
-    hidden rows' gradients are projected against those rows, and the
+    One node plan (`network._NodePlan`) serves the run.  The hidden rows'
+    gradients are projected against the rows the pass gathered, and the
     diagnostics (risk, max |psi - 1|) come from the same pass and from the
     squared row norms the projection took."""
-    f_breaks = _inner_breaks(measure, f.breakpoints)
+    plan = _NodePlan(arch, measure, f, r, resolution)
 
     def field(Y, diagnose):
-        value, rows, grads = _risk_and_rows(arch, Y[0], measure, f, r, resolution, f_breaks)
+        value, rows, grads = _risk_and_rows(plan, Y[0])
         tangent, squares = zip(*map(_tangent_rows, rows[:-1], grads[:-1]))
         G = _flat(arch, tangent + (grads[-1],))
         factor = step_factor(_flat(arch, grads), G, gamma) if isinstance(gamma, str) else gamma

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .network import _inner_breaks, _layer_rows, _matmul, _nodes_for, _risk_pass, risk
+from .network import _layer_rows, _matmul, _NodePlan, _risk_pass, risk
 from .network import forward  # noqa: F401  (bench/tracing.py wraps gradients.forward)
 from .params import ParamVector
 from .quadrature import InputMeasure, QuadratureError
@@ -27,13 +27,11 @@ from .smoothing import INF, smoothed_act_deriv
 from .targets import TargetFunction
 
 
-def _risk_and_rows(arch, values: np.ndarray, measure: InputMeasure, f: TargetFunction, r,
-                   resolution: Optional[int], f_breaks) -> tuple[float, list, list]:
-    """(risk, rows, grads) from one node set, one forward pass and one target
-    evaluation: per layer k = 1..L, rows[k - 1] is [W_k | b_k] as gathered
-    from `values` and grads[k - 1] the risk gradient in that row layout.
-    f_breaks are the target breaks the node build keeps
-    (`network._inner_breaks`), which a run reads once.
+def _risk_and_rows(plan: _NodePlan, values: np.ndarray) -> tuple[float, list, list]:
+    """(risk, rows, grads) from one node set of `plan`, one forward pass and
+    the target values the plan gives: per layer k = 1..L, rows[k - 1] is
+    [W_k | b_k] as gathered from `values` and grads[k - 1] the risk gradient
+    in that row layout.
 
     The backprop runs feature-major in the forward pass's workspace: deltas
     are (l_k, n), and a layer's gradient is the single product
@@ -41,11 +39,12 @@ def _risk_and_rows(arch, values: np.ndarray, measure: InputMeasure, f: TargetFun
     mean correction is applied once, on the residual row, which then also
     takes the node weights: every hidden delta carries them.
     """
+    arch, r = plan.arch, plan.r
     rows = _layer_rows(arch, values)
-    X, w = _nodes_for(arch, rows, measure, f_breaks, r, resolution)
+    X, w, fX = plan.nodes(rows)
     if X.shape[0] == 0:
         return 0.0, rows, [np.zeros_like(V) for V in rows]
-    value, ws = _risk_pass(arch, rows, X, w, f, r)
+    value, ws = _risk_pass(arch, rows, X, w, fX, r)
     H, R = ws.acts[-1], ws.resid  # [centered last hidden activations; 1], residual
 
     grads = [None] * len(rows)
@@ -90,8 +89,8 @@ def risk_and_gradient(
     per-layer gradients of `_risk_and_rows` are scattered into the flat
     layout (`_flat`).
     """
-    f_breaks = _inner_breaks(measure, f.breakpoints)
-    value, _, grads = _risk_and_rows(theta.arch, theta.values, measure, f, r, resolution, f_breaks)
+    plan = _NodePlan(theta.arch, measure, f, r, resolution)
+    value, _, grads = _risk_and_rows(plan, theta.values)
     return value, _flat(theta.arch, grads)
 
 

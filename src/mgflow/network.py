@@ -60,7 +60,8 @@ class _Workspace:
     thread at a time).
 
     `load(X)` copies the nodes X (n, l_0) into `nodes`.  A read-only X (the
-    cached composite grid) is copied once and kept while the same X returns.
+    nodes of a `_NodePlan` off the exact path) is copied once and kept while
+    the same X returns.
     """
 
     def __init__(self, dims: tuple, n: int):
@@ -123,12 +124,10 @@ def forward(theta: ParamVector, x, r=INF):
     return [z.T for z in ws.pres], [a[:-1].T for a in ws.acts]
 
 
-def _breakpoints(arch, V1: np.ndarray, f_breaks, r) -> Optional[np.ndarray]:
+def _breakpoints(V1: np.ndarray, f_breaks, r) -> np.ndarray:
     """The kinks (knot - b) / w of the first layer's rows V1 = [W_1 | b_1],
-    knot-major, then the 1-d array f_breaks; None off the exact path.  A row
-    with w = 0 gives +-inf or nan, which the node build's range test drops."""
-    if arch.depth != 2 or arch.layer_dims[0] != 1:
-        return None
+    knot-major, then the 1-d array f_breaks.  A row with w = 0 gives +-inf or
+    nan, which the node build's range test drops."""
     w, b = V1[:, 0], V1[:, 1]
     with np.errstate(divide="ignore", invalid="ignore"):
         pts = (0.0 - b) / w if r == INF else ((activation_knots(r)[:, None] - b) / w).ravel()
@@ -145,22 +144,44 @@ def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.n
     breaks f_breaks follow.  Returns None otherwise.
     """
     arch = theta.arch
-    f_breaks = None if f_breaks is None else np.asarray(f_breaks, dtype=float).ravel()
-    return _breakpoints(arch, theta.values[arch.subvector_rows[0]], f_breaks, r)
-
-
-def _inner_breaks(measure: InputMeasure, f_breaks) -> Optional[np.ndarray]:
-    """The target breaks the exact node build keeps: those inside (a, b)."""
-    if f_breaks is None:
+    if arch.depth != 2 or arch.layer_dims[0] != 1:
         return None
-    bp = np.asarray(f_breaks, dtype=float).ravel()
-    return bp[(bp > measure.a) & (bp < measure.b)]
+    f_breaks = None if f_breaks is None else np.asarray(f_breaks, dtype=float).ravel()
+    return _breakpoints(theta.values[arch.subvector_rows[0]], f_breaks, r)
 
 
-def _nodes_for(arch, rows, measure, f_breaks, r, resolution):
-    """One pass's nodes and weights; f_breaks comes from `_inner_breaks`."""
-    bp = _breakpoints(arch, rows[0], f_breaks, r) if measure.kind == "uniform" else None
-    return quadrature_nodes(measure, breakpoints=bp, resolution=resolution)
+class _NodePlan:
+    """The nodes X (n, l_0), weights w and target values fX, (out_dim, n) or a
+    (n,) row for a scalar target (None without a target), of a run's passes.
+    A discrete measure's points and the composite grid (input dim > 1 or
+    depth > 2) do not depend on the state: X is read-only, so the workspace
+    loads it once, and fX is evaluated here once, before any pass runs, so a
+    target must be a pure function of x.  On the exact shallow 1-d path,
+    `nodes` adds the kinks of the rows it gets to the target breaks inside
+    (a, b), read here once, and evaluates the target at the new nodes."""
+
+    def __init__(self, arch, measure: InputMeasure, f: Optional[TargetFunction], r=INF,
+                 resolution: Optional[int] = None):
+        self.arch, self.measure, self.f, self.r, self._fixed = arch, measure, f, r, None
+        if measure.kind == "uniform" and arch.depth == 2 and arch.layer_dims[0] == 1:
+            bp = None if f is None or f.breakpoints is None else np.asarray(f.breakpoints, float).ravel()
+            self._f_breaks = None if bp is None else bp[(bp > measure.a) & (bp < measure.b)]
+            return
+        X, w = quadrature_nodes(measure, resolution=resolution)
+        if X.flags.writeable:  # a discrete measure's points: the run keeps a read-only copy
+            X = np.array(X)
+            X.flags.writeable = False
+        self._fixed = X, w, None if f is None or not len(X) else np.array(f(X).T, order="C")
+
+    def nodes(self, rows):
+        """(X, w, fX) for a pass over the layer rows `rows`."""
+        if self._fixed:
+            return self._fixed
+        X, w = quadrature_nodes(self.measure, breakpoints=_breakpoints(rows[0], self._f_breaks, self.r))
+        if self.f is None:
+            return X, w, None
+        p = self.f.piecewise  # a scalar target, evaluated without the TargetFunction wrapper
+        return X, w, self.f(X).T if p is None else p(X[:, 0])
 
 
 def hidden_mean(
@@ -172,7 +193,7 @@ def hidden_mean(
     """mu-integral of the last hidden layer's activations (not mass-normalized)."""
     arch = theta.arch
     rows = _layer_rows(arch, theta.values)
-    X, w = _nodes_for(arch, rows, measure, None, r, resolution)
+    X, w, _ = _NodePlan(arch, measure, None, r, resolution).nodes(rows)
     if X.shape[0] == 0:
         return np.zeros(arch.layer_dims[-2])
     ws = _workspace(arch.layer_dims, X.shape[0])
@@ -199,22 +220,23 @@ def realize(
     return out[0] if squeeze else out
 
 
-def _risk_pass(arch, rows, X: np.ndarray, w: np.ndarray, f: TargetFunction, r):
-    """The risk on the nodes X (n, l_0) with weights w, in the workspace of
+def _risk_pass(arch, rows, X: np.ndarray, w: np.ndarray, fX: np.ndarray, r):
+    """The risk on the nodes X (n, l_0) with weights w against the target
+    values fX at X, (out_dim, n) or a (n,) row, in the workspace of
     (layer_dims, n); returns (risk, workspace).
 
     The workspace is left holding what backprop reads: the hidden
     pre-activations in `pres`, the centered last hidden activations
     h - int h dmu in `acts[-1]` (above its row of ones) and the output
-    residual in `resid`.
+    residual in `resid`.  fX comes first (`_NodePlan`): a target may itself
+    run a pass in this workspace.
     """
-    fX = f(X)  # first: a target may itself run a pass in this workspace
     ws = _workspace(arch.layer_dims, X.shape[0])
     H = _forward_into(rows, ws.load(X), r, ws.pres, ws.acts)
     h = H[:-1]
     h -= (h @ w)[:, None]
     R = np.matmul(rows[-1], H, out=ws.resid)
-    R -= fX.T
+    R -= fX
     sq = np.multiply(R, R, out=ws.scratch)
     return float(sum(np.vecdot(sq, w))), ws  # vecdot: the kernel of row @ w, per row
 
@@ -229,10 +251,10 @@ def risk(
     """mu-integral of the squared output error against the target."""
     arch = theta.arch
     rows = _layer_rows(arch, theta.values)
-    X, w = _nodes_for(arch, rows, measure, _inner_breaks(measure, f.breakpoints), r, resolution)
+    X, w, fX = _NodePlan(arch, measure, f, r, resolution).nodes(rows)
     if X.shape[0] == 0:
         return 0.0
-    value = _risk_pass(arch, rows, X, w, f, r)[0]
+    value = _risk_pass(arch, rows, X, w, fX, r)[0]
     if not math.isfinite(value):
         raise QuadratureError("risk is non-finite")
     return value

@@ -7,6 +7,7 @@ files.  Floats are written with 17 significant digits (full round-trip).
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
 from dataclasses import dataclass, field, fields
@@ -114,12 +115,19 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _finite(value) -> np.ndarray:
-    """A config value as a float array; null (which numpy reads as nan), text
-    and non-finite entries raise."""
-    arr = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    """A config value as a float array; null, text (numeric text too) and
+    non-finite entries raise."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf" or not np.all(np.isfinite(arr)):
         raise ValueError(f"expected finite numbers, got {value!r}")
-    return arr
+    return arr.astype(float)
+
+
+def _real(value) -> float:
+    """One finite number of a measure or target spec, checked as by `_finite`."""
+    if np.ndim(value):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(_finite(value))
 
 
 def build_measure(cfg: ExperimentConfig) -> InputMeasure:
@@ -127,10 +135,10 @@ def build_measure(cfg: ExperimentConfig) -> InputMeasure:
     kind = m.pop("kind", "uniform")
     try:
         if kind == "uniform":
-            return uniform_measure(m.get("a", 0.0), m.get("b", 1.0), cfg.architecture[0])
+            return uniform_measure(_real(m.get("a", 0.0)), _real(m.get("b", 1.0)), cfg.architecture[0])
         if kind == "discrete":
             points, weights = _finite(m["points"]), _finite(m["weights"])
-            return discrete_measure(points, weights, m.get("a", 0.0), m.get("b", 1.0))
+            return discrete_measure(points, weights, _real(m.get("a", 0.0)), _real(m.get("b", 1.0)))
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"config field 'measure': {e}")
     raise ConfigError(f"config field 'measure': unknown kind {kind!r}")
@@ -141,16 +149,16 @@ def build_scalar_target(spec: dict):
     name = spec.pop("name", None)
     try:
         if name == "constant":
-            return constant_target(float(spec["value"]))
+            return constant_target(_real(spec["value"]))
         if name == "affine":
-            return affine_target(float(spec.get("intercept", 0.0)), float(spec.get("slope", 1.0)))
+            return affine_target(_real(spec.get("intercept", 0.0)), _real(spec.get("slope", 1.0)))
         if name == "abs_offset":
-            return abs_offset_target(float(spec["center"]))
+            return abs_offset_target(_real(spec["center"]))
         if name == "piecewise_linear":
             knots = _finite(spec["knots"])
             return piecewise_linear_target(knots[:, 0], knots[:, 1])
         if name == "polynomial":
-            return polynomial_target([float(c) for c in spec["coeffs"]])
+            return polynomial_target([_real(c) for c in spec["coeffs"]])
         if name == "zero":
             return constant_target(0.0)
     except (KeyError, IndexError, TypeError, ValueError) as e:
@@ -213,9 +221,8 @@ def _write_csv(path: Path, record: TrajectoryRecord, one_neuron_mode: bool, time
     if one_neuron_mode:
         for row, c in zip(rows, code):
             row.insert(tag_col, on.REGIME_TAGS[c])
-    fmt = _row_format(len(cols), tag_col)
-    lines = [",".join(cols)] + [fmt % tuple(row) for row in rows]
-    _write_new(path, "\n".join(lines) + "\n")
+    table = (_row_format(len(cols), tag_col) + "\n") * len(rows)  # one % for all rows
+    _write_new(path, ",".join(cols) + "\n" + table % tuple(itertools.chain.from_iterable(rows)))
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -228,28 +235,24 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     observed outcome recorded in the summary, not a failure.
     """
     validate_config(cfg)
-    out = Path(cfg.out)
+    if cfg.mode == "one-neuron":
+        problem = on.as_problem(build_scalar_target(cfg.target))
+    else:
+        measure, f = build_measure(cfg), build_target(cfg)
+    out = Path(cfg.out)  # made only once the measure and the target are built
     out.mkdir(parents=True, exist_ok=True)
     r = INF if cfg.smoothing_r is None else float(cfg.smoothing_r)
+    schedule = dict(t_end=cfg.t_end, step=cfg.step, integrator=cfg.integrator, gamma=cfg.gamma,
+                    record_every=cfg.record_every)
 
     summary = {"config": {name: getattr(cfg, name) for name in _FIELDS}, "seed": cfg.seed}
     if cfg.mode == "one-neuron":
-        f = build_scalar_target(cfg.target)
-        problem = on.as_problem(f)
         if cfg.theta0 is not None:
             theta0 = np.asarray(cfg.theta0, dtype=float)
         else:
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
             theta0 = on.random_circle_states(rng, 1, t3_scale=cfg.t3_scale)[0]
-        oncfg = on.OneNeuronConfig(
-            t_end=cfg.t_end,
-            step=cfg.step,
-            integrator=cfg.integrator,
-            renormalize=cfg.reproject,
-            record_every=cfg.record_every,
-            gamma=cfg.gamma,
-        )
-        batch = on.flow_batch(theta0, problem, oncfg)
+        batch = on.flow_batch(theta0, problem, on.OneNeuronConfig(renormalize=cfg.reproject, **schedule))
         rec = batch.row(0)
         rec.close_if_stationary(cfg.t_end)
         monitors = on.monitor_report(batch, problem, slack=1e-6, conservation_rate=1e-6)
@@ -257,23 +260,12 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         _write_csv(out / "trajectory.csv", rec, one_neuron_mode=True, time_label="t")
     else:
         arch = Architecture(cfg.architecture)
-        measure = build_measure(cfg)
-        f = build_target(cfg)
         if cfg.theta0 is not None:
             xi = ParamVector(arch, np.asarray(cfg.theta0, dtype=float))
         else:
             xi = random_params(arch, np.random.default_rng(np.random.SeedSequence(cfg.seed)))
         if cfg.mode == "flow":
-            flow_cfg = FlowConfig(
-                t_end=cfg.t_end,
-                step=cfg.step,
-                integrator=cfg.integrator,
-                reproject=cfg.reproject,
-                gamma=cfg.gamma,
-                record_every=cfg.record_every,
-                r=r,
-                resolution=cfg.quad_nodes,
-            )
+            flow_cfg = FlowConfig(reproject=cfg.reproject, r=r, resolution=cfg.quad_nodes, **schedule)
             rec = integrate_flow(xi, measure, f, flow_cfg)
             time_label = "t"
         else:

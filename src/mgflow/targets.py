@@ -40,9 +40,12 @@ class PiecewisePolynomial:
             raise ValueError("need one coefficient tuple per piece")
         if any(len(p) == 0 or len(p) - 1 > MAX_POLY_DEGREE for p in coeffs):
             raise ValueError(f"piece degree must be in 0..{MAX_POLY_DEGREE}")
-        # one coefficient row per piece, zero-padded to the top degree, for __call__
+        # for __call__: the inner breaks, and one column per power (highest first)
+        # of the coefficients zero-padded to the top degree
         pad = max(len(p) for p in coeffs)
-        object.__setattr__(self, "_table", np.array([p + (0.0,) * (pad - len(p)) for p in coeffs]))
+        table = np.array([p + (0.0,) * (pad - len(p)) for p in coeffs])
+        object.__setattr__(self, "_inner", np.asarray(breaks[1:-1]))
+        object.__setattr__(self, "_columns", tuple(np.ascontiguousarray(table[:, ::-1].T)))
         object.__setattr__(self, "_breaks", np.asarray(breaks))
 
     @functools.cached_property
@@ -51,12 +54,14 @@ class PiecewisePolynomial:
         return _primitive_table(self.breaks, self.coeffs)
 
     def __call__(self, s):
+        """`np.polynomial.polynomial.polyval` on the padded piece of each s, bit for bit."""
         s = np.asarray(s, dtype=float)
         # interior breaks at or below s: the piece index, clamped to the domain
-        C = self._table[self._breaks[1:-1].searchsorted(s, side="right")]
-        out = C[..., -1] + s * 0.0  # polyval's first step, kept for equal bits
-        for j in range(C.shape[-1] - 2, -1, -1):
-            out = C[..., j] + out * s
+        piece = self._inner.searchsorted(s, side="right")
+        top, *rest = self._columns
+        out = top[piece] + s * 0.0  # polyval's first step, kept for equal bits
+        for c in rest:
+            out = c[piece] + out * s
         return out if out.ndim else float(out)
 
     def integral(self) -> float:
@@ -188,6 +193,7 @@ class TargetFunction:
     evaluator: Callable[[np.ndarray], np.ndarray]
     out_dim: int = 1
     breakpoints: Optional[np.ndarray] = None
+    piecewise: Optional[PiecewisePolynomial] = None  # the scalar target `from_scalar` wraps
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         vals = np.asarray(self.evaluator(x), dtype=float)
@@ -203,6 +209,7 @@ class TargetFunction:
             evaluator=lambda x: p(x[:, 0]),
             out_dim=1,
             breakpoints=p.interior_breaks(),
+            piecewise=p,
         )
 
     @classmethod

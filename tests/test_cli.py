@@ -46,10 +46,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="'gamma'"):
             config_from_dict({"mode": "flow", "gamma": "fast"})
 
-    def test_bad_target_named(self):
-        cfg = ExperimentConfig(mode="flow", target={"name": "mystery"})
+    @pytest.mark.parametrize("mode", ["flow", "one-neuron"])
+    def test_bad_target_named(self, mode, tmp_path):
+        # the output directory is made only after the target and the measure build
+        arch = (1, 1, 1) if mode == "one-neuron" else (1, 8, 1)
+        cfg = ExperimentConfig(mode=mode, architecture=arch, target={"name": "mystery"},
+                               out=str(tmp_path / "out"))
         with pytest.raises(ConfigError, match="'target'"):
             run_experiment(cfg)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("name, mode, raw", [
         ("t_end", "flow", {"t_end": "1"}),
@@ -69,6 +74,8 @@ class TestConfigValidation:
         ("reproject", "flow", {"reproject": "no"}),
         ("gamma", "gd", {"gamma": [0.1, 0.1]}),
         ("gamma", "flow", {"gamma": None}),
+        ("target", "flow", {"target": {"name": "abs_offset", "center": "0.3"}}),
+        ("measure", "flow", {"measure": {"kind": "uniform", "a": "0", "b": 1.0}}),
     ])
     def test_mistyped_field_named(self, name, mode, raw, tmp_path):
         # each of these ended in a traceback, or (reproject) ran silently
@@ -289,6 +296,35 @@ class TestCsvFormatting:
         tag_at = min(tag_at, len(row))
         assert (_row_format(len(row) + 1, tag_at) % tuple(row[:tag_at] + ["full"] + row[tag_at:])
                 == ",".join(cells[:tag_at] + ["full"] + cells[tag_at:]))
+
+    @pytest.mark.parametrize("rows", [1, 7])
+    @pytest.mark.parametrize("one_neuron_mode", [False, True], ids=["network", "one-neuron"])
+    def test_csv_equals_the_per_row_format(self, rows, one_neuron_mode, tmp_path):
+        # the whole table in one % equals one format per row, tag column included
+        from mgflow import one_neuron as on
+        from mgflow.dynamics import TrajectoryRecord
+        from mgflow.runner import _write_csv
+
+        rng = np.random.default_rng(rows)
+        states = on.random_circle_states(rng, rows) if one_neuron_mode else rng.standard_normal((rows, 5))
+        states[0, -1] = -0.0
+        risk = rng.uniform(0, 1, rows)
+        risk[-1] = np.nan
+        times, dev, grad = np.arange(rows) * 1e-3, np.full(rows, np.inf), rng.uniform(0, 1, rows)
+        rec = TrajectoryRecord(times, states, risk, dev, grad, stopped=np.array(0))
+        _write_csv(tmp_path / "t.csv", rec, one_neuron_mode, "t")
+        extra = []
+        if one_neuron_mode:
+            code, _ = on._regime_codes(states[:, 0], states[:, 1])
+            extra = [[on.REGIME_TAGS[c] for c in code]] + [list(v) for v in on.lyapunov_values(states)]
+        lines = []
+        for i in range(rows):
+            cells = [times[i], *states[i], risk[i], dev[i], grad[i]] + [col[i] for col in extra]
+            lines.append(",".join(c if isinstance(c, str) else format(c, ".17g") for c in cells))
+        text = (tmp_path / "t.csv").read_text()
+        header, *body = text.split("\n")
+        assert header.startswith("t,theta_1,") and body == lines + [""]
+        assert header.endswith(",grad_norm,regime,E_full,V_right,V_left" if one_neuron_mode else ",grad_norm")
 
 
 class TestVerifyCommand:

@@ -13,14 +13,20 @@ from mgflow import (
     abs_offset_target,
     affine_target,
     discrete_measure,
+    exact_breakpoints,
+    forward,
     gd_run,
     generalized_gradient,
     grad_psi,
+    hidden_mean,
     integrate_flow,
     max_constraint_deviation,
+    network,
     project_gradient,
+    quadrature_nodes,
     random_on_manifold,
     random_params,
+    risk,
     risk_and_gradient,
     uniform_measure,
 )
@@ -348,3 +354,63 @@ class TestNetworkField:
         assert np.array_equal(G[0], proj)
         assert np.array_equal(factor, step_factor(raw, proj, "rescaled"))
         assert value == expected_value and deviation == max_constraint_deviation(theta)
+
+    @staticmethod
+    def targets(dims):
+        """The run's target and another one, for passes between field calls."""
+        if dims[0] == 1:
+            return F, TargetFunction.from_scalar(affine_target(0.2, -0.5))
+        return TargetFunction.affine_map([[0.5, -0.25]], [0.1]), TargetFunction.affine_map([[-1.0, 2.0]], [0.3])
+
+    @staticmethod
+    def direct_nodes(theta, measure, f, r, resolution):
+        """A pass's nodes and weights built without a node plan."""
+        bp = exact_breakpoints(theta, None if f is None else f.breakpoints, r) if measure.kind == "uniform" else None
+        return quadrature_nodes(measure, breakpoints=bp, resolution=resolution)
+
+    def direct_risk(self, theta, measure, f, r, resolution):
+        """The risk pass on nodes and target values built without a node plan."""
+        X, w = self.direct_nodes(theta, measure, f, r, resolution)
+        rows = network._layer_rows(theta.arch, theta.values)
+        return network._risk_pass(theta.arch, rows, X, w, np.array(f(X).T), r)[0]
+
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_one_plan_serves_a_sequence_of_states(self, setup):
+        # one field (one node plan) over several states, with a risk pass for
+        # another target on the same node set and a hidden_mean pass between
+        # its calls; every result equals a fresh one, and the risks equal a
+        # pass on nodes and target values built without any plan
+        dims, measure, resolution, r = self.SETUPS[setup]
+        arch = Architecture(dims)
+        f, other = self.targets(dims)
+        rng = np.random.default_rng(31)
+        field = _network_field(arch, measure, f, r, resolution, "rescaled")
+        for _ in range(4):
+            theta = random_on_manifold(arch, rng)
+            G, factor, (value, deviation) = field(theta.values[None, :], True)
+            expected_value, raw = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
+            proj = project_gradient(theta, raw)
+            assert np.array_equal(G[0], proj) and np.array_equal(factor, step_factor(raw, proj, "rescaled"))
+            assert value == expected_value == self.direct_risk(theta, measure, f, r, resolution)
+            assert deviation == max_constraint_deviation(theta)
+            assert (risk(theta, measure, other, r=r, resolution=resolution)
+                    == self.direct_risk(theta, measure, other, r, resolution))
+            X, w = self.direct_nodes(theta, measure, None, r, resolution)
+            assert np.array_equal(hidden_mean(theta, measure, r=r, resolution=resolution),
+                                  forward(theta, X, r=r)[1][-1].T @ w)
+
+    @pytest.mark.parametrize("setup", sorted(SETUPS))
+    def test_target_evaluated_once_per_run_on_a_fixed_node_set(self, setup):
+        # a grid or a discrete measure: one evaluation per descent run; the
+        # exact path: one per field call (3 steps and the last state)
+        dims, measure, resolution, r = self.SETUPS[setup]
+        arch = Architecture(dims)
+        f = self.targets(dims)[0]
+        calls = []
+        counting = TargetFunction(lambda x: calls.append(len(x)) or f(x), f.out_dim, f.breakpoints)
+        xi = random_params(arch, np.random.default_rng(32))
+        rec = gd_run(xi, measure, counting, 3, 1e-2, r=r, resolution=resolution)
+        fixed = measure.kind == "discrete" or dims != (1, 8, 1)
+        assert len(calls) == (1 if fixed else 4)
+        expected = gd_run(xi, measure, f, 3, 1e-2, r=r, resolution=resolution)
+        assert np.array_equal(rec.states, expected.states) and np.array_equal(rec.risk, expected.risk)

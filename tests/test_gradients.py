@@ -375,7 +375,7 @@ class TestTextbookBackprop:
             theta, measure, f = self.problem(dims, measure_name, seed)
             resolution = None if dims[0] == 1 else 12
             rows = network._layer_rows(theta.arch, theta.values)
-            X, w = network._nodes_for(theta.arch, rows, measure, f.breakpoints, r, resolution)
+            X, w, _ = network._NodePlan(theta.arch, measure, f, r, resolution).nodes(rows)
             ref_value, ref_grad = self.textbook(theta, X, w, f, r)
             value, grad = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)

@@ -198,6 +198,23 @@ class TestTargets:
             np.testing.assert_array_equal(f(s), ref)
             assert f(float(s[0])) == ref[0]
 
+    @pytest.mark.parametrize("coeffs", [((0.5, -2.0), (1.0, 0.25, -3.0), (-0.0,)), ((1.5, -0.5),)],
+                             ids=["three pieces", "one piece"])
+    def test_evaluation_is_polyval_bit_for_bit_at_special_points(self, coeffs):
+        # polyval's first step c[-1] + s * 0.0 on the piece's coefficients,
+        # zero-padded to the top degree: signed zeros, nan and inf included
+        breaks = (-0.5, 0.0, 0.75, 2.0)[: len(coeffs) + 1]
+        f = PiecewisePolynomial(breaks, coeffs)
+        pad = max(map(len, coeffs))
+        s = np.array(list(breaks) + [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, -3.0, 5.0,
+                                     np.nextafter(breaks[1], -np.inf), np.nextafter(breaks[-1], np.inf)])
+        piece = np.clip(np.searchsorted(breaks[1:-1], s, side="right"), 0, len(coeffs) - 1)
+        with np.errstate(invalid="ignore"):  # inf * 0.0
+            ref = np.array([np.polynomial.polynomial.polyval(x, coeffs[j] + (0.0,) * (pad - len(coeffs[j])))
+                            for x, j in zip(s, piece)])
+            assert f(s).tobytes() == ref.tobytes()
+            assert all(np.float64(f(float(x))).tobytes() == r.tobytes() for x, r in zip(s, ref))
+
     def test_empty_interval_moments_vanish(self):
         f = affine_target(0.0, 1.0)
         A, B = f.partial_moments(np.array([0.7]), np.array([0.2]), f.mean())
