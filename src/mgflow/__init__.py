@@ -9,12 +9,7 @@ closed-form treatment of the one-hidden-neuron case with Lyapunov monitors,
 and a seeded experiment CLI.
 """
 
-from .params import (
-    Architecture,
-    NeuronKey,
-    ParamVector,
-    random_params,
-)
+from .params import Architecture, ParamVector, random_params
 from .quadrature import (
     InputMeasure,
     QuadratureError,
@@ -36,11 +31,9 @@ from .smoothing import INF, smoothed_act, smoothed_act_deriv
 from .network import exact_breakpoints, forward, hidden_mean, realize, risk
 from .gradients import fd_gradient, generalized_gradient, risk_and_gradient
 from .manifold import (
-    grad_psi,
     max_constraint_deviation,
     min_subvector_norm,
     project_gradient,
-    psi,
     random_on_manifold,
     renormalize,
     rescale_cascade,

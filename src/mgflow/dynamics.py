@@ -35,7 +35,7 @@ from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* 
 )
 from .network import _NodePlan
 from .network import risk  # noqa: F401  (bench/tracing.py wraps dynamics.risk)
-from .params import ParamVector
+from .params import ParamVector, _number
 from .quadrature import InputMeasure, QuadratureError
 from .smoothing import INF
 from .targets import TargetFunction
@@ -52,16 +52,16 @@ def check_schedule(t_end, step, integrator, gamma, record_every, error=ValueErro
     def bad(name, why):
         raise error(f"config field '{name}': {why}")
 
-    if not (isinstance(t_end, numbers.Real) and 0 < t_end < np.inf):
+    if not (_number(t_end) and 0 < t_end < np.inf):
         bad("t_end", f"must be a positive finite number, got {t_end!r}")
-    if not (isinstance(step, numbers.Real) and 0 < step <= t_end and t_end / step < np.inf):
+    if not (_number(step) and 0 < step <= t_end and t_end / step < np.inf):
         bad("step", f"must be a number with 0 < step <= t_end and a finite t_end / step, got {step!r}")
     if integrator not in ("euler", "rk4"):
         bad("integrator", f"must be euler|rk4, got {integrator!r}")
     rescaled = isinstance(gamma, str) and gamma == "rescaled"
-    if not (rescaled or isinstance(gamma, numbers.Real) and gamma >= 0):
+    if not (rescaled or _number(gamma) and gamma >= 0):
         bad("gamma", f"must be a nonnegative number or 'rescaled', got {gamma!r}")
-    if not (isinstance(record_every, numbers.Integral) and record_every >= 1):
+    if not (_number(record_every, numbers.Integral) and record_every >= 1):
         bad("record_every", f"must be an integer >= 1, got {record_every!r}")
 
 

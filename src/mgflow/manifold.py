@@ -1,37 +1,24 @@
 """Unit-norm constraints on hidden neurons and the associated projections.
 
-Each hidden neuron's incoming weights plus bias form a subvector V; the
-constraint value is psi = |V|^2 and the constraint set is the joint level set
-{psi = 1}.  Constraint gradients of distinct neurons live on disjoint
-coordinates, so removing the components of a raw gradient along their unit
-normals is an orthogonal projection onto the common tangent space.
+Each hidden neuron's incoming weights plus bias form a row V of [W_k | b_k]
+(`Architecture.subvector_rows`); its constraint value is psi = |V|^2, with
+gradient 2V on the row and zero elsewhere, and the constraint set is the
+joint level set {psi = 1}, a product of spheres (the oblique manifold).  Rows
+of distinct neurons are disjoint, so removing the components of a raw gradient
+along their unit normals is an orthogonal projection onto the tangent space.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .params import Architecture, NeuronKey, ParamVector, random_params
+from .params import Architecture, ParamVector, random_params
 
 
 def rho(x: np.ndarray) -> np.ndarray:
     """x / |x| for nonzero x, zero for zero x, nan for non-finite x (see `_unit_rows`)."""
     x = np.asarray(x, dtype=float)
     return _unit_rows(x.reshape(1, -1))[0].reshape(x.shape)
-
-
-def psi(theta: ParamVector, key: NeuronKey) -> float:
-    """Squared norm of the neuron's subvector (defined for every layer)."""
-    v = theta.neuron_subvector(key)
-    return float(v @ v)
-
-
-def grad_psi(theta: ParamVector, key: NeuronKey) -> np.ndarray:
-    """Gradient of psi: 2V on the neuron's coordinates, zero elsewhere."""
-    out = np.zeros(theta.arch.param_count)
-    idx = theta.arch.neuron_indices(key)
-    out[idx] = 2.0 * theta.values[idx]
-    return out
 
 
 def _unit_rows(V: np.ndarray):
@@ -80,10 +67,10 @@ def _tangent_rows(V: np.ndarray, G: np.ndarray):
 def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
     """Remove raw_grad's components along each hidden neuron's unit normal.
 
-    The normal directions rho(grad psi) = V/|V| are orthonormal (disjoint
-    supports), so this is an orthogonal projection; subtracting
-    <grad psi, g> grad psi / |grad psi|^2 instead is algebraically the same
-    map wherever V is nonzero.  Neurons with V = 0 contribute nothing.
+    On each hidden row V the normal of psi = |V|^2 is 2V, with unit form
+    V/|V|; these are orthonormal (disjoint rows), so this is an orthogonal
+    projection; subtracting <2V, g> 2V / |2V|^2 instead is algebraically the
+    same map wherever V is nonzero.  Rows with V = 0 contribute nothing.
     """
     out = np.array(raw_grad, dtype=float)
     if out.shape != (theta.arch.param_count,):

@@ -2,17 +2,24 @@
 
 A network with layer widths (l_0, ..., l_L) stores all weights and biases in
 one flat vector.  Layer k occupies a contiguous block: first the weight matrix
-in row-major order, then the biases.  Layer and neuron numbers are 1-based
-(`NeuronKey`, the k of `layer(k)`); flat positions, as `neuron_indices` and
-`subvector_rows` return them, are 0-based.
+in row-major order, then the biases.  Hidden neuron i of layer k is row i - 1
+of [W_k | b_k], whose flat positions are `subvector_rows[k - 1][i - 1]`.  Layer
+and neuron numbers (the k of `layer(k)`, the i of `neuron_indices(k, i)`) are
+1-based; flat positions are 0-based.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _number(x, kind=numbers.Real) -> bool:
+    """x is an instance of kind and not a bool: JSON's true and false are not numbers."""
+    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -22,6 +29,8 @@ class Architecture:
     layer_dims: tuple[int, ...]
 
     def __post_init__(self):
+        if not all(_number(d, numbers.Integral) for d in self.layer_dims):
+            raise ValueError(f"layer widths must be integers, got {self.layer_dims!r}")
         dims = tuple(int(d) for d in self.layer_dims)
         object.__setattr__(self, "layer_dims", dims)
         if len(dims) < 3:
@@ -45,14 +54,6 @@ class Architecture:
             raise ValueError(f"layer index {k} out of range 1..{self.depth}")
         return self.layer_table[k - 1]
 
-    def hidden_keys(self) -> list["NeuronKey"]:
-        """All hidden-neuron keys (k, i), k in 1..L-1, i in 1..l_k."""
-        return [
-            NeuronKey(k, i)
-            for k in range(1, self.depth)
-            for i in range(1, self.layer_dims[k] + 1)
-        ]
-
     @functools.cached_property
     def subvector_rows(self) -> tuple[np.ndarray, ...]:
         """Per layer k = 1..L, the 0-based flat positions of [W_k | b_k]: row
@@ -65,23 +66,14 @@ class Architecture:
             rows.append(idx)
         return tuple(rows)
 
-    def neuron_indices(self, key: "NeuronKey") -> np.ndarray:
-        """0-based flat positions of neuron (k, i)'s incoming weights + bias."""
-        k, i = key.layer, key.index
+    def neuron_indices(self, k: int, i: int) -> np.ndarray:
+        """A copy of `subvector_rows[k - 1][i - 1]`, with k and i range-checked."""
         self.layer(k)
         if not 1 <= i <= self.layer_dims[k]:
             raise ValueError(
                 f"neuron index {i} out of range 1..{self.layer_dims[k]} in layer {k}"
             )
         return self.subvector_rows[k - 1][i - 1].copy()
-
-
-@dataclass(frozen=True)
-class NeuronKey:
-    """Identifies neuron i (1-based) in layer k (1-based)."""
-
-    layer: int
-    index: int
 
 
 @dataclass
@@ -116,10 +108,6 @@ class ParamVector:
     def biases(self, k: int) -> np.ndarray:
         """Writable (l_k,) view of layer k's bias vector."""
         return self.values[self.arch.layer(k)[2]]
-
-    def neuron_subvector(self, key: NeuronKey) -> np.ndarray:
-        """Incoming weights followed by the bias of one neuron (a copy)."""
-        return self.values[self.arch.neuron_indices(key)]
 
 
 def random_params(arch: Architecture, rng: np.random.Generator, scale: float = 1.0) -> ParamVector:

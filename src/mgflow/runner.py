@@ -18,7 +18,7 @@ import numpy as np
 
 from . import one_neuron as on
 from .dynamics import FlowConfig, TrajectoryRecord, check_schedule, gd_run, integrate_flow
-from .params import Architecture, ParamVector, random_params
+from .params import Architecture, ParamVector, _number, random_params
 from .quadrature import InputMeasure, discrete_measure, uniform_measure
 from .smoothing import INF
 from .targets import (
@@ -74,7 +74,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
     def integer(name, low):
         value = getattr(cfg, name)
-        if not (isinstance(value, numbers.Integral) and value >= low):
+        if not (_number(value, numbers.Integral) and value >= low):
             bad(name, f"must be an integer >= {low}, got {value!r}")
 
     if cfg.mode not in ("flow", "gd", "one-neuron"):
@@ -83,10 +83,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if not isinstance(getattr(cfg, name), dict):
             bad(name, f"must be an object, got {getattr(cfg, name)!r}")
     try:
-        if not all(isinstance(d, numbers.Integral) and not isinstance(d, bool) for d in cfg.architecture):
-            raise ValueError(f"layer widths must be integers, got {cfg.architecture!r}")
-        cfg.architecture = tuple(int(d) for d in cfg.architecture)
-        Architecture(cfg.architecture)
+        cfg.architecture = Architecture(cfg.architecture).layer_dims
     except (TypeError, ValueError) as e:
         bad("architecture", str(e))
     if cfg.mode == "one-neuron":
@@ -102,12 +99,12 @@ def validate_config(cfg: ExperimentConfig) -> None:
     integer("seed", 0)
     if cfg.quad_nodes is not None:
         integer("quad_nodes", 2)
-    if cfg.smoothing_r is not None and not (isinstance(cfg.smoothing_r, numbers.Real) and cfg.smoothing_r >= 1):
+    if cfg.smoothing_r is not None and not (_number(cfg.smoothing_r) and cfg.smoothing_r >= 1):
         bad("smoothing_r", f"must be a number >= 1, got {cfg.smoothing_r!r}")
-    if not isinstance(cfg.t3_scale, numbers.Real):
+    if not _number(cfg.t3_scale):
         bad("t3_scale", f"must be a number, got {cfg.t3_scale!r}")
     if cfg.theta0 is not None:
-        if not (isinstance(cfg.theta0, (list, tuple)) and all(isinstance(v, numbers.Real) for v in cfg.theta0)):
+        if not (isinstance(cfg.theta0, (list, tuple)) and all(_number(v) for v in cfg.theta0)):
             bad("theta0", "must be a list of numbers")
         want = 3 if cfg.mode == "one-neuron" else Architecture(cfg.architecture).param_count
         if len(cfg.theta0) != want:
@@ -115,10 +112,10 @@ def validate_config(cfg: ExperimentConfig) -> None:
 
 
 def _finite(value) -> np.ndarray:
-    """A config value as a float array; null, text (numeric text too) and
-    non-finite entries raise."""
-    arr = np.asarray(value)
-    if arr.dtype.kind not in "biuf" or not np.all(np.isfinite(arr)):
+    """A config value as a float array; null, booleans (inside a list of
+    numbers too), text (numeric text too) and non-finite entries raise."""
+    arr, entries = np.asarray(value), np.asarray(value, dtype=object).flat
+    if arr.dtype.kind not in "iuf" or any(isinstance(v, bool) for v in entries) or not np.all(np.isfinite(arr)):
         raise ValueError(f"expected finite numbers, got {value!r}")
     return arr.astype(float)
 

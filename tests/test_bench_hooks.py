@@ -2,8 +2,11 @@
 their callers look them up.  Some of those names are re-exports that look
 unused inside the package, such as `dynamics.risk`,
 `dynamics.generalized_gradient` and `gradients.forward`; deleting one breaks
-the benchmark, not the package.  Installing the tracer must find every hook,
-and uninstalling it must put every original back."""
+the benchmark, not the package.  `Architecture.neuron_indices` is kept only
+for the tracer's `params.neuron_indices` counter: no package code calls it,
+since the package reaches a neuron through `Architecture.subvector_rows`.
+Installing the tracer must find every hook, and uninstalling it must put every
+original back."""
 
 import importlib.util
 from pathlib import Path

@@ -76,10 +76,20 @@ class TestConfigValidation:
         ("gamma", "flow", {"gamma": None}),
         ("target", "flow", {"target": {"name": "abs_offset", "center": "0.3"}}),
         ("measure", "flow", {"measure": {"kind": "uniform", "a": "0", "b": 1.0}}),
+        ("gamma", "flow", {"gamma": True}),
+        ("steps", "gd", {"steps": True}),
+        ("seed", "flow", {"seed": True}),
+        ("t_end", "flow", {"t_end": True, "step": True}),
+        ("step", "flow", {"step": True}),
+        ("record_every", "flow", {"record_every": True}),
+        ("smoothing_r", "flow", {"smoothing_r": True}),
+        ("theta0", "flow", {"theta0": [True] + [0.5] * 24}),
+        ("t3_scale", "one-neuron", {"architecture": [1, 1, 1], "t3_scale": True}),
     ])
     def test_mistyped_field_named(self, name, mode, raw, tmp_path):
-        # each of these ended in a traceback, or (reproject) ran silently
-        # with the retraction on; the config names the field and writes nothing
+        # each of these ended in a traceback, or ran silently: reproject with
+        # the retraction on, a JSON boolean as the number 0 or 1; the config
+        # names the field and writes nothing
         with pytest.raises(ConfigError, match=f"'{name}'"):
             run_experiment(config_from_dict({"mode": mode, **raw, "out": str(tmp_path / "out")}))
         assert not list(tmp_path.iterdir())
@@ -101,10 +111,14 @@ class TestConfigValidation:
                     "target": {"name": "affine_map", "weights": [[1.0]], "offset": [0.0]}}),
         ("target", {"architecture": [2, 3, 1], "target": {"name": "constant", "value": None}}),
         ("target", {"architecture": [2, 3, 1], "target": {"name": "constant", "value": "a"}}),
+        ("target", {"target": {"name": "abs_offset", "center": True}}),
+        ("target", {"target": {"name": "piecewise_linear", "knots": [[0.0, False], [1.0, True]]}}),
+        ("measure", {"measure": {"kind": "uniform", "a": False, "b": True}}),
     ])
     def test_bad_shape_named(self, name, raw, tmp_path):
         # integral floats and booleans were truncated into layer widths; null
-        # entries ended in a TypeError traceback or turned into nan
+        # entries ended in a TypeError traceback or turned into nan; boolean
+        # scalars built as 0 and 1
         with pytest.raises(ConfigError, match=f"config field '{name}'"):
             run_experiment(config_from_dict({"mode": "flow", "t_end": 0.002, **raw, "out": str(tmp_path)}))
         assert not list(tmp_path.iterdir())

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mgflow import (
     Architecture,
     FlowConfig,
-    NeuronKey,
     ParamVector,
     TargetFunction,
     TrajectoryRecord,
@@ -17,7 +16,6 @@ from mgflow import (
     forward,
     gd_run,
     generalized_gradient,
-    grad_psi,
     hidden_mean,
     integrate_flow,
     max_constraint_deviation,
@@ -129,8 +127,9 @@ class TestIntegrateFlow:
         for state in rec.states:
             theta = ParamVector(arch, state)
             G = project_gradient(theta, generalized_gradient(theta, MU, F))
-            for key in arch.hidden_keys():
-                assert abs(G @ grad_psi(theta, key)) <= 1e-12
+            for rows in arch.subvector_rows[:-1]:
+                for idx in rows:  # grad psi is 2V on the hidden row V, zero elsewhere
+                    assert abs(G[idx] @ (2.0 * theta.values[idx])) <= 1e-12
 
 
     def test_one_node_set_per_rhs_evaluation(self, monkeypatch):
@@ -220,7 +219,7 @@ class TestGradientDescent:
         # finite states, so only the (finite) start counts it
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(42))
-        xi.values[arch.neuron_indices(NeuronKey(1, 2))] = 0.0
+        xi.values[arch.subvector_rows[0][1]] = 0.0
         f = TargetFunction.from_scalar(affine_target(0.0, 100.0))
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.warns(RuntimeWarning, match="zero hidden subvector"):
@@ -254,7 +253,7 @@ class TestGradientDescent:
         # the start and each of the 5 retracted states count once
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(47))
-        xi.values[arch.neuron_indices(NeuronKey(1, 2))] = 0.0
+        xi.values[arch.subvector_rows[0][1]] = 0.0
         with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
             rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.05, step=1e-2, integrator="euler"))
         assert rec.degenerate_events == 6
@@ -266,8 +265,8 @@ class TestGradientDescent:
         # each retracted state count 2, for the flow and for descent alike
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(49))
-        for k in (1, 2):
-            xi.values[arch.neuron_indices(NeuronKey(1, k))] = 0.0
+        for i in (1, 2):
+            xi.values[arch.subvector_rows[0][i - 1]] = 0.0
         with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
             rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.05, step=1e-2, integrator="euler"))
         assert rec.degenerate_events == 2 + 5 * 2
@@ -303,9 +302,8 @@ class TestRescaledGamma:
         theta = random_on_manifold(arch, rng)
         tangent = project_gradient(theta, rng.standard_normal(arch.param_count))
         normal = np.zeros(arch.param_count)
-        for key in arch.hidden_keys():
-            idx = arch.neuron_indices(key)
-            normal[idx] += 0.7 * theta.values[idx]
+        for rows in arch.subvector_rows[:-1]:
+            normal[rows] += 0.7 * theta.values[rows]
         mix = tangent + normal
         cos2 = (tangent @ tangent) / (mix @ mix)
         got = (mix @ mix) / (project_gradient(theta, mix) @ project_gradient(theta, mix))

@@ -5,14 +5,23 @@ The acceptance suite's determinism criterion compares two runs of the same
 code; these digests compare the code with the recorded outputs, so a
 refactor that changes a single output bit fails here.  A deliberate numeric
 change must update the digests and say so in CHANGES.md.
+
+The digests hold under one OpenBLAS kernel: another kernel rounds the network
+pass's matrix products in another order, so a failure names the kernel the
+digests were recorded under and the one this run used.
 """
 
+import ctypes
 import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mgflow.runner import ExperimentConfig, run_experiment
+
+RECORDED_UNDER = "SkylakeX"  # the OpenBLAS kernel that wrote DIGESTS
 
 AFFINE_MAP = {"name": "affine_map", "weights": [[0.5, -0.3]], "offset": [0.1]}
 
@@ -84,6 +93,19 @@ DIGESTS = {
 }
 
 
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked at load time (as
+    OPENBLAS_CORETYPE names it), or "unknown" without a bundled OpenBLAS."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def output_digests(name, out):
     run_experiment(ExperimentConfig(out=str(out), **CONFIGS[name]))
     summary = json.loads((out / "summary.json").read_text())
@@ -96,4 +118,5 @@ def output_digests(name, out):
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 def test_output_bytes_match_the_recorded_digests(name, tmp_path):
-    assert output_digests(name, tmp_path) == DIGESTS[name]
+    assert output_digests(name, tmp_path) == DIGESTS[name], (
+        f"digests recorded under the OpenBLAS kernel {RECORDED_UNDER}; this run used {blas_core()}")

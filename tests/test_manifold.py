@@ -6,13 +6,10 @@ from hypothesis.extra.numpy import arrays
 
 from mgflow import (
     Architecture,
-    NeuronKey,
     ParamVector,
-    grad_psi,
     max_constraint_deviation,
     min_subvector_norm,
     project_gradient,
-    psi,
     random_params,
     renormalize,
     rescale_cascade,
@@ -20,7 +17,21 @@ from mgflow import (
     rescale_layer,
     rho,
 )
-from mgflow.manifold import zero_rows
+from mgflow.manifold import _unit_rows, zero_rows
+
+
+def _hidden_rows(arch):
+    """The flat positions of every hidden row [W_k | b_k], neuron (k, i) by
+    neuron, in the order k = 1..L-1, i = 1..l_k."""
+    return [idx for rows in arch.subvector_rows[:-1] for idx in rows]
+
+
+def _normal(theta, idx):
+    """The gradient of psi = |V|^2 for the hidden row V at idx: 2V on the
+    row, zero elsewhere."""
+    out = np.zeros(theta.arch.param_count)
+    out[idx] = 2.0 * theta.values[idx]
+    return out
 
 
 class TestRho:
@@ -44,29 +55,34 @@ class TestConstraints:
     def test_values_and_gradient(self):
         arch = Architecture((1, 1, 1))
         theta = ParamVector(arch, np.array([3.0, 4.0, 2.0, 5.0]))
-        key = NeuronKey(1, 1)
-        assert psi(theta, key) == pytest.approx(25.0)
-        g = grad_psi(theta, key)
-        np.testing.assert_allclose(g, [6.0, 8.0, 0.0, 0.0])
+        idx = arch.subvector_rows[0][0]
+        np.testing.assert_array_equal(idx, [0, 1])
+        assert _unit_rows(theta.values[arch.subvector_rows[0]])[2][0] == pytest.approx(25.0)
+        np.testing.assert_allclose(_normal(theta, idx), [6.0, 8.0, 0.0, 0.0])
 
     def test_zero_subvector(self):
         arch = Architecture((1, 2, 1))
         theta = ParamVector(arch)
-        key = NeuronKey(1, 1)
-        assert psi(theta, key) == 0.0
-        np.testing.assert_array_equal(grad_psi(theta, key), np.zeros(arch.param_count))
+        idx = arch.subvector_rows[0][0]
+        assert _unit_rows(theta.values[arch.subvector_rows[0]])[2][0] == 0.0
+        np.testing.assert_array_equal(_normal(theta, idx), np.zeros(arch.param_count))
+        raw = np.arange(1.0, arch.param_count + 1)  # a zero normal removes nothing
+        np.testing.assert_array_equal(project_gradient(theta, raw)[idx], raw[idx])
 
     def test_distinct_keys_have_orthogonal_gradients(self):
         rng = np.random.default_rng(20)
         arch = Architecture((2, 3, 2, 1))
         theta = random_params(arch, rng)
-        keys = arch.hidden_keys()
-        for a in keys:
-            ga = grad_psi(theta, a)
-            assert np.count_nonzero(ga) <= arch.layer_dims[a.layer - 1] + 1
-            for b in keys:
+        rows = _hidden_rows(arch)
+        sizes = [arch.layer_dims[k - 1] + 1 for k in range(1, arch.depth) for _ in range(arch.layer_dims[k])]
+        assert [idx.size for idx in rows] == sizes
+        assert np.unique(np.concatenate(rows)).size == sum(sizes)  # disjoint rows
+        for a, ia in enumerate(rows):
+            ga = _normal(theta, ia)
+            assert np.count_nonzero(ga) <= ia.size
+            for b, ib in enumerate(rows):
                 if a != b:
-                    assert ga @ grad_psi(theta, b) == 0.0
+                    assert ga @ _normal(theta, ib) == 0.0
 
 
 class TestProjection:
@@ -74,16 +90,16 @@ class TestProjection:
         rng = np.random.default_rng(21)
         arch = Architecture((1, 3, 1))
         theta = random_params(arch, rng)
-        key = NeuronKey(1, 2)
-        out = project_gradient(theta, grad_psi(theta, key))
-        np.testing.assert_allclose(out[arch.neuron_indices(key)], 0.0, atol=1e-14)
+        idx = arch.subvector_rows[0][1]
+        out = project_gradient(theta, _normal(theta, idx))
+        np.testing.assert_allclose(out[idx], 0.0, atol=1e-14)
 
     def test_output_layer_coordinates_untouched(self):
         rng = np.random.default_rng(22)
         arch = Architecture((1, 3, 1))
         theta = random_params(arch, rng)
         raw = np.zeros(arch.param_count)
-        out_idx = arch.neuron_indices(NeuronKey(2, 1))
+        out_idx = arch.subvector_rows[1][0]
         raw[out_idx] = rng.standard_normal(out_idx.size)
         np.testing.assert_array_equal(project_gradient(theta, raw), raw)
 
@@ -94,8 +110,8 @@ class TestProjection:
             theta = rescale_full(random_params(arch, rng))
             raw = rng.standard_normal(arch.param_count)
             proj = project_gradient(theta, raw)
-            for key in arch.hidden_keys():
-                assert abs(proj @ grad_psi(theta, key)) <= 1e-12
+            for idx in _hidden_rows(arch):
+                assert abs(proj @ _normal(theta, idx)) <= 1e-12
 
     def test_idempotent_self_adjoint_contraction(self):
         rng = np.random.default_rng(24)
@@ -116,8 +132,8 @@ class TestProjection:
         theta = random_params(arch, rng)
         raw = rng.standard_normal(arch.param_count)
         manual = raw.copy()
-        for key in arch.hidden_keys():
-            n = grad_psi(theta, key)
+        for idx in _hidden_rows(arch):
+            n = _normal(theta, idx)
             manual -= (n @ manual) / (n @ n) * n
         np.testing.assert_allclose(project_gradient(theta, raw), manual, atol=1e-13)
 
@@ -142,8 +158,8 @@ class TestRenormalize:
         arch = Architecture((1, 2, 1))
         theta = ParamVector(arch, np.array([0.0, 3.0, 0.0, 4.0, 1.0, 1.0, 0.0]))
         out = renormalize(theta)
-        np.testing.assert_array_equal(out.neuron_subvector(NeuronKey(1, 1)), [0.0, 0.0])
-        np.testing.assert_allclose(out.neuron_subvector(NeuronKey(1, 2)), [0.6, 0.8])
+        np.testing.assert_array_equal(out.values[arch.subvector_rows[0][0]], [0.0, 0.0])
+        np.testing.assert_allclose(out.values[arch.subvector_rows[0][1]], [0.6, 0.8])
 
     def test_involution_property(self):
         rng = np.random.default_rng(27)
@@ -168,7 +184,7 @@ class TestRescaleCascade:
         out = rescale_layer(theta, 1)
         assert out.weights(2)[0, 0] == 0.0
         assert out.weights(2)[0, 1] == pytest.approx(-5.0)
-        np.testing.assert_array_equal(out.neuron_subvector(NeuronKey(1, 1)), [0.0, 0.0])
+        np.testing.assert_array_equal(out.values[arch.subvector_rows[0][0]], [0.0, 0.0])
 
     def test_full_cascade_is_the_layer_composition(self):
         rng = np.random.default_rng(29)
@@ -221,9 +237,9 @@ class TestScaleSafeNorms:
         arch = Architecture((1, 2, 1))
         theta = ParamVector(arch, self.TINY.copy())
         assert zero_rows(theta) == 0
-        theta.values[arch.neuron_indices(NeuronKey(1, 2))] = 0.0
+        theta.values[arch.subvector_rows[0][1]] = 0.0
         assert zero_rows(theta) == 1
-        theta.values[arch.neuron_indices(NeuronKey(2, 1))] = 0.0  # the output row never counts
+        theta.values[arch.subvector_rows[1][0]] = 0.0  # the output row never counts
         assert zero_rows(theta) == 1
         theta.values[0] = np.nan
         assert zero_rows(theta) == 0
@@ -237,14 +253,14 @@ class TestScaleSafeNorms:
 
     def test_rescale_absorbs_the_true_norm(self):
         out = rescale_layer(ParamVector(Architecture((1, 2, 1)), self.TINY.copy()), 1)
-        np.testing.assert_allclose(out.neuron_subvector(NeuronKey(1, 1)), [0.6, 0.8], rtol=1e-15)
+        np.testing.assert_allclose(out.values[out.arch.subvector_rows[0][0]], [0.6, 0.8], rtol=1e-15)
         assert out.weights(2)[0, 0] == pytest.approx(1e-169, rel=1e-15, abs=0)
 
     def test_huge_subvector(self):
         # the squares of (3e300, 4e300) overflow
         theta = ParamVector(Architecture((1, 2, 1)), np.array([3e300, 1.0, 4e300, 0.0, 2.0, -1.0, 0.5]))
         out = rescale_layer(theta, 1)
-        np.testing.assert_allclose(out.neuron_subvector(NeuronKey(1, 1)), [0.6, 0.8], rtol=1e-15)
+        np.testing.assert_allclose(out.values[out.arch.subvector_rows[0][0]], [0.6, 0.8], rtol=1e-15)
         assert out.weights(2)[0, 0] == pytest.approx(1e301, rel=1e-15, abs=0)
         np.testing.assert_array_equal(renormalize(theta).values[:4], out.values[:4])
 
@@ -255,12 +271,11 @@ def _per_neuron_reference(theta, raw):
     proj = np.array(raw, dtype=float)
     unit = theta.copy()
     devs = []
-    for key in arch.hidden_keys():
-        idx = arch.neuron_indices(key)
-        u = rho(grad_psi(theta, key)[idx])
+    for idx in _hidden_rows(arch):
+        u = rho(_normal(theta, idx)[idx])
         proj[idx] -= (u @ proj[idx]) * u
         unit.values[idx] = rho(theta.values[idx])
-        devs.append(abs(psi(theta, key) - 1.0))
+        devs.append(abs(theta.values[idx] @ theta.values[idx] - 1.0))
     return proj, unit.values, float(np.max(devs))
 
 
@@ -273,16 +288,15 @@ class TestRowwiseAgainstPerNeuron:
         arch = Architecture(dims)
         theta = random_params(arch, rng, scale=rng.choice([1e-3, 1.0, 1e3]))
         raw = rng.standard_normal(arch.param_count)
-        keys = arch.hidden_keys()
-        key = keys[rng.integers(len(keys))]
+        rows = _hidden_rows(arch)
+        idx = rows[rng.integers(len(rows))]
         if special != "none":
             value = {"zero": 0.0, "nan": np.nan, "inf": np.inf}[special]
-            theta.values[arch.neuron_indices(key)] = value
+            theta.values[idx] = value
         proj, unit, dev = _per_neuron_reference(theta, raw)
         np.testing.assert_allclose(project_gradient(theta, raw), proj, rtol=0, atol=1e-15)
         np.testing.assert_allclose(renormalize(theta).values, unit, rtol=0, atol=1e-15)
         np.testing.assert_allclose(max_constraint_deviation(theta), dev, rtol=0, atol=1e-15)
-        idx = arch.neuron_indices(key)
         if special == "zero":  # stays zero and leaves the gradient alone
             assert not renormalize(theta).values[idx].any()
             np.testing.assert_array_equal(project_gradient(theta, raw)[idx], raw[idx])
