@@ -36,7 +36,7 @@ from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* 
 from .network import _NodePlan
 from .network import risk  # noqa: F401  (bench/tracing.py wraps dynamics.risk)
 from .params import ParamVector, _number
-from .quadrature import InputMeasure, QuadratureError
+from .quadrature import InputMeasure, QuadratureError, quiet
 from .smoothing import INF
 from .targets import TargetFunction
 
@@ -135,19 +135,20 @@ class TrajectoryRecord:
 
 
 def step_factor(raw, proj, gamma):
-    """The step factor per row: a number passes through, and "rescaled" gives
-    |raw|^2 / |proj|^2, capped at GAMMA_CAP and 0 where proj vanishes."""
+    """The step factor per row: a number passes through, and "rescaled" gives |raw|^2 /
+    |proj|^2, capped at GAMMA_CAP and 0 where proj vanishes (the caller sets the error state)."""
     if not isinstance(gamma, str):
         return float(gamma)
     raw2 = np.sum(raw**2, axis=-1)
     g2 = np.sum(proj**2, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(g2 > 0.0, np.minimum(raw2 / g2, GAMMA_CAP), 0.0)
+    return np.where(g2 > 0.0, np.minimum(raw2 / g2, GAMMA_CAP), 0.0)
 
 
+@quiet
 def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
     """Advance a (B, P) batch of rows in lockstep through n_steps explicit
     Euler or RK4 steps of dY/dt = -gamma * G, retracting every new state.
+    It runs under `quadrature.quiet`; the field and `retract` set no error state.
 
     `field(Y, record)` returns (G, gamma, diagnostics) at the state Y alone;
     gamma is one number or one per row, and diagnostics, needed only when
@@ -155,7 +156,8 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
     rows and how many zero hidden rows they hold; the record's
     `degenerate_events` sums those counts over the run.  A row is frozen at its last valid state once
     its retracted state is non-finite or exceeds DIVERGENCE_GUARD; the run
-    ends when no row is left.
+    ends when no row is left.  A QuadratureError from the field at RK4
+    stages 2 to 4 makes the step non-finite; one at a recorded state propagates.
 
     Returns the batch record of the rows at step 0, every `record_every`-th
     step, the last step, and the step that froze the last row, and beside it
@@ -186,13 +188,15 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
             rows.append((n, Y, np.sqrt(np.add.reduce(G * G, axis=-1)), diagnosed))
         if done:
             break
-        if rk4:
-            k2 = rate(Y + 0.5 * h * k1)[0]
-            k3 = rate(Y + 0.5 * h * k2)[0]
-            k4 = rate(Y + h * k3)[0]
-            Y_new, zero_rows = retract(Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-        else:
-            Y_new, zero_rows = retract(Y + h * k1)
+        try:
+            if rk4:
+                k2 = rate(Y + 0.5 * h * k1)[0]
+                k3 = rate(Y + 0.5 * h * k2)[0]
+                k4 = rate(Y + h * k3)[0]
+            Y_new = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) if rk4 else Y + h * k1
+        except QuadratureError:  # the field failed at a stage state: the step is non-finite
+            Y_new = np.full_like(Y, np.nan)
+        Y_new, zero_rows = retract(Y_new)
         events += zero_rows
         size = np.abs(Y_new)
         if not size.max() <= DIVERGENCE_GUARD:  # some row is over the guard or not finite

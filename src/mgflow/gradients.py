@@ -22,7 +22,7 @@ import numpy as np
 from .network import _layer_rows, _matmul, _NodePlan, _risk_pass, risk
 from .network import forward  # noqa: F401  (bench/tracing.py wraps gradients.forward)
 from .params import ParamVector
-from .quadrature import InputMeasure, QuadratureError
+from .quadrature import InputMeasure, QuadratureError, quiet
 from .smoothing import INF, smoothed_act_deriv
 from .targets import TargetFunction
 
@@ -73,6 +73,7 @@ def _risk_and_rows(plan: _NodePlan, values: np.ndarray) -> tuple[float, list, li
     return value, rows, grads
 
 
+@quiet
 def risk_and_gradient(
     theta: ParamVector,
     measure: InputMeasure,

@@ -13,8 +13,10 @@ from __future__ import annotations
 import numpy as np
 
 from .params import Architecture, ParamVector, random_params
+from .quadrature import quiet
 
 
+@quiet
 def rho(x: np.ndarray) -> np.ndarray:
     """x / |x| for nonzero x, zero for zero x, nan for non-finite x (see `_unit_rows`)."""
     x = np.asarray(x, dtype=float)
@@ -28,20 +30,19 @@ def _unit_rows(V: np.ndarray):
     squares lose precision, are scaled by their largest |entry| first
     (Blue 1978; LAPACK dnrm2); the squares returned stay unscaled.
 
-    Row dot products here and below use np.vecdot, which runs the kernel of
-    `a @ b`: each equals the per-vector dot product bit for bit."""
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        sq = np.vecdot(V, V)
-        n = np.sqrt(sq)
-        if 1e-140 < n.min() and n.max() < 1e140:  # false for nan too
-            return V / n[:, None], n, sq
-        off = ~((n > 1e-140) & (n < 1e140))
-        U = V / n[:, None]
-        s = np.max(np.abs(V[off]), axis=1, keepdims=True, initial=0.0)
-        X = V[off] / s
-        m = np.sqrt(np.vecdot(X, X))[:, None]
-        U[off] = np.where(s == 0.0, 0.0, X / m)
-        n[off] = np.where(s == 0.0, 0.0, s * m)[:, 0]
+    The caller sets the error state.  Row dot products here and below use
+    np.vecdot, the kernel of `a @ b`: each equals the per-vector one bit for bit."""
+    sq = np.vecdot(V, V)
+    n = np.sqrt(sq)
+    if 1e-140 < n.min() and n.max() < 1e140:  # false for nan too
+        return V / n[:, None], n, sq
+    off = ~((n > 1e-140) & (n < 1e140))
+    U = V / n[:, None]
+    s = np.max(np.abs(V[off]), axis=1, keepdims=True, initial=0.0)
+    X = V[off] / s
+    m = np.sqrt(np.vecdot(X, X))[:, None]
+    U[off] = np.where(s == 0.0, 0.0, X / m)
+    n[off] = np.where(s == 0.0, 0.0, s * m)[:, 0]
     return U, n, sq
 
 
@@ -64,6 +65,7 @@ def _tangent_rows(V: np.ndarray, G: np.ndarray):
     return G - np.vecdot(U, G)[:, None] * U, sq
 
 
+@quiet
 def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
     """Remove raw_grad's components along each hidden neuron's unit normal.
 
@@ -97,11 +99,13 @@ def _retract(arch, values: np.ndarray):
     return out, zeros if finite else 0
 
 
+@quiet
 def renormalize(theta: ParamVector) -> ParamVector:
     """Map every hidden subvector V to V/|V| (zero stays zero); output layer untouched."""
     return ParamVector(theta.arch, _retract(theta.arch, theta.values)[0])
 
 
+@quiet
 def rescale_layer(theta: ParamVector, k: int) -> ParamVector:
     """One cascade step: normalize layer k's subvectors, absorb their norms
     into layer k+1's incoming weights (biases of layer k+1 unchanged)."""
@@ -112,8 +116,7 @@ def rescale_layer(theta: ParamVector, k: int) -> ParamVector:
     idx = arch.subvector_rows[k - 1]
     U, norms, _ = _unit_rows(out.values[idx])
     out.values[idx] = U
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite result is the caller's to report
-        out.weights(k + 1)[:] = out.weights(k + 1) * norms[None, :]
+    out.weights(k + 1)[:] = out.weights(k + 1) * norms[None, :]  # the caller reports a non-finite result
     return out
 
 
@@ -133,11 +136,13 @@ def rescale_full(theta: ParamVector) -> ParamVector:
     return rescale_cascade(theta, theta.arch.depth - 1)
 
 
+@quiet
 def min_subvector_norm(theta: ParamVector) -> float:
     norms = [_unit_rows(theta.values[idx])[1] for idx in theta.arch.subvector_rows[:-1]]
     return float(np.min(np.concatenate(norms)))
 
 
+@quiet
 def zero_rows(theta: ParamVector) -> int:
     """How many hidden rows [W_k | b_k] have no nonzero entry (a row's norm is 0
     exactly when every entry is); 0 on a state with a non-finite hidden entry."""

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .params import ParamVector
-from .quadrature import InputMeasure, QuadratureError, quadrature_nodes
+from .quadrature import InputMeasure, QuadratureError, quadrature_nodes, quiet
 from .smoothing import INF, activation_knots, smoothed_act
 from .targets import TargetFunction
 
@@ -127,13 +127,13 @@ def forward(theta: ParamVector, x, r=INF):
 def _breakpoints(V1: np.ndarray, f_breaks, r) -> np.ndarray:
     """The kinks (knot - b) / w of the first layer's rows V1 = [W_1 | b_1],
     knot-major, then the 1-d array f_breaks.  A row with w = 0 gives +-inf or
-    nan, which the node build's range test drops."""
+    nan (the caller sets the error state), which the node build drops."""
     w, b = V1[:, 0], V1[:, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        pts = (0.0 - b) / w if r == INF else ((activation_knots(r)[:, None] - b) / w).ravel()
+    pts = (0.0 - b) / w if r == INF else ((activation_knots(r)[:, None] - b) / w).ravel()
     return pts if f_breaks is None else np.concatenate((pts, f_breaks))
 
 
+@quiet
 def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.ndarray]:
     """Integrand breakpoints for the exact quadrature path.
 
@@ -184,6 +184,7 @@ class _NodePlan:
         return X, w, self.f(X).T if p is None else p(X[:, 0])
 
 
+@quiet
 def hidden_mean(
     theta: ParamVector,
     measure: InputMeasure,
@@ -241,6 +242,7 @@ def _risk_pass(arch, rows, X: np.ndarray, w: np.ndarray, fX: np.ndarray, r):
     return float(sum(np.vecdot(sq, w))), ws  # vecdot: the kernel of row @ w, per row
 
 
+@quiet
 def risk(
     theta: ParamVector,
     measure: InputMeasure,

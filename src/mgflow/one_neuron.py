@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dynamics import GAMMA_CAP, TrajectoryRecord, check_schedule, fixed_step, step_factor
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, quiet
 from .targets import PiecewisePolynomial
 
 INV_SQRT2 = 2.0**-0.5
@@ -42,9 +42,8 @@ _E_FULL_T1_CAP = 0.999  # conservation monitor needs log(1 - t1^2) well conditio
 
 def _intervals(t1, t2):
     """Activity-interval ends as one (2, ...) array [lo, hi] (lo = hi when
-    empty), and q = -t2 / t1 (+-inf or nan where t1 = 0)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = -t2 / t1
+    empty), and q = -t2 / t1 (+-inf or nan where t1 = 0; the caller sets the error state)."""
+    q = -t2 / t1
     c = np.minimum(np.maximum(q, 0.0), 1.0)
     pos, ends = t1 > 0.0, np.empty((2,) + np.shape(t1))
     ends[0] = np.where(pos, c, 0.0)
@@ -52,6 +51,7 @@ def _intervals(t1, t2):
     return ends, q
 
 
+@quiet
 def _regime_codes(t1, t2):
     """0 empty, 1 full, 2 right, 3 left; plus q with inf for constant rows.
     A row is partial exactly when 0 < q < 1; rows with a nan are empty."""
@@ -194,10 +194,12 @@ def _one_pass(states: np.ndarray, problem: OneNeuronProblem, risk: bool = False)
     return G, R, L
 
 
+@quiet
 def risk_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
     return _one_pass(np.asarray(states, dtype=float), problem, True)[2]
 
 
+@quiet
 def gradient_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
     """Tangent gradient, vectorized over rows of (t1, t2, t3)."""
     return _one_pass(np.asarray(states, dtype=float), problem)[0]
@@ -241,6 +243,7 @@ def closed_integrals(theta) -> dict:
     raise ValueError(f"closed integrals need a breakpoint regime, got {tag!r}")
 
 
+@quiet
 def closed_gradient(theta, f) -> np.ndarray:
     """Fully closed gradient in the breakpoint regimes (circle points only).
 
@@ -282,17 +285,18 @@ def affine_integral_bound_check(alpha: float, beta: float, interval) -> bool:
     return lhs >= rhs - 1e-12 * (1.0 + abs(lhs) + abs(rhs))
 
 
+@quiet
 def lyapunov_values(states: np.ndarray):
     """(E_full, V_right, V_left) arrays; E_full is nan where |t1| >= 1."""
     states = np.asarray(states, dtype=float)
     t1, t3 = states[..., 0], states[..., 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        E = np.where(np.abs(t1) < 1.0, t3**2 + np.log(np.maximum(1.0 - t1**2, 1e-300)), np.nan)
+    E = np.where(np.abs(t1) < 1.0, t3**2 + np.log(np.maximum(1.0 - t1**2, 1e-300)), np.nan)
     V_right = t3**2 - 0.625 * (t1 - INV_SQRT2) ** 2
     V_left = t3**2 + 0.625 * t1**2
     return E, V_right, V_left
 
 
+@quiet
 def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
     """Per-state applicability of each monitored quantity's hypothesis set.
 
@@ -333,15 +337,14 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
     if w.left_sign == 0 and w.lipschitz > 0.0:
         t3sq |= left & (qs <= 0.5) & (np.abs(t3) >= 4.0 * w.lipschitz)
 
-    with np.errstate(invalid="ignore"):
-        c1 = (
-            5.0 * t1**2 * (1.0 + qs) * qs * (2.0 + qs + qs**2)
-            / (8.0 + 4.0 * np.sqrt(2.0 * (1.0 + qs**2)))
-            >= 10.0 / 9.0
-        )
-        c3 = (1.0 / 6.0 + qs / 2.0) > 0.625
-        cA = 1.25 * t1**2 * (2.0 + qs**2) > 20.0 / 9.0
-        cB = (-4.0 / 3.0 + qs + 1.25 * t1**2 * (1.0 + 2.0 * qs)) < 0.0
+    c1 = (
+        5.0 * t1**2 * (1.0 + qs) * qs * (2.0 + qs + qs**2)
+        / (8.0 + 4.0 * np.sqrt(2.0 * (1.0 + qs**2)))
+        >= 10.0 / 9.0
+    )
+    c3 = (1.0 / 6.0 + qs / 2.0) > 0.625
+    cA = 1.25 * t1**2 * (2.0 + qs**2) > 20.0 / 9.0
+    cB = (-4.0 / 3.0 + qs + 1.25 * t1**2 * (1.0 + 2.0 * qs)) < 0.0
 
     v_right = np.zeros_like(t3sq)
     if w.right_sign != 0 and w.eps_right_band > 0.0:

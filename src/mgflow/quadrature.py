@@ -25,6 +25,9 @@ import numpy as np
 DEFAULT_RESOLUTION = 2048  # nodes per axis for the composite grid
 SEGMENT_GL_ORDER = 12      # exact for polynomials up to degree 23
 _PANEL_ORDER = 4
+# The package's one floating-point error state, used only as a decorator (so the
+# one instance nests): `dynamics.fixed_step` and the public functions run under it.
+quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
 class QuadratureError(RuntimeError):

@@ -228,15 +228,22 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     Writes <out>/trajectory.csv and <out>/summary.json as new files: an
     existing file, hard link or symlink at either path is replaced, not
     written through.  summary["config"] echoes cfg's fields without copying
-    them, so its lists and dicts are cfg's own.  An integrator abort is an
-    observed outcome recorded in the summary, not a failure.
+    them, so its lists and dicts are cfg's own.  An integrator abort (an RK4
+    stage too) is an observed outcome recorded in the summary, not a failure.
     """
     validate_config(cfg)
+    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
+    theta0 = None if cfg.theta0 is None else np.asarray(cfg.theta0, dtype=float)
     if cfg.mode == "one-neuron":
         problem = on.as_problem(build_scalar_target(cfg.target))
+        theta0 = on.random_circle_states(rng, 1, t3_scale=cfg.t3_scale)[0] if theta0 is None else theta0
     else:
-        measure, f = build_measure(cfg), build_target(cfg)
-    out = Path(cfg.out)  # made only once the measure and the target are built
+        measure, f, arch = build_measure(cfg), build_target(cfg), Architecture(cfg.architecture)
+        try:  # a width numpy cannot allocate fails here
+            xi = random_params(arch, rng) if theta0 is None else ParamVector(arch, theta0)
+        except (ValueError, MemoryError) as e:
+            raise ConfigError(f"config field 'architecture': {e}")
+    out = Path(cfg.out)  # made only once the measure, the target and the start are built
     out.mkdir(parents=True, exist_ok=True)
     r = INF if cfg.smoothing_r is None else float(cfg.smoothing_r)
     schedule = dict(t_end=cfg.t_end, step=cfg.step, integrator=cfg.integrator, gamma=cfg.gamma,
@@ -244,11 +251,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
 
     summary = {"config": {name: getattr(cfg, name) for name in _FIELDS}, "seed": cfg.seed}
     if cfg.mode == "one-neuron":
-        if cfg.theta0 is not None:
-            theta0 = np.asarray(cfg.theta0, dtype=float)
-        else:
-            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
-            theta0 = on.random_circle_states(rng, 1, t3_scale=cfg.t3_scale)[0]
         batch = on.flow_batch(theta0, problem, on.OneNeuronConfig(renormalize=cfg.reproject, **schedule))
         rec = batch.row(0)
         rec.close_if_stationary(cfg.t_end)
@@ -256,11 +258,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         summary["monitor_violations"] = {k: v["violations"] for k, v in monitors.items()}
         _write_csv(out / "trajectory.csv", rec, one_neuron_mode=True, time_label="t")
     else:
-        arch = Architecture(cfg.architecture)
-        if cfg.theta0 is not None:
-            xi = ParamVector(arch, np.asarray(cfg.theta0, dtype=float))
-        else:
-            xi = random_params(arch, np.random.default_rng(np.random.SeedSequence(cfg.seed)))
         if cfg.mode == "flow":
             flow_cfg = FlowConfig(reproject=cfg.reproject, r=r, resolution=cfg.quad_nodes, **schedule)
             rec = integrate_flow(xi, measure, f, flow_cfg)

@@ -22,7 +22,7 @@ from .gradients import fd_gradient, generalized_gradient
 from .manifold import project_gradient, random_on_manifold, rescale_full
 from .network import forward, realize
 from .params import Architecture, ParamVector, random_params
-from .quadrature import integrate, quadrature_nodes, uniform_measure
+from .quadrature import integrate, quadrature_nodes, quiet, uniform_measure
 from .runner import ExperimentConfig, run_experiment
 from .smoothing import activation_knots
 from .targets import (
@@ -390,7 +390,7 @@ def check_rescaled_flow_identity(seed) -> CheckResult:
     cfg = on.OneNeuronConfig(t_end=0.5, step=h, renormalize=True, gamma="rescaled")
     rec = on.flow_batch(np.array([[0.6, 0.8, 0.9]]), problem, cfg).row(0)
     L, states = rec.risk, rec.states
-    proj, raw, _ = on._one_pass(states, problem)
+    proj, raw, _ = quiet(on._one_pass)(states, problem)
     raw2 = np.sum(raw**2, axis=-1)
     proj2 = np.sum(proj**2, axis=-1)
     code, _ = on._regime_codes(states[:, 0], states[:, 1])

@@ -176,6 +176,33 @@ class TestCliExitCodes:
         assert rc != 0
         assert capsys.readouterr().err.splitlines() == ["error: rescaled start has non-finite components"]
 
+    @pytest.mark.parametrize("argv", [
+        ["flow", "--gamma", "1e308", "--t-end", "0.01", "--step", "0.01"],
+        ["flow", "--gamma", "inf", "--t-end", "0.01", "--step", "0.01"],
+        ["one-neuron", "--gamma", "1e308", "--t-end", "0.02", "--step", "0.01", "--seed", "3"],
+    ], ids=["flow_1e308", "flow_inf", "one_neuron_1e308"])
+    def test_overflowing_rk4_step_freezes_the_run_quietly(self, argv, tmp_path, capsys):
+        # the RK4 stage states are huge or not finite, so the field cannot be
+        # evaluated there: the step is non-finite and the run freezes at its
+        # start, as an Euler step into nan does, without a numpy warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(argv + ["--out", str(tmp_path)])
+        assert rc == 0 and not caught
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["termination"] == "nonfinite" and summary["rows"] == 2
+
+    @pytest.mark.parametrize("mode", ["flow", "gd"])
+    def test_unaddressable_width_exits_2_before_writing(self, mode, tmp_path, capsys):
+        # 10**30 hidden neurons: no numpy array can hold the parameters, so
+        # the draw fails at once, before the output directory is made
+        rc = main([mode, "--architecture", f"1,{10**30},1", "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config field 'architecture': ")
+        assert not list(tmp_path.iterdir())
+
 
 class TestExperimentOutputs:
     def test_one_neuron_stationary_writes_two_identical_rows(self, tmp_path):

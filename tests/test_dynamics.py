@@ -7,6 +7,7 @@ from mgflow import (
     Architecture,
     FlowConfig,
     ParamVector,
+    QuadratureError,
     TargetFunction,
     TrajectoryRecord,
     abs_offset_target,
@@ -30,6 +31,7 @@ from mgflow import (
 )
 from mgflow import one_neuron as on
 from mgflow.dynamics import _network_field, fixed_step, step_factor
+from mgflow.quadrature import quiet
 
 MU = uniform_measure(0, 1, 1)
 F = TargetFunction.from_scalar(abs_offset_target(0.3))
@@ -63,6 +65,24 @@ def test_recorded_grad_norm_is_linalg_norm_bit_for_bit(seed, B, P):
     record, _ = fixed_step(lambda Y, record: (G, 0.0, None), np.zeros((B, P)), 1.0, 0,
                            False, lambda Y: (Y, 0), 1)
     assert record.grad_norm[0].tobytes() == np.linalg.norm(G, axis=-1).tobytes()
+
+
+def test_field_failure_at_a_stage_state_makes_the_step_non_finite():
+    # the field fails everywhere but at the start: RK4's stage 2 makes the
+    # first step non-finite, so both rows freeze at the start; an Euler step
+    # reaches a new state, which is recorded, and the failure there propagates
+    start = np.ones((2, 3))
+
+    def field(Y, record):
+        if not np.array_equal(Y, start):
+            raise QuadratureError("risk or gradient has non-finite components")
+        return np.ones_like(Y), 1.0, None
+
+    record, _ = fixed_step(field, start, 0.1, 3, True, lambda Y: (Y, 0), 1)
+    assert record.termination.tolist() == ["nonfinite"] * 2 and record.stopped.tolist() == [1, 1]
+    np.testing.assert_array_equal(record.states, [start, start])
+    with pytest.raises(QuadratureError):
+        fixed_step(field, start, 0.1, 3, False, lambda Y: (Y, 0), 1)
 
 
 class TestFlowConfig:
@@ -221,8 +241,7 @@ class TestGradientDescent:
         xi = random_params(arch, np.random.default_rng(42))
         xi.values[arch.subvector_rows[0][1]] = 0.0
         f = TargetFunction.from_scalar(affine_target(0.0, 100.0))
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.warns(RuntimeWarning, match="zero hidden subvector"):
+        with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
             rec = gd_run(xi, MU, f, steps=3, gammas=1.7e308)
         assert rec.termination == "nonfinite"
         assert rec.degenerate_events == 1
@@ -235,9 +254,8 @@ class TestGradientDescent:
         xi = random_params(Architecture((1, 2, 1)), np.random.default_rng(46))
         f = affine_target(0.0, 100.0)
         cfg = on.OneNeuronConfig(t_end=1.0, step=0.5, integrator="euler", gamma=gamma)
-        with np.errstate(over="ignore", invalid="ignore"):
-            rec = gd_run(xi, MU, TargetFunction.from_scalar(f), steps=3, gammas=gamma)
-            batch = on.flow_batch([[0.6, 0.8, 1.0], [0.0, -1.0, 2.0]], f, cfg)
+        rec = gd_run(xi, MU, TargetFunction.from_scalar(f), steps=3, gammas=gamma)
+        batch = on.flow_batch([[0.6, 0.8, 1.0], [0.0, -1.0, 2.0]], f, cfg)
         assert rec.termination == word
         assert batch.termination.tolist() == [word, "completed"]
         assert batch.row(0).termination == word and batch.row(1).termination == "completed"
@@ -317,7 +335,7 @@ class TestRescaledGamma:
         raw = generalized_gradient(theta, MU, TargetFunction.zero())
         proj = project_gradient(theta, raw)
         assert not proj.any()
-        assert step_factor(raw, proj, "rescaled") == 0.0
+        assert quiet(step_factor)(raw, proj, "rescaled") == 0.0  # the caller sets the error state
 
 
 class TestNetworkField:
@@ -344,7 +362,7 @@ class TestNetworkField:
         theta = random_on_manifold(arch, rng) if start == "manifold" else random_params(arch, rng)
         if start == "zero row":
             theta.values[arch.subvector_rows[0][-1]] = 0.0
-        field = _network_field(arch, measure, f, r, resolution, "rescaled")
+        field = quiet(_network_field(arch, measure, f, r, resolution, "rescaled"))  # as in fixed_step
         G, factor, (value, deviation) = field(theta.values[None, :], True)
         expected_value, raw = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
         proj = project_gradient(theta, raw)

@@ -324,6 +324,7 @@ class TestExactNodeBuild:
 
         from mgflow import ParamVector, exact_breakpoints, network
         from mgflow.dynamics import _network_field
+        from mgflow.quadrature import quiet
         from mgflow.params import Architecture
         from mgflow.smoothing import activation_knots
 
@@ -355,7 +356,7 @@ class TestExactNodeBuild:
         # the flow's field builds the same nodes, from the rows it gathers and
         # the target breaks it reads once
         f = TargetFunction(lambda x: np.abs(x - 0.3), breakpoints=np.array(f_breaks, dtype=float))
-        field = _network_field(theta.arch, mu, f, r, None, 1.0)
+        field = quiet(_network_field(theta.arch, mu, f, r, None, 1.0))  # as fixed_step runs it
         built = []
 
         def spy(*args, **kwargs):
