@@ -88,8 +88,9 @@ class TrajectoryRecord:
     """Recorded rows of one run, or of a batch run in lockstep: every column
     has a leading row axis R, and a batch adds a trajectory axis B after it.
     `stopped` holds the step at which each trajectory froze (0 if never) and
-    `termination` how each one ended: "completed", "nonfinite" (frozen on a
-    non-finite state) or "divergence_guard" (frozen on a component above
+    `termination` how each one ended: "completed", "stationary" (closed by
+    `fixed_step`'s stationary rule), "nonfinite" (frozen on a non-finite
+    state) or "divergence_guard" (frozen on a component above
     DIVERGENCE_GUARD); a single run's record holds one of each.
     `degenerate_events` counts the zero hidden rows (`manifold.zero_rows`) of
     the rescaled start, which warns if it has one, and of every retracted state."""
@@ -112,20 +113,8 @@ class TrajectoryRecord:
         columns = {name: getattr(self, name)[:, b] for name in _COLUMNS[1:]}
         return replace(self, stopped=self.stopped[b], termination=str(self.termination[b]), **columns)
 
-    def close_if_stationary(self, t_end: float) -> None:
-        """Cut at the first recorded |G| <= STATIONARY_TOL before the last row
-        and close with that state at t_end: the exact flow is (approximately)
-        constant from there on."""
-        hits = np.flatnonzero(self.grad_norm[:-1] <= STATIONARY_TOL)
-        if not hits.size:
-            return
-        keep = np.r_[: hits[0] + 1, hits[0]]
-        for name in _COLUMNS:
-            setattr(self, name, getattr(self, name)[keep])
-        self.times[-1] = t_end
-        self.termination = "stationary"
-
     @property
+    @quiet
     def sup_norm(self) -> float:
         """The largest Euclidean norm of a recorded state; nan if any state
         holds a nan.  `np.vecdot` runs the kernel of the 1-d `np.linalg.norm`
@@ -145,27 +134,29 @@ def step_factor(raw, proj, gamma):
 
 
 @quiet
-def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
+def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRecord:
     """Advance a (B, P) batch of rows in lockstep through n_steps explicit
     Euler or RK4 steps of dY/dt = -gamma * G, retracting every new state.
     It runs under `quadrature.quiet`; the field and `retract` set no error state.
 
-    `field(Y, record)` returns (G, gamma, diagnostics) at the state Y alone;
-    gamma is one number or one per row, and diagnostics, needed only when
-    `record` is true, is passed through.  `retract(Y)` returns the retracted
-    rows and how many zero hidden rows they hold; the record's
-    `degenerate_events` sums those counts over the run.  A row is frozen at its last valid state once
-    its retracted state is non-finite or exceeds DIVERGENCE_GUARD; the run
-    ends when no row is left.  A QuadratureError from the field at RK4
-    stages 2 to 4 makes the step non-finite; one at a recorded state propagates.
+    `field(Y, record)` returns (G, gamma, risk, psi) at the state Y alone;
+    gamma is one number or one per row, and risk and psi (the constraint
+    deviation) are per-row arrays when `record` is true and None otherwise.
+    `retract(Y)` returns the retracted rows and how many zero hidden rows
+    they hold; the record's `degenerate_events` sums those counts over the
+    run.  A row is frozen at its last valid state once its retracted state
+    is non-finite or exceeds DIVERGENCE_GUARD; the run ends when no row is
+    left.  A QuadratureError from the field at RK4 stages 2 to 4 makes the
+    step non-finite; one at a recorded state propagates.
 
     Returns the batch record of the rows at step 0, every `record_every`-th
-    step, the last step, and the step that froze the last row, and beside it
-    their diagnostics.  |G| and the diagnostics come from the state's first
-    RK4 stage, so recording costs no extra field evaluation.  `risk` and
-    `psi_max_dev` are left nan for the caller.  Each row's termination names
-    why it froze: "nonfinite" for a non-finite state, "divergence_guard" for
-    one over the guard.
+    step, the last step, and the step that froze the last row; every column
+    comes from the state's first RK4 stage, at no extra field evaluation.
+    Each row's termination names why it froze: "nonfinite" for a non-finite
+    state, "divergence_guard" for one over the guard.  The one stationary
+    rule: at a recorded step before the last where every row has
+    |G| <= STATIONARY_TOL, that row is recorded once more at step n_steps,
+    the unfrozen rows end "stationary", and the run stops.
     """
     Y = np.array(Y, dtype=float)
     stopped = np.zeros(len(Y), dtype=int)
@@ -173,19 +164,24 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
     rows, events, n_stopped = [], 0, 0
 
     def rate(Z, record=False):
-        G, gamma, diagnosed = field(Z, record)
+        G, gamma, risk, psi = field(Z, record)
         if isinstance(gamma, np.ndarray):
             gamma = gamma[..., None]
-        return -gamma * G, G, diagnosed
+        return -gamma * G, G, risk, psi
 
     for n in range(n_steps + 1):
         done = n == n_steps or n_stopped == len(Y)
         record = done or n % record_every == 0
-        k1, G, diagnosed = rate(Y, record)
+        k1, G, risk, psi = rate(Y, record)
         if record:
             # the reduction of np.linalg.norm(G, axis=-1), bit for bit;
             # np.vecdot matches only the 1-d norm (as in sup_norm), not this
-            rows.append((n, Y, np.sqrt(np.add.reduce(G * G, axis=-1)), diagnosed))
+            grad_norm = np.sqrt(np.add.reduce(G * G, axis=-1))
+            rows.append((n, Y, risk, psi, grad_norm))
+            if not done and grad_norm.max() <= STATIONARY_TOL:
+                rows.append((n_steps,) + rows[-1][1:])
+                termination[stopped == 0] = "stationary"
+                break
         if done:
             break
         try:
@@ -207,10 +203,8 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every):
             n_stopped += int(frozen.sum())
         Y = np.where(stopped[:, None] == 0, Y_new, Y) if n_stopped else Y_new
 
-    steps, states, grad_norm, diagnostics = zip(*rows)
-    unset = np.full((len(rows), len(Y)), np.nan)
-    return TrajectoryRecord(np.array(steps) * h, np.array(states), unset, unset.copy(),
-                            np.array(grad_norm), stopped, termination, events), diagnostics
+    steps, *columns = map(np.array, zip(*rows))
+    return TrajectoryRecord(steps * h, *columns, stopped, termination, events)
 
 
 def _network_field(arch, measure, f, r, resolution, gamma):
@@ -220,18 +214,19 @@ def _network_field(arch, measure, f, r, resolution, gamma):
     `step_factor` of the raw and the projected gradient.
 
     One node plan (`network._NodePlan`) serves the run.  The hidden rows'
-    gradients are projected against the rows the pass gathered, and the
-    diagnostics (risk, max |psi - 1|) come from the same pass and from the
-    squared row norms the projection took."""
+    gradients are projected against the rows the pass gathered; the risk
+    comes from the same pass, and max |psi - 1| from the squared row norms
+    the projection took."""
     plan = _NodePlan(arch, measure, f, r, resolution)
 
-    def field(Y, diagnose):
+    def field(Y, record):
         value, rows, grads = _risk_and_rows(plan, Y[0])
         tangent, squares = zip(*map(_tangent_rows, rows[:-1], grads[:-1]))
         G = _flat(arch, tangent + (grads[-1],))
         factor = step_factor(_flat(arch, grads), G, gamma) if isinstance(gamma, str) else gamma
-        diagnostics = (value, _max_deviation(squares)) if diagnose else None
-        return G[None, :], factor, diagnostics
+        if not record:
+            return G[None, :], factor, None, None
+        return G[None, :], factor, np.array([value]), np.array([_max_deviation(squares)])
 
     return field
 
@@ -259,10 +254,8 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int) -> TrajectoryRec
             "is not guaranteed from this start",
             RuntimeWarning,
         )
-    batch, diagnostics = fixed_step(field, start.values[None, :], cfg.step, n_steps,
-                                    cfg.integrator == "rk4", retract, cfg.record_every)
-    record = batch.row(0)
-    record.risk, record.psi_max_dev = np.array(diagnostics).T
+    record = fixed_step(field, start.values[None, :], cfg.step, n_steps,
+                        cfg.integrator == "rk4", retract, cfg.record_every).row(0)
     record.degenerate_events += degenerate
     return record
 
@@ -275,13 +268,12 @@ def integrate_flow(
 ) -> TrajectoryRecord:
     """Integrate the projected flow from the rescaled initial point.
 
-    Early termination: 'stationary' when a recorded |G| falls below 1e-12,
-    'nonfinite' or 'divergence_guard' when a step leaves non-finite values or
-    a component above 1e12; the record then ends with the last valid state.
+    Early termination: 'stationary' when a recorded |G| falls below 1e-12
+    (`fixed_step`'s stationary rule), 'nonfinite' or 'divergence_guard' when
+    a step leaves non-finite values or a component above 1e12; the record
+    then ends with the last valid state.
     """
-    record = _network_run(xi, measure, f, cfg, int(round(cfg.t_end / cfg.step)))
-    record.close_if_stationary(cfg.t_end)
-    return record
+    return _network_run(xi, measure, f, cfg, int(round(cfg.t_end / cfg.step)))
 
 
 def gd_run(
@@ -297,7 +289,8 @@ def gd_run(
     """Normalized gradient descent: `steps` Euler steps of h = 1 against
     gammas * G, each followed by the retraction.  `gammas` follows the flow's
     gamma rule (`check_schedule`): a nonnegative number or "rescaled"; any
-    other value raises ValueError naming 'gamma'.
+    other value raises ValueError naming 'gamma'.  It ends early as
+    `integrate_flow` does.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")

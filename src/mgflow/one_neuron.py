@@ -388,7 +388,8 @@ def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
     recorded state (its first stage) also gives the recorded risk, so no
     state is evaluated twice.  Trajectories tripping the divergence guard
     are frozen at their last valid state and marked aborted; the rest
-    continue, and the run ends early once every trajectory has aborted.
+    continue, and the run ends early once every trajectory has aborted, or
+    once every one is stationary at a recorded step (`fixed_step`).
     """
     problem = as_problem(f)
     Y = np.atleast_2d(np.asarray(theta0, dtype=float))
@@ -397,16 +398,15 @@ def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
 
     def field(states, record):
         G, R, L = _one_pass(states, problem, record)
-        return G, step_factor(R, G, cfg.gamma), L
+        psi = np.abs(states[:, 0] ** 2 + states[:, 1] ** 2 - 1.0) if record else None
+        return G, step_factor(R, G, cfg.gamma), L, psi
 
     retract = _retract_to_circle if cfg.renormalize else (lambda states: (states, 0))
     n_steps = int(round(cfg.t_end / cfg.step))
-    record, risks = fixed_step(field, Y, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
-    record.risk = np.array(risks)
-    record.psi_max_dev = np.abs(record.states[..., 0] ** 2 + record.states[..., 1] ** 2 - 1.0)
-    return record
+    return fixed_step(field, Y, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
 
 
+@quiet
 def monitor_report(batch: TrajectoryRecord, problem: OneNeuronProblem,
                    slack: float = 1e-6, conservation_rate: Optional[float] = None) -> dict:
     """Count monitor violations along recorded steps.

@@ -95,6 +95,8 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check_schedule(cfg.t_end, cfg.step, cfg.integrator, cfg.gamma, cfg.record_every, ConfigError)
     if not isinstance(cfg.reproject, bool):
         bad("reproject", f"must be true or false, got {cfg.reproject!r}")
+    if cfg.mode == "gd" and not cfg.reproject:
+        bad("reproject", "gd mode retracts after every step (normalized descent), so it must be true")
     integer("steps", 0)
     integer("seed", 0)
     if cfg.quad_nodes is not None:
@@ -253,7 +255,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     if cfg.mode == "one-neuron":
         batch = on.flow_batch(theta0, problem, on.OneNeuronConfig(renormalize=cfg.reproject, **schedule))
         rec = batch.row(0)
-        rec.close_if_stationary(cfg.t_end)
         monitors = on.monitor_report(batch, problem, slack=1e-6, conservation_rate=1e-6)
         summary["monitor_violations"] = {k: v["violations"] for k, v in monitors.items()}
         _write_csv(out / "trajectory.csv", rec, one_neuron_mode=True, time_label="t")

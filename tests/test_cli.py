@@ -72,6 +72,7 @@ class TestConfigValidation:
         ("seed", "flow", {"seed": "x"}),
         ("seed", "flow", {"seed": -1}),
         ("reproject", "flow", {"reproject": "no"}),
+        ("reproject", "gd", {"reproject": False}),
         ("gamma", "gd", {"gamma": [0.1, 0.1]}),
         ("gamma", "flow", {"gamma": None}),
         ("target", "flow", {"target": {"name": "abs_offset", "center": "0.3"}}),
@@ -88,8 +89,8 @@ class TestConfigValidation:
     ])
     def test_mistyped_field_named(self, name, mode, raw, tmp_path):
         # each of these ended in a traceback, or ran silently: reproject with
-        # the retraction on, a JSON boolean as the number 0 or 1; the config
-        # names the field and writes nothing
+        # the retraction on (descent always retracts), a JSON boolean as the
+        # number 0 or 1; the config names the field and writes nothing
         with pytest.raises(ConfigError, match=f"'{name}'"):
             run_experiment(config_from_dict({"mode": mode, **raw, "out": str(tmp_path / "out")}))
         assert not list(tmp_path.iterdir())
@@ -192,6 +193,25 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == ""
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["termination"] == "nonfinite" and summary["rows"] == 2
+
+    @pytest.mark.parametrize("theta0, flags", [
+        ([0.6, 0.8, 1e200], []),
+        ([1e200, 0.8, 1.0], ["--no-reproject"]),
+    ], ids=["huge_t3", "huge_t1_no_reproject"])
+    def test_one_neuron_start_over_the_guard_ends_quietly(self, theta0, flags, tmp_path, capsys):
+        # the start is over the divergence guard: the first step freezes the
+        # run, and the monitors and the sup-norm of its overflowing states
+        # make numpy print no warning
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"theta0": theta0}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["one-neuron", "--config", str(config), "--t-end", "0.02", "--step", "0.01",
+                       *flags, "--out", str(tmp_path / "out")])
+        assert rc == 0 and not caught
+        assert capsys.readouterr().err == ""
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["termination"] == "nonfinite"
 
     @pytest.mark.parametrize("mode", ["flow", "gd"])
     def test_unaddressable_width_exits_2_before_writing(self, mode, tmp_path, capsys):

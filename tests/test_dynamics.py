@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgflow import (
@@ -21,6 +21,7 @@ from mgflow import (
     integrate_flow,
     max_constraint_deviation,
     network,
+    piecewise_linear_target,
     project_gradient,
     quadrature_nodes,
     random_on_manifold,
@@ -32,6 +33,7 @@ from mgflow import (
 from mgflow import one_neuron as on
 from mgflow.dynamics import _network_field, fixed_step, step_factor
 from mgflow.quadrature import quiet
+from mgflow.verify import LYAPUNOV_TARGETS
 
 MU = uniform_measure(0, 1, 1)
 F = TargetFunction.from_scalar(abs_offset_target(0.3))
@@ -62,8 +64,8 @@ def test_recorded_grad_norm_is_linalg_norm_bit_for_bit(seed, B, P):
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((B, P)) * 10.0 ** rng.uniform(-100, 100, (B, 1))
     G[rng.random((B, P)) < 0.1] = 0.0
-    record, _ = fixed_step(lambda Y, record: (G, 0.0, None), np.zeros((B, P)), 1.0, 0,
-                           False, lambda Y: (Y, 0), 1)
+    record = fixed_step(lambda Y, record: (G, 0.0, np.zeros(B), np.zeros(B)), np.zeros((B, P)), 1.0, 0,
+                        False, lambda Y: (Y, 0), 1)
     assert record.grad_norm[0].tobytes() == np.linalg.norm(G, axis=-1).tobytes()
 
 
@@ -76,9 +78,9 @@ def test_field_failure_at_a_stage_state_makes_the_step_non_finite():
     def field(Y, record):
         if not np.array_equal(Y, start):
             raise QuadratureError("risk or gradient has non-finite components")
-        return np.ones_like(Y), 1.0, None
+        return np.ones_like(Y), 1.0, np.zeros(len(Y)), np.zeros(len(Y))
 
-    record, _ = fixed_step(field, start, 0.1, 3, True, lambda Y: (Y, 0), 1)
+    record = fixed_step(field, start, 0.1, 3, True, lambda Y: (Y, 0), 1)
     assert record.termination.tolist() == ["nonfinite"] * 2 and record.stopped.tolist() == [1, 1]
     np.testing.assert_array_equal(record.states, [start, start])
     with pytest.raises(QuadratureError):
@@ -174,6 +176,15 @@ class TestGradientDescent:
         rec = gd_run(xi, MU, F, steps=5, gammas=0.0)
         for state in rec.states[1:]:
             np.testing.assert_array_equal(state, rec.states[0])
+
+    def test_stationary_start_closes_the_run(self):
+        # the flow's stationary start (dead neuron, zero output weight, zero
+        # target) closes descent too: its start, again at n = steps
+        xi = ParamVector(Architecture((1, 1, 1)), np.array([0.0, -1.0, 0.0, 0.0]))
+        rec = gd_run(xi, MU, TargetFunction.zero(), steps=7, gammas=0.5)
+        assert rec.termination == "stationary" and rec.stopped == 0
+        np.testing.assert_array_equal(rec.times, [0.0, 7.0])
+        np.testing.assert_array_equal(rec.states[1], rec.states[0])
 
     def test_unit_constraints_after_every_step(self):
         arch = Architecture((1, 4, 1))
@@ -363,7 +374,7 @@ class TestNetworkField:
         if start == "zero row":
             theta.values[arch.subvector_rows[0][-1]] = 0.0
         field = quiet(_network_field(arch, measure, f, r, resolution, "rescaled"))  # as in fixed_step
-        G, factor, (value, deviation) = field(theta.values[None, :], True)
+        G, factor, (value,), (deviation,) = field(theta.values[None, :], True)
         expected_value, raw = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
         proj = project_gradient(theta, raw)
         assert G.shape == (1, arch.param_count)
@@ -403,7 +414,7 @@ class TestNetworkField:
         field = _network_field(arch, measure, f, r, resolution, "rescaled")
         for _ in range(4):
             theta = random_on_manifold(arch, rng)
-            G, factor, (value, deviation) = field(theta.values[None, :], True)
+            G, factor, (value,), (deviation,) = field(theta.values[None, :], True)
             expected_value, raw = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
             proj = project_gradient(theta, raw)
             assert np.array_equal(G[0], proj) and np.array_equal(factor, step_factor(raw, proj, "rescaled"))
@@ -430,3 +441,59 @@ class TestNetworkField:
         assert len(calls) == (1 if fixed else 4)
         expected = gd_run(xi, measure, f, 3, 1e-2, r=r, resolution=resolution)
         assert np.array_equal(rec.states, expected.states) and np.array_equal(rec.risk, expected.risk)
+
+
+# The network flow on 1,1,1 from [t1, t2, t3, fbar] against the circle flow
+# from (t1, t2, t3): one dynamics, computed by quadrature and in closed form.
+CIRCLE_TARGETS = [f for _, f in LYAPUNOV_TARGETS] + [
+    piecewise_linear_target(np.linspace(0.0, 1.0, 9), [0.5, -0.6, 0.3, 0.9, -0.2, 0.8, -0.7, 0.4, 0.6])]
+# arcs of the angle a of (t1, t2) = (cos a, sin a) in each regime of the neuron
+REGIME_ARCS = {"empty": (np.pi, 1.75 * np.pi), "full": (0.0, 0.75 * np.pi),
+               "left": (0.75 * np.pi, np.pi), "right": (1.75 * np.pi, 2.0 * np.pi)}
+# (gamma, integrator, retraction); Euler without the retraction leaves the
+# circle, where the two fields differ (the circle's angular part is
+# |(t1, t2)|^2 times the network's)
+CIRCLE_SCHEMES = [(gamma, integrator, retract) for gamma in (1.0, "rescaled")
+                  for integrator in ("rk4", "euler") for retract in (True, False)
+                  if (integrator, retract) != ("euler", False)]
+# RK4's inner stage states leave the circle by (h |G|)^2 / 4 even with the
+# retraction, so the same difference of fields reaches every RK4 run; it
+# stays below 1e-12 relative over 500 steps of h = 1e-3 (at most 8.9e-13 on
+# grad_norm seen; 6.1e-15 with the circle field divided by |(t1, t2)|^2)
+SCHEME_TOL = {"euler": 1e-13, "rk4": 1e-11}
+
+
+@given(st.sampled_from(sorted(REGIME_ARCS)), st.floats(0.02, 0.98), st.floats(-2.0, 2.0),
+       st.integers(0, len(CIRCLE_TARGETS) - 1))
+@example("empty", 0.5, 1.5, 0)
+@example("full", 0.3, -1.2, 1)
+@example("left", 0.7, 0.8, 2)
+@example("right", 0.4, -1.9, 3)
+@settings(max_examples=8, deadline=None)
+def test_network_flow_on_1_1_1_is_the_circle_flow(regime, frac, t3, target):
+    lo, hi = REGIME_ARCS[regime]
+    angle = lo + frac * (hi - lo)
+    start = np.array([np.cos(angle), np.sin(angle), t3])
+    f = CIRCLE_TARGETS[target]
+    problem = on.as_problem(f)
+    xi = ParamVector(Architecture((1, 1, 1)), np.r_[start, problem.fbar])
+    for gamma, integrator, retract in CIRCLE_SCHEMES:
+        net = integrate_flow(xi, MU, TargetFunction.from_scalar(f),
+                             FlowConfig(t_end=0.5, step=1e-3, integrator=integrator, reproject=retract, gamma=gamma))
+        circle = on.flow_batch(start, problem, on.OneNeuronConfig(
+            t_end=0.5, step=1e-3, integrator=integrator, renormalize=retract, gamma=gamma)).row(0)
+        scheme, tol = (gamma, integrator, retract), SCHEME_TOL[integrator]
+        assert len(net.times) == len(circle.times) and net.termination == circle.termination, scheme
+        np.testing.assert_array_equal(net.times, circle.times)
+        # an inactive neuron stops both at their first row; the rest run all 500 steps
+        assert len(net.times) == (2 if regime == "empty" else 501), scheme
+        gap = np.linalg.norm(net.states[:, :3] - circle.states, axis=1)
+        assert np.all(gap <= tol * np.linalg.norm(circle.states, axis=1)), scheme
+        assert np.all(np.abs(net.states[:, 3] - problem.fbar) <= tol * abs(problem.fbar)), scheme
+        # the closed forms round relative to their terms, not to their sum: the
+        # risk t3^2 J3 + 2 t3 (t1 B + t2 A) + int (f - fbar)^2 to the risk plus
+        # its value at t3 = 0, and the gradient (moments such as A and B,
+        # bounded by Cauchy-Schwarz) to the square root of that
+        scale = circle.risk + problem.centered_square
+        assert np.all(np.abs(net.risk - circle.risk) <= tol * scale), scheme
+        assert np.all(np.abs(net.grad_norm - circle.grad_norm) <= tol * np.sqrt(scale)), scheme

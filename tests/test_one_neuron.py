@@ -358,11 +358,33 @@ class TestFlow:
             np.testing.assert_array_equal(batch.states, np.broadcast_to(inits, batch.states.shape))
 
     def test_record_every_not_dividing_the_steps(self):
+        # starts that move (full, right and full regime): every 15th of 50
+        # steps and the last
         cfg = on.OneNeuronConfig(t_end=0.5, step=1e-2, record_every=15)
-        inits = on.random_circle_states(np.random.default_rng(62), 3)
+        inits = np.array([[0.6, 0.8, 1.0], [0.8, -0.6, -0.5], [-0.6, 0.8, 0.7]])
         batch = on.flow_batch(inits, abs_offset_target(0.3), cfg)
         np.testing.assert_allclose(batch.times, np.array([0, 15, 30, 45, 50]) * 1e-2)
         assert batch.states.shape == (5, 3, 3) and batch.grad_norm.shape == (5, 3)
+        assert batch.termination.tolist() == ["completed"] * 3
+        # the seed-62 draw has all three starts in the empty regime: the run
+        # closes after its first row
+        empty = on.random_circle_states(np.random.default_rng(62), 3)
+        assert not on._regime_codes(empty[:, 0], empty[:, 1])[0].any()
+        batch = on.flow_batch(empty, abs_offset_target(0.3), cfg)
+        np.testing.assert_array_equal(batch.times, [0.0, 0.5])
+        np.testing.assert_array_equal(batch.states, [empty, empty])
+        np.testing.assert_array_equal(batch.grad_norm, np.zeros((2, 3)))
+        assert batch.termination.tolist() == ["stationary"] * 3 and not batch.aborted.any()
+
+    def test_batch_closes_only_when_every_row_is_stationary(self):
+        # an inactive row (G = 0) beside a moving one runs to the end, and
+        # both complete; a batch of inactive rows alone closes at once (the
+        # seed-62 draw above)
+        cfg = on.OneNeuronConfig(t_end=0.5, step=1e-2)
+        mixed = np.array([[0.6, 0.8, 1.0], [0.0, -1.0, 2.0]])
+        batch = on.flow_batch(mixed, abs_offset_target(0.3), cfg)
+        assert len(batch.times) == 51 and batch.termination.tolist() == ["completed"] * 2
+        np.testing.assert_array_equal(batch.states[:, 1], np.broadcast_to(mixed[1], (51, 3)))
 
 
 class TestMonitors:
