@@ -147,7 +147,7 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRe
     run.  A row is frozen at its last valid state once its retracted state
     is non-finite or exceeds DIVERGENCE_GUARD; the run ends when no row is
     left.  A QuadratureError from the field at RK4 stages 2 to 4 makes the
-    step non-finite; one at a recorded state propagates.
+    step non-finite; one at a step's first stage, recorded or not, propagates.
 
     Returns the batch record of the rows at step 0, every `record_every`-th
     step, the last step, and the step that froze the last row; every column
@@ -281,19 +281,19 @@ def gd_run(
     measure: InputMeasure,
     f: TargetFunction,
     steps: int,
-    gammas,
+    gamma,
     r=INF,
     resolution: Optional[int] = None,
     record_every: int = 1,
 ) -> TrajectoryRecord:
     """Normalized gradient descent: `steps` Euler steps of h = 1 against
-    gammas * G, each followed by the retraction.  `gammas` follows the flow's
+    gamma * G, each followed by the retraction.  `gamma` follows the flow's
     gamma rule (`check_schedule`): a nonnegative number or "rescaled"; any
     other value raises ValueError naming 'gamma'.  It ends early as
     `integrate_flow` does.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    cfg = FlowConfig(t_end=max(steps, 1), step=1.0, integrator="euler", gamma=gammas,
+    cfg = FlowConfig(t_end=max(steps, 1), step=1.0, integrator="euler", gamma=gamma,
                      record_every=record_every, r=r, resolution=resolution)
     return _network_run(xi, measure, f, cfg, steps)

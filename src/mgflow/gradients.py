@@ -42,8 +42,6 @@ def _risk_and_rows(plan: _NodePlan, values: np.ndarray) -> tuple[float, list, li
     arch, r = plan.arch, plan.r
     rows = _layer_rows(arch, values)
     X, w, fX = plan.nodes(rows)
-    if X.shape[0] == 0:
-        return 0.0, rows, [np.zeros_like(V) for V in rows]
     value, ws = _risk_pass(arch, rows, X, w, fX, r)
     H, R = ws.acts[-1], ws.resid  # [centered last hidden activations; 1], residual
 

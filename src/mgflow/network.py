@@ -171,7 +171,7 @@ class _NodePlan:
         if X.flags.writeable:  # a discrete measure's points: the run keeps a read-only copy
             X = np.array(X)
             X.flags.writeable = False
-        self._fixed = X, w, None if f is None or not len(X) else np.array(f(X).T, order="C")
+        self._fixed = X, w, None if f is None else np.array(f(X).T, order="C")
 
     def nodes(self, rows):
         """(X, w, fX) for a pass over the layer rows `rows`."""
@@ -195,8 +195,6 @@ def hidden_mean(
     arch = theta.arch
     rows = _layer_rows(arch, theta.values)
     X, w, _ = _NodePlan(arch, measure, None, r, resolution).nodes(rows)
-    if X.shape[0] == 0:
-        return np.zeros(arch.layer_dims[-2])
     ws = _workspace(arch.layer_dims, X.shape[0])
     m = _forward_into(rows, ws.load(X), r, ws.pres, ws.acts)[:-1] @ w
     if not np.all(np.isfinite(m)):
@@ -254,8 +252,6 @@ def risk(
     arch = theta.arch
     rows = _layer_rows(arch, theta.values)
     X, w, fX = _NodePlan(arch, measure, f, r, resolution).nodes(rows)
-    if X.shape[0] == 0:
-        return 0.0
     value = _risk_pass(arch, rows, X, w, fX, r)[0]
     if not math.isfinite(value):
         raise QuadratureError("risk is non-finite")

@@ -95,8 +95,6 @@ def scan_windows(f: PiecewisePolynomial, grid_n: int = 10001) -> MonitorWindows:
         # dev runs from the boundary inward: dev[0] is the endpoint value
         endpoint = dev[0]
         sign = 0 if abs(endpoint) <= tol else (1 if endpoint > 0 else -1)
-        if sign == 0:
-            return 0, 0.0, 0.0
         w = sign * dev  # positive near the boundary
         running_min = np.minimum.accumulate(w)
         running_max = np.maximum.accumulate(w)
@@ -108,8 +106,6 @@ def scan_windows(f: PiecewisePolynomial, grid_n: int = 10001) -> MonitorWindows:
 
         def largest(mask):
             upto = mask[: half + 1]
-            if not upto[0]:
-                return 0.0
             k = half if upto.all() else int(np.argmin(upto)) - 1
             return max(0.0, (k - 1) * h)  # one-cell safety margin
 
@@ -256,18 +252,15 @@ def closed_gradient(theta, f) -> np.ndarray:
     if abs(g - 1.0) > _CIRCLE_TOL:
         raise ValueError("closed gradient formulas hold on the constraint circle")
     problem = as_problem(f)
+    J3 = closed_integrals(theta)["centered_second_moment"]  # raises outside the breakpoint regimes
     t1, t2, t3 = theta
     code, q = _regime_codes(t1, t2)
     tag, q = REGIME_TAGS[int(code)], float(q)
     A, B = (float(v) for v in problem.f.partial_moments(*_intervals(t1, t2)[0], problem.fbar))
     if tag == "right":
         J1 = t1 * t2**2 / 12.0 * (1.0 - q) ** 2 * (7.0 + 2.0 * q + 3.0 * q**2)
-        J3 = t1**2 * (1.0 - q) ** 3 * (1.0 / 12.0 + q / 4.0)
-    elif tag == "left":
-        J1 = abs(t1) ** 3 / 12.0 * q**3 * (6.0 - 6.0 * q + 2.0 * q**2 - 3.0 * q**3)
-        J3 = t1**2 * q**3 * (1.0 / 3.0 - q / 4.0)
     else:
-        raise ValueError(f"closed gradient needs a breakpoint regime, got {tag!r}")
+        J1 = abs(t1) ** 3 / 12.0 * q**3 * (6.0 - 6.0 * q + 2.0 * q**2 - 3.0 * q**3)
     # the tangent map of the raw gradient, with J1 = t2 K (t2 != 0 off the full/empty regimes)
     w = 2.0 * t3 * (t3 * J1 / t2 + t2 * B - t1 * A)
     return np.array([t2 * w, -t1 * w, 2.0 * (t3 * J3 + t1 * B + t2 * A)])
@@ -323,17 +316,14 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
     def signed(mask_regime, sign, t3v):
         if sign > 0:
             return mask_regime & (t3v <= 0.0)
-        if sign < 0:
-            return mask_regime & (t3v >= 0.0)
-        return np.zeros_like(mask_regime)
+        return mask_regime & (t3v >= 0.0)
 
-    t3sq = np.zeros(right.shape, dtype=bool)
-    if w.right_sign != 0 and w.eps_right_plain > 0.0:
-        t3sq |= signed(right & (qs >= 1.0 - w.eps_right_plain), w.right_sign, t3)
+    # a side without a window has sign 0 and eps 0, and eps 0 selects no state
+    # of that side's regime (0 < q < 1): its signed and band masks stay empty
+    t3sq = signed(right & (qs >= 1.0 - w.eps_right_plain), w.right_sign, t3)
     if w.right_sign == 0 and w.lipschitz > 0.0:
         t3sq |= right & (qs >= 0.5) & (np.abs(t3) >= 4.0 * w.lipschitz)
-    if w.left_sign != 0 and w.eps_left_plain > 0.0:
-        t3sq |= signed(left & (qs <= w.eps_left_plain), w.left_sign, t3)
+    t3sq |= signed(left & (qs <= w.eps_left_plain), w.left_sign, t3)
     if w.left_sign == 0 and w.lipschitz > 0.0:
         t3sq |= left & (qs <= 0.5) & (np.abs(t3) >= 4.0 * w.lipschitz)
 
@@ -346,14 +336,10 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
     cA = 1.25 * t1**2 * (2.0 + qs**2) > 20.0 / 9.0
     cB = (-4.0 / 3.0 + qs + 1.25 * t1**2 * (1.0 + 2.0 * qs)) < 0.0
 
-    v_right = np.zeros_like(t3sq)
-    if w.right_sign != 0 and w.eps_right_band > 0.0:
-        sgn = (t3 < 0.0) if w.right_sign > 0 else (t3 > 0.0)
-        v_right = right & (qs >= 1.0 - w.eps_right_band) & c1 & c3 & sgn
-    v_left = np.zeros_like(t3sq)
-    if w.left_sign != 0 and w.eps_left_band > 0.0:
-        sgn = (t3 > 0.0) if w.left_sign > 0 else (t3 < 0.0)
-        v_left = left & (qs <= w.eps_left_band) & cA & cB & sgn
+    sgn = (t3 < 0.0) if w.right_sign > 0 else (t3 > 0.0)
+    v_right = right & (qs >= 1.0 - w.eps_right_band) & c1 & c3 & sgn
+    sgn = (t3 > 0.0) if w.left_sign > 0 else (t3 < 0.0)
+    v_left = left & (qs <= w.eps_left_band) & cA & cB & sgn
 
     conserved = (code == 1) & (np.abs(t1) <= _E_FULL_T1_CAP)
     return {"theta3_sq": t3sq, "v_right": v_right, "v_left": v_left, "conserved_full": conserved}

@@ -149,11 +149,9 @@ def _composite_grid(a: float, b: float, dim: int, resolution: int):
 
 
 def integrate(g, measure: InputMeasure, breakpoints=None, resolution: Optional[int] = None):
-    """Integral of g against the measure; g maps (n, dim) arrays to (n,) or (n, m)."""
+    """Integral of g against the measure; g maps (n, dim) arrays to (n,) or (n, m),
+    also for n = 0 (a discrete measure without points), where the integral is 0."""
     X, w = quadrature_nodes(measure, breakpoints=breakpoints, resolution=resolution)
-    if X.shape[0] == 0:
-        probe = np.asarray(g(np.zeros((1, measure.dim))), dtype=float)
-        return np.zeros(probe.shape[1:]) if probe.ndim > 1 else 0.0
     vals = np.asarray(g(X), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise QuadratureError("integrand produced non-finite values")

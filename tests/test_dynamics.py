@@ -87,6 +87,26 @@ def test_field_failure_at_a_stage_state_makes_the_step_non_finite():
         fixed_step(field, start, 0.1, 3, False, lambda Y: (Y, 0), 1)
 
 
+@pytest.mark.parametrize("rk4", [False, True])
+def test_field_failure_at_a_first_stage_propagates_recorded_or_not(rk4):
+    # the field evaluates only the first step and only every fifth state is
+    # recorded: under gamma = 0 every stage state of step 0 is the start, the
+    # retraction moves it to state 1, which is not recorded, and the failure
+    # at its first stage (Euler's only stage) propagates
+    start = np.ones((2, 3))
+    calls = []
+
+    def field(Y, record):
+        calls.append(record)
+        if len(calls) > (4 if rk4 else 1):
+            raise QuadratureError("risk or gradient has non-finite components")
+        return np.ones_like(Y), 0.0, np.zeros(len(Y)), np.zeros(len(Y))
+
+    with pytest.raises(QuadratureError):
+        fixed_step(field, start, 0.1, 10, rk4, lambda Y: (Y + 1.0, 0), 5)
+    assert calls == [True] + [False] * (4 if rk4 else 1)
+
+
 class TestFlowConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -173,7 +193,7 @@ class TestGradientDescent:
     def test_zero_step_size_is_fixed_point(self):
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(36))
-        rec = gd_run(xi, MU, F, steps=5, gammas=0.0)
+        rec = gd_run(xi, MU, F, steps=5, gamma=0.0)
         for state in rec.states[1:]:
             np.testing.assert_array_equal(state, rec.states[0])
 
@@ -181,7 +201,7 @@ class TestGradientDescent:
         # the flow's stationary start (dead neuron, zero output weight, zero
         # target) closes descent too: its start, again at n = steps
         xi = ParamVector(Architecture((1, 1, 1)), np.array([0.0, -1.0, 0.0, 0.0]))
-        rec = gd_run(xi, MU, TargetFunction.zero(), steps=7, gammas=0.5)
+        rec = gd_run(xi, MU, TargetFunction.zero(), steps=7, gamma=0.5)
         assert rec.termination == "stationary" and rec.stopped == 0
         np.testing.assert_array_equal(rec.times, [0.0, 7.0])
         np.testing.assert_array_equal(rec.states[1], rec.states[0])
@@ -189,14 +209,14 @@ class TestGradientDescent:
     def test_unit_constraints_after_every_step(self):
         arch = Architecture((1, 4, 1))
         xi = random_params(arch, np.random.default_rng(37))
-        rec = gd_run(xi, MU, F, steps=20, gammas=0.05)
+        rec = gd_run(xi, MU, F, steps=20, gamma=0.05)
         for state in rec.states:
             assert max_constraint_deviation(ParamVector(arch, state)) <= 1e-12
 
     def test_risk_decreases_with_small_constant_step(self):
         arch = Architecture((1, 8, 1))
         xi = random_params(arch, np.random.default_rng(38))
-        rec = gd_run(xi, MU, F, steps=1000, gammas=1e-3, record_every=100)
+        rec = gd_run(xi, MU, F, steps=1000, gamma=1e-3, record_every=100)
         assert rec.risk[-1] < rec.risk[0]
 
     def test_risk_decreases_on_one_neuron_problem(self):
@@ -204,13 +224,13 @@ class TestGradientDescent:
         arch = Architecture((1, 1, 1))
         fbar = 0.3**2 / 2 + 0.7**2 / 2  # mean of |s - 0.3| on [0, 1]
         xi = ParamVector(arch, np.array([0.6, 0.8, 1.5, fbar]))
-        rec = gd_run(xi, MU, F, steps=1000, gammas=1e-3, record_every=250)
+        rec = gd_run(xi, MU, F, steps=1000, gamma=1e-3, record_every=250)
         assert rec.risk[-1] < rec.risk[0]
 
     def test_rescaled_schedule_descends(self):
         arch = Architecture((1, 3, 1))
         xi = random_params(arch, np.random.default_rng(44))
-        rec = gd_run(xi, MU, F, steps=200, gammas="rescaled", record_every=50)
+        rec = gd_run(xi, MU, F, steps=200, gamma="rescaled", record_every=50)
         assert rec.risk[-1] < rec.risk[0]
         for state in rec.states:
             assert max_constraint_deviation(ParamVector(arch, state)) <= 1e-12
@@ -224,14 +244,14 @@ class TestGradientDescent:
         assert max(rec.psi_max_dev) <= 1e-8
         assert np.max(np.diff(rec.risk)) <= 1e-8
 
-    @pytest.mark.parametrize("gammas", ["adaptive", -0.1, [0.1, 0.1], None, float("nan"), "0.1"])
-    def test_rejects_unknown_schedule(self, gammas):
+    @pytest.mark.parametrize("gamma", ["adaptive", -0.1, [0.1, 0.1], None, float("nan"), "0.1"])
+    def test_rejects_unknown_schedule(self, gamma):
         # descent takes the flow's gamma rule: a negative gamma would run
         # gradient ascent, and a per-step list is not a step factor
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(40))
         with pytest.raises(ValueError, match="'gamma'"):
-            gd_run(xi, MU, F, steps=5, gammas=gammas)
+            gd_run(xi, MU, F, steps=5, gamma=gamma)
 
     def test_divergence_ends_with_last_valid_state(self):
         # the first step overshoots the guard; the record closes with the
@@ -239,7 +259,7 @@ class TestGradientDescent:
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(46))
         cfg = FlowConfig(t_end=0.05, step=1e-2, integrator="euler", gamma=1e15)
-        for rec in (gd_run(xi, MU, F, steps=5, gammas=1e15), integrate_flow(xi, MU, F, cfg)):
+        for rec in (gd_run(xi, MU, F, steps=5, gamma=1e15), integrate_flow(xi, MU, F, cfg)):
             assert rec.termination == "divergence_guard"
             assert len(rec.states) == 2 and np.all(np.isfinite(rec.risk))
             np.testing.assert_array_equal(rec.states[-1], rec.states[0])
@@ -253,7 +273,7 @@ class TestGradientDescent:
         xi.values[arch.subvector_rows[0][1]] = 0.0
         f = TargetFunction.from_scalar(affine_target(0.0, 100.0))
         with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
-            rec = gd_run(xi, MU, f, steps=3, gammas=1.7e308)
+            rec = gd_run(xi, MU, f, steps=3, gamma=1.7e308)
         assert rec.termination == "nonfinite"
         assert rec.degenerate_events == 1
 
@@ -265,7 +285,7 @@ class TestGradientDescent:
         xi = random_params(Architecture((1, 2, 1)), np.random.default_rng(46))
         f = affine_target(0.0, 100.0)
         cfg = on.OneNeuronConfig(t_end=1.0, step=0.5, integrator="euler", gamma=gamma)
-        rec = gd_run(xi, MU, TargetFunction.from_scalar(f), steps=3, gammas=gamma)
+        rec = gd_run(xi, MU, TargetFunction.from_scalar(f), steps=3, gamma=gamma)
         batch = on.flow_batch([[0.6, 0.8, 1.0], [0.0, -1.0, 2.0]], f, cfg)
         assert rec.termination == word
         assert batch.termination.tolist() == [word, "completed"]
@@ -300,7 +320,7 @@ class TestGradientDescent:
             rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.05, step=1e-2, integrator="euler"))
         assert rec.degenerate_events == 2 + 5 * 2
         with pytest.warns(RuntimeWarning, match="zero hidden subvector"):
-            rec = gd_run(xi, MU, F, steps=3, gammas=0.1)
+            rec = gd_run(xi, MU, F, steps=3, gamma=0.1)
         assert rec.degenerate_events == 2 + 3 * 2
 
 

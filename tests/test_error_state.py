@@ -90,7 +90,7 @@ def test_runs_leave_the_error_state_as_it_was():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         mg.integrate_flow(theta, MU, F, mg.FlowConfig(t_end=0.02, step=0.01, gamma="rescaled"))
-        mg.gd_run(theta, MU, F, steps=2, gammas="rescaled")
+        mg.gd_run(theta, MU, F, steps=2, gamma="rescaled")
         batch = on.flow_batch(STATES, PROBLEM, cfg)
         on.monitor_report(batch, PROBLEM, conservation_rate=1e-6)
         assert np.geterr() == before
@@ -107,3 +107,45 @@ def test_monitors_of_overflowing_states_do_not_warn():
         E, V_right, V_left = on.lyapunov_values(states)
         on.applicability_masks(states, PROBLEM)
     assert np.isinf(V_right[:2]).all() and np.isfinite(V_right[2])
+
+
+# (architecture, a target of its input and output dims) for the empty measure
+EMPTY_MEASURE_CASES = {
+    "1,3,1": ((1, 3, 1), F),
+    "2,4,4,1": ((2, 4, 4, 1), mg.TargetFunction.affine_map([[0.5, -0.3]], [0.1])),
+    "1,2,2": ((1, 2, 2), mg.TargetFunction.affine_map([[0.5], [-0.3]], [0.1, 0.2])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMPTY_MEASURE_CASES))
+def test_empty_discrete_measure_gives_zeros(case):
+    # a measure without points: every integral is an exact zero, the output
+    # is the uncentered readout, and each run is stationary at its start
+    dims, f = EMPTY_MEASURE_CASES[case]
+    arch = mg.Architecture(dims)
+    mu0 = mg.discrete_measure(np.zeros((0, dims[0])), np.zeros(0))
+    theta = mg.random_on_manifold(arch, np.random.default_rng(7))
+    x = np.linspace(0.0, 1.0, 3 * dims[0]).reshape(3, dims[0])
+    zeros = np.zeros(arch.param_count).tobytes()
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mg.risk(theta, mu0, f) == 0.0
+        value, grad = mg.risk_and_gradient(theta, mu0, f)
+        assert value == 0.0 and grad.tobytes() == zeros
+        assert mg.hidden_mean(theta, mu0).tobytes() == np.zeros(dims[-2]).tobytes()
+        _, acts = mg.forward(theta, x)
+        L = arch.depth
+        np.testing.assert_array_equal(mg.realize(theta, x, mu0),
+                                      acts[-1] @ theta.weights(L).T + theta.biases(L))
+        assert mg.integrate(lambda X: X.sum(axis=1), mu0) == 0.0
+        vector = mg.integrate(lambda X: np.column_stack((X[:, 0], X[:, 0] ** 2)), mu0)
+        assert vector.tobytes() == np.zeros(2).tobytes()
+        runs = (mg.gd_run(theta, mu0, f, 5, "rescaled"),
+                mg.integrate_flow(theta, mu0, f, mg.FlowConfig(t_end=0.05, step=0.01)))
+        for record, h in zip(runs, (1.0, 0.01)):  # five steps each
+            assert record.termination == "stationary"
+            np.testing.assert_array_equal(record.times, np.array([0, 5]) * h)
+            assert record.risk.tolist() == [0.0, 0.0] and record.grad_norm.tolist() == [0.0, 0.0]
+            assert record.states[0].tobytes() == mg.rescale_full(theta).values.tobytes()
+    assert np.geterr() == before

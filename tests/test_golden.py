@@ -7,13 +7,20 @@ refactor that changes a single output bit fails here.  A deliberate numeric
 change must update the digests and say so in CHANGES.md.
 
 The digests hold under one OpenBLAS kernel: another kernel rounds the network
-pass's matrix products in another order, so a failure names the kernel the
-digests were recorded under and the one this run used.
+pass's matrix products in another order.  So all ten configs run in one
+subprocess started with OPENBLAS_CORETYPE set to the kernel the digests were
+recorded under, one that every x86-64 CI runner has, whatever kernel the
+calling process picked; a test checks that the subprocess got that kernel, so
+a silent fallback cannot pass.  Run as a script, this file prints the
+subprocess's kernel and digests as JSON.
 """
 
 import ctypes
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +28,7 @@ import pytest
 
 from mgflow.runner import ExperimentConfig, run_experiment
 
-RECORDED_UNDER = "SkylakeX"  # the OpenBLAS kernel that wrote DIGESTS
+RECORDED_UNDER = "Haswell"  # the OpenBLAS kernel that wrote DIGESTS
 
 AFFINE_MAP = {"name": "affine_map", "weights": [[0.5, -0.3]], "offset": [0.1]}
 
@@ -51,28 +58,28 @@ CONFIGS = {
 # (trajectory.csv, summary.json without config.out)
 DIGESTS = {
     "flow_181": (
-        "e7930776a3d68b6a8e73b0a65f3e193af88b451968050c0746346edfec5a8242",
-        "91135ec2959511ed04971f7386b0ca54407683fe6be8a49eab016454bb62b5e5",
+        "1a306e93219a3275599329ddf669b27e0090db4891d752895af813849a33c15a",
+        "2889fa57d42506c848d09e40e31e2728970c3910b321dd171d6bb6eb6879cad0",
     ),
     "flow_181_r50": (
-        "699fbbaf6c0f9335f2faf6afc32055ee504dffac9d331d2931f2a00b44f674fb",
+        "702cd5954bdb33ff7c3600e9dec15be8dd6aff7ab505c6141c56388ac7ab82d8",
         "219823f93f0fc33d73941e98ec81a6b2721cb898c07bc43565223e92d68a1097",
     ),
     "flow_181_rescaled": (
-        "edc8cab5543a30f55fba15854d3fa50663d6538bdabc6010bc0d4b7495db086a",
+        "df95853f314c45f2221ff9cfc592018cf3aa439fbc194ffa9a6a1a508d5d479c",
         "42e0c75ffef23ead1b9df1a3f32791977f6fb01b1b0b8a6fdaa0f6a16b9b57fe",
     ),
     "flow_141_no_reproject": (
-        "83c143db10a2e3a1ae1e6ddb609ada4be7f566811d3df0e0999f4a243f43a25b",
+        "37629b90a6a3c57398439d061cc7b6d077be74389313af844b8a5fba46a706f7",
         "9a000f2a34d609823e0fd8b204043dba37b35457ee558ee4a701aa6608f2b486",
     ),
     "gd_1331_rescaled": (
-        "6744d1aff1d5733883cb893cb3ffdddb074252dce1992441807bca665a4565d4",
-        "15fa2f0677a4457c9e03c28ff6c29dbdf1a8fa21299b2e59e8157cd8c9b7a9cd",
+        "8a41203b4c81c938f4ae736804089c8e363208950e8cc93b0019ba921f274463",
+        "0ea991d970ad1d7945e070b65b0afd3a7000d20d76baad95e7e19287b0337117",
     ),
     "gd_2441": (
-        "d594fb77d5dee81d6690f1f2f10bfa007288f1540b69cff1de783298c8334a52",
-        "e26cf580c5ad09f6b776d051b86f2effa233e28e619e4f3075a397d22cc66344",
+        "721575b9dabdab70f88f50d39cfd7b7b6d13b12be140dee50950f79a6b8169d0",
+        "a0ccbbaa44ead3c16247b52c59c2bfc719e5b8237485faa9388250fe9bb56d26",
     ),
     "one_neuron_constant": (
         "b9528382890a8b09476845bf28df72e8bbdbcf86392813db6f38fd53c756bd0f",
@@ -116,7 +123,29 @@ def output_digests(name, out):
     )
 
 
+@pytest.fixture(scope="module")
+def pinned_run(tmp_path_factory):
+    """{"core": kernel, "digests": {name: [csv, summary]}} from one subprocess
+    run of every config under OPENBLAS_CORETYPE = RECORDED_UNDER."""
+    env = dict(os.environ, OPENBLAS_CORETYPE=RECORDED_UNDER, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, __file__, str(tmp_path_factory.mktemp("golden"))],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_digests_run_under_the_pinned_kernel(pinned_run):
+    assert pinned_run["core"] == RECORDED_UNDER, (
+        f"OPENBLAS_CORETYPE={RECORDED_UNDER} gave the kernel {pinned_run['core']}")
+
+
 @pytest.mark.parametrize("name", sorted(CONFIGS))
-def test_output_bytes_match_the_recorded_digests(name, tmp_path):
-    assert output_digests(name, tmp_path) == DIGESTS[name], (
-        f"digests recorded under the OpenBLAS kernel {RECORDED_UNDER}; this run used {blas_core()}")
+def test_output_bytes_match_the_recorded_digests(name, pinned_run):
+    assert tuple(pinned_run["digests"][name]) == DIGESTS[name], (
+        f"digests recorded under the OpenBLAS kernel {RECORDED_UNDER}; this run used {pinned_run['core']}")
+
+
+if __name__ == "__main__":
+    out = Path(sys.argv[1])
+    digests = {name: output_digests(name, out / name) for name in sorted(CONFIGS)}
+    print(json.dumps({"core": blas_core(), "digests": digests}))

@@ -221,6 +221,15 @@ class TestClosedIntegrals:
             t = circle_point(rng.uniform(0.02, 0.98), rng.choice((1.0, -1.0)), rng.standard_normal())
             np.testing.assert_allclose(on.closed_gradient(t, f), on.grad_1n(t, f), atol=1e-13)
 
+    def test_closed_gradient_needs_a_breakpoint_regime(self):
+        # t1 = 0 on the circle (full and empty), a full and an empty state with t1 > 0
+        f = abs_offset_target(0.3)
+        for t in ([0.0, 1.0, 0.5], [0.0, -1.0, -0.5], [0.6, 0.8, 1.0], [0.6, -0.8, 1.0]):
+            with pytest.raises(ValueError, match="breakpoint regime"):
+                on.closed_gradient(t, f)
+        with pytest.raises(ValueError, match="constraint circle"):
+            on.closed_gradient([0.0, 0.0, 1.0], f)
+
 
 class TestAffineIntegralBound:
     def test_equality_at_centered_line(self):
@@ -289,6 +298,40 @@ class TestWindows:
         # mean of f2: pieces (0.5->-0.25), (-0.25->0.125): 0.125/2 + (-0.0625)/2
         fbar = f2.mean()
         assert f2(1.0) != fbar  # sanity: generic target has a signed window
+
+    @pytest.mark.parametrize("f, sides", [
+        (constant_target(0.3), ("right", "left")),
+        # f(1) = 1/3 is the mean; f(0) = 1 is above it
+        (piecewise_linear_target([0.0, 0.5, 1.0], [1.0, 0.0, 1.0 / 3.0]), ("right",)),
+    ])
+    def test_windowless_side_selects_only_through_lipschitz(self, f, sides):
+        # a side whose endpoint value is the mean has sign 0 and no window, so
+        # in that side's regime no state is in v_right / v_left, and theta3_sq
+        # holds exactly where the Lipschitz branch puts it: q on the far half
+        # and |t3| >= 4 Lip (nowhere for a constant target, Lip = 0)
+        problem = on.as_problem(f)
+        w = problem.windows
+        rng = np.random.default_rng(20)
+        for side in ("right", "left"):
+            sign, plain, band = (getattr(w, f"{side}_sign"), getattr(w, f"eps_{side}_plain"),
+                                 getattr(w, f"eps_{side}_band"))
+            if side not in sides:
+                assert sign != 0 and plain > 0.0 and band > 0.0
+                continue
+            assert (sign, plain, band) == (0, 0.0, 0.0)
+            q = np.concatenate([rng.uniform(0.0, 1.0, 2000), [0.5, 0.5, 1e-9, 1.0 - 1e-9]])
+            t3 = np.concatenate([rng.uniform(-4.0, 4.0, 2000) * (1.0 + 4.0 * w.lipschitz),
+                                 [4.0 * w.lipschitz, -4.0 * w.lipschitz, 1.0, -1.0]])
+            t1 = (1.0 if side == "right" else -1.0) / np.sqrt(1.0 + q * q)
+            states = np.column_stack([t1, -q * t1, t3])
+            code, q = on._regime_codes(t1, -q * t1)  # q as the masks see it
+            assert (code == (2 if side == "right" else 3)).all()
+            masks = on.applicability_masks(states, problem)
+            assert not masks["v_right"].any() and not masks["v_left"].any()
+            far = (q >= 0.5) if side == "right" else (q <= 0.5)
+            expected = far & (np.abs(t3) >= 4.0 * w.lipschitz) & (w.lipschitz > 0.0)
+            np.testing.assert_array_equal(masks["theta3_sq"], expected)
+            assert expected.any() == (w.lipschitz > 0.0)
 
 
 class TestFlow:
