@@ -222,9 +222,9 @@ class TestClosedIntegrals:
             np.testing.assert_allclose(on.closed_gradient(t, f), on.grad_1n(t, f), atol=1e-13)
 
     def test_closed_gradient_needs_a_breakpoint_regime(self):
-        # t1 = 0 on the circle (full and empty), a full and an empty state with t1 > 0
+        # a full and an empty state with t1 > 0; t1 = 0 is checked in test_error_state.py
         f = abs_offset_target(0.3)
-        for t in ([0.0, 1.0, 0.5], [0.0, -1.0, -0.5], [0.6, 0.8, 1.0], [0.6, -0.8, 1.0]):
+        for t in ([0.6, 0.8, 1.0], [0.6, -0.8, 1.0]):
             with pytest.raises(ValueError, match="breakpoint regime"):
                 on.closed_gradient(t, f)
         with pytest.raises(ValueError, match="constraint circle"):
