@@ -36,7 +36,7 @@ from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* 
 from .network import _NodePlan
 from .network import risk  # noqa: F401  (bench/tracing.py wraps dynamics.risk)
 from .params import ParamVector, _number
-from .quadrature import InputMeasure, QuadratureError, quiet
+from .quadrature import TWO, InputMeasure, QuadratureError, constant, quiet
 from .smoothing import INF
 from .targets import TargetFunction
 
@@ -162,6 +162,7 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRe
     stopped = np.zeros(len(Y), dtype=int)
     termination = np.full(len(Y), "completed", dtype="<U16")
     rows, events, n_stopped = [], 0, 0
+    half, full, sixth = constant(0.5 * h), constant(h), constant(h / 6.0)  # 0-d operands (`constant`)
 
     def rate(Z, record=False):
         G, gamma, risk, psi = field(Z, record)
@@ -186,10 +187,10 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRe
             break
         try:
             if rk4:
-                k2 = rate(Y + 0.5 * h * k1)[0]
-                k3 = rate(Y + 0.5 * h * k2)[0]
-                k4 = rate(Y + h * k3)[0]
-            Y_new = Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4) if rk4 else Y + h * k1
+                k2 = rate(Y + half * k1)[0]
+                k3 = rate(Y + half * k2)[0]
+                k4 = rate(Y + full * k3)[0]
+            Y_new = Y + sixth * (k1 + TWO * k2 + TWO * k3 + k4) if rk4 else Y + full * k1
         except QuadratureError:  # the field failed at a stage state: the step is non-finite
             Y_new = np.full_like(Y, np.nan)
         Y_new, zero_rows = retract(Y_new)

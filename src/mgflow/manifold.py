@@ -27,22 +27,23 @@ def _unit_rows(V: np.ndarray):
     """(rows of V divided by their norms, the norms, the squares
     vecdot(V, V)), as `rho` does per row: zero rows stay zero, non-finite
     rows become nan.  Rows whose norm lies outside [1e-140, 1e140], where the
-    squares lose precision, are scaled by their largest |entry| first
-    (Blue 1978; LAPACK dnrm2); the squares returned stay unscaled.
+    squares lose precision, are scaled by their largest |entry| first, one
+    fresh row at a time as in `rho` (Blue 1978; LAPACK dnrm2); the squares
+    returned stay unscaled.
 
     The caller sets the error state.  Row dot products here and below use
-    np.vecdot, the kernel of `a @ b`: each equals the per-vector one bit for bit."""
+    np.vecdot, the kernel of `a @ b`: each equals the per-vector one bit for
+    bit at the same address (OpenBLAS's SSE2 `Prescott` dot rounds by alignment)."""
     sq = np.vecdot(V, V)
     n = np.sqrt(sq)
     if 1e-140 < n.min() and n.max() < 1e140:  # false for nan too
         return V / n[:, None], n, sq
-    off = ~((n > 1e-140) & (n < 1e140))
     U = V / n[:, None]
-    s = np.max(np.abs(V[off]), axis=1, keepdims=True, initial=0.0)
-    X = V[off] / s
-    m = np.sqrt(np.vecdot(X, X))[:, None]
-    U[off] = np.where(s == 0.0, 0.0, X / m)
-    n[off] = np.where(s == 0.0, 0.0, s * m)[:, 0]
+    for i in np.flatnonzero(~((n > 1e-140) & (n < 1e140))):
+        s = np.max(np.abs(V[i]), initial=0.0)
+        x = V[i] / s
+        m = np.sqrt(np.vecdot(x, x))
+        U[i], n[i] = (0.0, 0.0) if s == 0.0 else (x / m, s * m)
     return U, n, sq
 
 

@@ -31,7 +31,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .dynamics import GAMMA_CAP, TrajectoryRecord, check_schedule, fixed_step, step_factor
-from .quadrature import gauss_legendre, quiet
+from .quadrature import ONE, TWO, ZERO, constant, gauss_legendre, quiet
 from .targets import PiecewisePolynomial
 
 INV_SQRT2 = 2.0**-0.5
@@ -42,12 +42,13 @@ _E_FULL_T1_CAP = 0.999  # conservation monitor needs log(1 - t1^2) well conditio
 
 def _intervals(t1, t2):
     """Activity-interval ends as one (2, ...) array [lo, hi] (lo = hi when
-    empty), and q = -t2 / t1 (+-inf or nan where t1 = 0; the caller sets the error state)."""
+    empty; where t1 > 0 and t2 is nan, lo is nan and hi 0), and q = -t2 / t1
+    (+-inf or nan where t1 = 0; the caller sets the error state)."""
     q = -t2 / t1
-    c = np.minimum(np.maximum(q, 0.0), 1.0)
-    pos, ends = t1 > 0.0, np.empty((2,) + np.shape(t1))
-    ends[0] = np.where(pos, c, 0.0)
-    ends[1] = np.where(t1 < 0.0, c, pos | ((t1 == 0.0) & (t2 > 0.0)))
+    c = np.minimum(np.maximum(q, ZERO), ONE)
+    pos, ends = t1 > ZERO, np.empty((2,) + np.shape(t1))
+    ends[0] = np.where(pos, c, ZERO)
+    ends[1] = np.where(t1 < ZERO, c, np.maximum(t1, t2) > ZERO)
     return ends, q
 
 
@@ -133,6 +134,9 @@ class OneNeuronProblem:
     fbar: float
     centered_square: float  # int_0^1 (f - fbar)^2 ds
 
+    def __post_init__(self):  # both as 0-d operands, for `_one_pass`
+        object.__setattr__(self, "_operands", (constant(self.fbar), constant(self.centered_square)))
+
     @classmethod
     def from_target(cls, f: PiecewisePolynomial) -> "OneNeuronProblem":
         if not (f.breaks[0] == 0.0 and f.breaks[-1] == 1.0):
@@ -174,19 +178,20 @@ def _one_pass(states: np.ndarray, problem: OneNeuronProblem, risk: bool = False)
     GT, RT, t1, t2, t3 = G.T, R.T, X[0], X[1], X[2]
     # the ends lie in the domain [0, 1] (or are nan), so no clip is needed
     M = problem.f.lookup_moments(_intervals(t1, t2)[0])  # P0, P1, P2, F0, F1
+    fbar, centered_square = problem._operands
     m = t1 * M[1] + t2 * M[0]
     d = t2 - m
-    AB = problem.fbar * M[:2] - M[3:]  # (A, B) = fbar (P0, P1) - (F0, F1)
+    AB = fbar * M[:2] - M[3:]  # (A, B) = fbar (P0, P1) - (F0, F1)
     ab = t1 * M[2:0:-1] + d * M[1::-1]  # (a, b) = t1 (P2, P1) + d (P1, P0)
     # J3 = int_0^1 (max(t1 s + t2, 0) - m)^2 ds
-    J3 = t1 * ab[0] + d * ab[1] + m * m * (1.0 - M[0])
-    RT[:2] = R01 = 2.0 * t3 * (t3 * ab + AB[::-1])
-    RT[2] = GT[2] = R2 = 2.0 * (t3 * J3 + t1 * AB[1] + t2 * AB[0])
+    J3 = t1 * ab[0] + d * ab[1] + m * m * (ONE - M[0])
+    RT[:2] = R01 = TWO * t3 * (t3 * ab + AB[::-1])
+    RT[2] = GT[2] = R2 = TWO * (t3 * J3 + t1 * AB[1] + t2 * AB[0])
     w = t2 * R01[0] - t1 * R01[1]
     GT[0] = t2 * w
     GT[1] = -t1 * w
     # L = t3^2 J3 + 2 t3 (t1 B + t2 A) + int (f - fbar)^2, in the states' layout
-    L = (t3 * R2 - t3 * t3 * J3 + problem.centered_square).T if risk else None
+    L = (t3 * R2 - t3 * t3 * J3 + centered_square).T if risk else None
     return G, R, L
 
 
@@ -308,15 +313,12 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
     states = np.asarray(states, dtype=float)
     t1, t3 = states[..., 0], states[..., 2]
     code, q = _regime_codes(t1, states[..., 1])
-    right = code == 2
-    left = code == 3
+    right, left = code == 2, code == 3
     qs = np.where(np.isfinite(q), q, 0.0)
     w = problem.windows
 
     def signed(mask_regime, sign, t3v):
-        if sign > 0:
-            return mask_regime & (t3v <= 0.0)
-        return mask_regime & (t3v >= 0.0)
+        return mask_regime & ((t3v <= 0.0) if sign > 0 else (t3v >= 0.0))
 
     # a side without a window has sign 0 and eps 0, and eps 0 selects no state
     # of that side's regime (0 < q < 1): its signed and band masks stay empty
@@ -362,7 +364,7 @@ def _retract_to_circle(Y):
     """Scale each row's (t1, t2) to unit norm in place; rows with t1 = t2 = 0
     stay.  The circle flow has no hidden rows, so it reports no zero rows."""
     nrm = np.hypot(Y[:, 0], Y[:, 1])
-    Y[:, :2] /= np.where(nrm > 0.0, nrm, 1.0)[:, None]
+    Y[:, :2] /= np.where(nrm > ZERO, nrm, ONE)[:, None]
     return Y, 0
 
 
@@ -384,7 +386,7 @@ def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
 
     def field(states, record):
         G, R, L = _one_pass(states, problem, record)
-        psi = np.abs(states[:, 0] ** 2 + states[:, 1] ** 2 - 1.0) if record else None
+        psi = np.abs(states[:, 0] * states[:, 0] + states[:, 1] * states[:, 1] - ONE) if record else None
         return G, step_factor(R, G, cfg.gamma), L, psi
 
     retract = _retract_to_circle if cfg.renormalize else (lambda states: (states, 0))
@@ -429,11 +431,7 @@ def monitor_report(batch: TrajectoryRecord, problem: OneNeuronProblem,
 def random_circle_states(rng: np.random.Generator, n: int, t3_scale: float = 1.0) -> np.ndarray:
     """Seeded initial states on the constraint circle."""
     angle = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    out = np.empty((n, 3))
-    out[:, 0] = np.cos(angle)
-    out[:, 1] = np.sin(angle)
-    out[:, 2] = t3_scale * rng.standard_normal(n)
-    return out
+    return np.column_stack([np.cos(angle), np.sin(angle), t3_scale * rng.standard_normal(n)])
 
 
 def boundedness_experiment(f, init_seed: int, cfg: OneNeuronConfig,

@@ -30,6 +30,15 @@ _PANEL_ORDER = 4
 quiet = np.errstate(over="ignore", divide="ignore", invalid="ignore")
 
 
+def constant(value) -> np.ndarray:
+    """`value` as a read-only 0-d float64 array: a ufunc takes it as it is, while
+    NumPy 2 converts a Python-float operand on every call (NEP 50)."""
+    return np.broadcast_to(np.float64(value), ())
+
+
+ZERO, ONE, TWO = map(constant, (0.0, 1.0, 2.0))  # the circle flow's stage-loop operands
+
+
 class QuadratureError(RuntimeError):
     """Raised when an integrand produces non-finite values."""
 

@@ -47,6 +47,7 @@ class PiecewisePolynomial:
         object.__setattr__(self, "_inner", np.asarray(breaks[1:-1]))
         object.__setattr__(self, "_columns", tuple(np.ascontiguousarray(table[:, ::-1].T)))
         object.__setattr__(self, "_breaks", np.asarray(breaks))
+        object.__setattr__(self, "_upper", self._breaks[1:])  # the primitive table's upper breaks
 
     @functools.cached_property
     def _primitive(self) -> np.ndarray:
@@ -89,7 +90,7 @@ class PiecewisePolynomial:
         """The five moments of `interval_moments` as one (5, ...) array, for
         ends of shape (2, ...) already inside the domain with ends[0] <= ends[1]
         (nan ends give nan moments)."""
-        piece = self._breaks[1:].searchsorted(ends, side="right")
+        piece = self._upper.searchsorted(ends, side="right")
         C = self._primitive.take(piece, axis=-1)  # (D, 5, 2, ...)
         u = ends - self._breaks[piece]
         F = C[-1]  # Horner in place on the fresh gather: F <- C[k] + u F

@@ -267,17 +267,27 @@ class TestScaleSafeNorms:
         np.testing.assert_array_equal(renormalize(theta).values[:4], out.values[:4])
 
 
+def _block_rows(theta):
+    """(flat positions, the row) of every hidden row [W_k | b_k], neuron (k, i)
+    by neuron; the row is a view into a copy of its layer's block, so it sits
+    at the offset where the code's rowwise pass reads it.  OpenBLAS's SSE2
+    `Prescott` dot rounds by a row's 16-byte alignment, so a copy of the row
+    elsewhere may take its dot products in another order."""
+    for rows in theta.arch.subvector_rows[:-1]:
+        yield from zip(rows, theta.values[rows])
+
+
 def _per_neuron_reference(theta, raw):
-    """Projection, renormalization and max |psi - 1| one neuron at a time."""
-    arch = theta.arch
+    """Projection, renormalization and max |psi - 1| one neuron at a time,
+    with the row products through np.vecdot, as the code takes them."""
     proj = np.array(raw, dtype=float)
     unit = theta.copy()
     devs = []
-    for idx in _hidden_rows(arch):
+    for idx, V in _block_rows(theta):
         u = rho(_normal(theta, idx)[idx])
-        proj[idx] -= (u @ proj[idx]) * u
-        unit.values[idx] = rho(theta.values[idx])
-        devs.append(abs(theta.values[idx] @ theta.values[idx] - 1.0))
+        proj[idx] -= np.vecdot(u, proj[idx]) * u
+        unit.values[idx] = rho(V)
+        devs.append(abs(np.vecdot(V, V) - 1.0))
     return proj, unit.values, float(np.max(devs))
 
 
@@ -342,8 +352,8 @@ class TestRowFormRetraction:
         # independent references: rho row by row, and a zero row being one
         # with no nonzero entry, counted only when every hidden entry is finite
         expected = theta.values.copy()
-        for idx in rows:
-            expected[idx] = rho(theta.values[idx])
+        for idx, V in _block_rows(theta):
+            expected[idx] = rho(V)
         assert values.tobytes() == expected.tobytes()
         finite = all(np.isfinite(values[idx]).all() for idx in rows)
         assert zeros == (sum(not values[idx].any() for idx in rows) if finite else 0)

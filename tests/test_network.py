@@ -1,5 +1,3 @@
-import functools
-
 import numpy as np
 import pytest
 
@@ -142,53 +140,23 @@ class TestRisk:
         assert np.isfinite(val) and val >= 0.0
 
 
-# The forward pass and risk pass before the biases were folded into the layer
-# products (separate `z += b` and `R += b_L`), verbatim but for the `_ref_`
-# names: the folded pass must reproduce their risk bit for bit.
-class _RefWorkspace:
-    def __init__(self, dims: tuple, n: int):
-        width = max(dims[1:])
-        self.pres = [np.empty((l, n)) for l in dims[1:-1]]
-        self.act, self.delta = np.empty((width, n)), np.empty((width, n))
-        self.acts = [self.act[:l] for l in dims[1:-1]]
-        self.resid = np.empty((dims[-1], n))
-        self._X = self._XT = None
-
-    def nodes_t(self, X: np.ndarray) -> np.ndarray:
-        if X is not self._X:
-            self._X, self._XT = X, X.T if X.flags.writeable else np.ascontiguousarray(X.T)
-        return self._XT
+# A risk pass that folds each layer's biases itself: it joins the weight
+# block W_k and the bias vector b_k of the parameter vector into [W_k | b_k],
+# appends a row of ones to the layer's input, and takes one np.matmul per
+# layer, the reduction the folded pass takes.  The separate form W_k h + b_k
+# rounds otherwise under some OpenBLAS kernels (by 1 ulp under Haswell and
+# Zen), so only the same reduction gives the same bits under every kernel.
+def _ref_folded(theta: ParamVector, k: int, h: np.ndarray) -> np.ndarray:
+    V = np.hstack([theta.weights(k), theta.biases(k)[:, None]])
+    return V @ np.vstack([h, np.ones((1, h.shape[1]))])
 
 
-_ref_workspace = functools.lru_cache(maxsize=4)(_RefWorkspace)
-
-
-def _ref_matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
-    if A.shape[1] == 1:
-        return np.multiply(A, B, out=out)
-    return np.matmul(A, B, out=out)
-
-
-def _ref_forward_into(theta: ParamVector, XT: np.ndarray, r, pres, acts) -> np.ndarray:
-    h, v = XT, theta.values
-    for (w, shape, b), z, a in zip(theta.arch.layer_table, pres, acts):
-        _ref_matmul(v[w].reshape(shape), h, z)
-        z += v[b][:, None]
-        h = smoothed_act(r, z, out=a)
-    return h
-
-
-def _ref_risk_pass(theta: ParamVector, X: np.ndarray, w: np.ndarray, f: TargetFunction, r):
-    fX = f(X)  # first: a target may itself run a pass in this workspace
-    ws = _ref_workspace(theta.arch.layer_dims, X.shape[0])
-    H = _ref_forward_into(theta, ws.nodes_t(X), r, ws.pres, ws.acts)
-    H -= (H @ w)[:, None]
-    w_out, shape, b_out = theta.arch.layer_table[-1]
-    R = _ref_matmul(theta.values[w_out].reshape(shape), H, ws.resid)
-    R += theta.values[b_out][:, None]
-    R -= fX.T
-    sq = np.multiply(R, R, out=ws.delta[: len(R)])
-    return float(sum(np.vecdot(sq, w))), ws  # vecdot: the kernel of row @ w, per row
+def _ref_risk_pass(theta: ParamVector, X: np.ndarray, w: np.ndarray, f: TargetFunction, r) -> float:
+    h = X.T
+    for k in range(1, theta.arch.depth):
+        h = smoothed_act(r, _ref_folded(theta, k, h))
+    R = _ref_folded(theta, theta.arch.depth, h - (h @ w)[:, None]) - f(X).T
+    return float(sum(np.vecdot(R * R, w)))  # vecdot: the kernel of row @ w, per row
 
 
 class TestFoldedBiases:
@@ -212,5 +180,5 @@ class TestFoldedBiases:
             theta = random_params(Architecture(dims), rng)
             bp = exact_breakpoints(theta, f.breakpoints, r)
             X, w = quadrature_nodes(measure, breakpoints=bp, resolution=resolution)
-            expected = _ref_risk_pass(theta, X, w, f, r)[0]
+            expected = _ref_risk_pass(theta, X, w, f, r)
             assert risk(theta, measure, f, r=r, resolution=resolution) == expected

@@ -626,9 +626,10 @@ BITWISE_TARGETS = (  # the circle_batch benchmark's targets and a degree-5 piece
     PiecewisePolynomial((0.0, 0.55, 1.0), ((0.2, -1.0, 3.0, 0.5, -2.0, 1.5), (0.4, 1.0, -0.5))),
 )
 # (t1, t2) rows: t1 = 0 with t2 > 0, < 0 and = 0 (and t1 = -0), q exactly 0
-# and exactly 1, and a nan in either slot
+# and exactly 1, a nan in either slot, and t1 = +-inf with a finite t2
 EDGE_ROWS = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 0.0], [-0.0, 0.5], [0.6, 0.0], [-0.6, -0.0],
-                      [0.6, -0.6], [-INV_SQRT2, INV_SQRT2], [np.nan, 0.5], [0.5, np.nan]])
+                      [0.6, -0.6], [-INV_SQRT2, INV_SQRT2], [np.nan, 0.5], [0.5, np.nan],
+                      [np.inf, 0.5], [-np.inf, 0.5]])
 
 
 def _same_bits(got, ref):

@@ -17,12 +17,27 @@ from mgflow import (
 )
 from mgflow import targets
 from mgflow.quadrature import (
+    ONE,
+    TWO,
+    ZERO,
     QuadratureError,
     composite_rule,
+    constant,
     gauss_legendre,
     quadrature_nodes,
     segment_rule,
 )
+
+
+@pytest.mark.parametrize("const, value", [(ZERO, 0.0), (ONE, 1.0), (TWO, 2.0), (constant(3), 3.0)])
+def test_stage_loop_constants_are_read_only_0d_float64(const, value):
+    # shared by every stage of every circle flow run: a write must not go through
+    assert type(const) is np.ndarray and const.dtype == np.float64 and const.shape == ()
+    with pytest.raises(ValueError, match="read-only"):
+        const[...] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        np.add(const, 1.0, out=const)
+    assert const.tobytes() == np.float64(value).tobytes()
 
 
 class TestIntegrate:
