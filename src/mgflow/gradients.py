@@ -22,7 +22,7 @@ import numpy as np
 from .network import _layer_rows, _matmul, _NodePlan, _risk_pass, risk
 from .network import forward  # noqa: F401  (bench/tracing.py wraps gradients.forward)
 from .params import ParamVector
-from .quadrature import InputMeasure, QuadratureError, quiet
+from .quadrature import TWO, InputMeasure, QuadratureError, quiet
 from .smoothing import INF, smoothed_act_deriv
 from .targets import TargetFunction
 
@@ -48,7 +48,7 @@ def _risk_and_rows(plan: _NodePlan, values: np.ndarray) -> tuple[float, list, li
     grads = [None] * len(rows)
     wr = np.multiply(R, w, out=ws.scratch)
     grads[-1] = wr @ H.T
-    grads[-1] *= 2.0
+    grads[-1] *= TWO
 
     # The signal routed through the subtracted mean is the same for every
     # node, so it leaves on the residual row: W^T R - (W^T Rbar) 1^T equals
@@ -56,7 +56,7 @@ def _risk_and_rows(plan: _NodePlan, values: np.ndarray) -> tuple[float, list, li
     # so every delta below carries them.
     R -= (R @ w)[:, None]
     R *= w
-    delta = _matmul(2.0 * rows[-1][:, :-1].T, R, H[:-1])
+    delta = _matmul(TWO * rows[-1][:, :-1].T, R, H[:-1])
     for k in range(len(rows) - 1, 0, -1):
         # layer k's pre-activations are read for the last time: dz replaces them
         dz = smoothed_act_deriv(r, ws.pres[k - 1], out=ws.pres[k - 1])

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import Architecture, ParamVector, random_params
-from .quadrature import quiet
+from .quadrature import ONE, quiet
 
 
 @quiet
@@ -50,7 +50,7 @@ def _unit_rows(V: np.ndarray):
 def _max_deviation(squares) -> float:
     """max |psi - 1| over the hidden rows, from their squared norms psi (one
     array per hidden layer)."""
-    return float(np.abs(np.concatenate(squares) - 1.0).max())
+    return float(np.abs(np.concatenate(squares) - ONE).max())
 
 
 def max_constraint_deviation(theta: ParamVector) -> float:

@@ -18,7 +18,8 @@ from typing import Optional
 import numpy as np
 
 from .params import ParamVector
-from .quadrature import InputMeasure, QuadratureError, quadrature_nodes, quiet
+from . import quadrature
+from .quadrature import ZERO, InputMeasure, QuadratureError, _segment_edges, constant, quadrature_nodes, quiet
 from .smoothing import INF, activation_knots, smoothed_act
 from .targets import TargetFunction
 
@@ -124,13 +125,11 @@ def forward(theta: ParamVector, x, r=INF):
     return [z.T for z in ws.pres], [a[:-1].T for a in ws.acts]
 
 
-def _breakpoints(V1: np.ndarray, f_breaks, r) -> np.ndarray:
-    """The kinks (knot - b) / w of the first layer's rows V1 = [W_1 | b_1],
-    knot-major, then the 1-d array f_breaks.  A row with w = 0 gives +-inf or
-    nan (the caller sets the error state), which the node build drops."""
+def _breakpoints(V1: np.ndarray, r) -> np.ndarray:
+    """The kinks (knot - b) / w of the first layer's rows V1 = [W_1 | b_1], knot-major.  A row
+    with w = 0 gives +-inf or nan (the caller sets the error state), which the node build drops."""
     w, b = V1[:, 0], V1[:, 1]
-    pts = (0.0 - b) / w if r == INF else ((activation_knots(r)[:, None] - b) / w).ravel()
-    return pts if f_breaks is None else np.concatenate((pts, f_breaks))
+    return (ZERO - b) / w if r == INF else ((activation_knots(r)[:, None] - b) / w).ravel()
 
 
 @quiet
@@ -146,8 +145,8 @@ def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.n
     arch = theta.arch
     if arch.depth != 2 or arch.layer_dims[0] != 1:
         return None
-    f_breaks = None if f_breaks is None else np.asarray(f_breaks, dtype=float).ravel()
-    return _breakpoints(theta.values[arch.subvector_rows[0]], f_breaks, r)
+    pts = _breakpoints(theta.values[arch.subvector_rows[0]], r)
+    return pts if f_breaks is None else np.concatenate((pts, np.asarray(f_breaks, dtype=float).ravel()))
 
 
 class _NodePlan:
@@ -156,16 +155,18 @@ class _NodePlan:
     A discrete measure's points and the composite grid (input dim > 1 or
     depth > 2) do not depend on the state: X is read-only, so the workspace
     loads it once, and fX is evaluated here once, before any pass runs, so a
-    target must be a pure function of x.  On the exact shallow 1-d path,
-    `nodes` adds the kinks of the rows it gets to the target breaks inside
-    (a, b), read here once, and evaluates the target at the new nodes."""
+    target must be a pure function of x.  On the exact shallow 1-d path the
+    domain ends and the target breaks inside (a, b) are read here once, and
+    `nodes` merges them with the kinks of the rows it gets into the segment
+    edges, then evaluates the target at the new nodes."""
 
     def __init__(self, arch, measure: InputMeasure, f: Optional[TargetFunction], r=INF,
                  resolution: Optional[int] = None):
         self.arch, self.measure, self.f, self.r, self._fixed = arch, measure, f, r, None
         if measure.kind == "uniform" and arch.depth == 2 and arch.layer_dims[0] == 1:
-            bp = None if f is None or f.breakpoints is None else np.asarray(f.breakpoints, float).ravel()
-            self._f_breaks = None if bp is None else bp[(bp > measure.a) & (bp < measure.b)]
+            a, b = measure.a, measure.b
+            bp = np.asarray(() if f is None or f.breakpoints is None else f.breakpoints, float).ravel()
+            self._edges = constant(a), constant(b), np.concatenate(([a], bp[(bp > a) & (bp < b)], [b]))
             return
         X, w = quadrature_nodes(measure, resolution=resolution)
         if X.flags.writeable:  # a discrete measure's points: the run keeps a read-only copy
@@ -177,11 +178,9 @@ class _NodePlan:
         """(X, w, fX) for a pass over the layer rows `rows`."""
         if self._fixed:
             return self._fixed
-        X, w = quadrature_nodes(self.measure, breakpoints=_breakpoints(rows[0], self._f_breaks, self.r))
-        if self.f is None:
-            return X, w, None
-        p = self.f.piecewise  # a scalar target, evaluated without the TargetFunction wrapper
-        return X, w, self.f(X).T if p is None else p(X[:, 0])
+        x, w = quadrature.segment_rule(_segment_edges(_breakpoints(rows[0], self.r), *self._edges))
+        f, X = self.f, x[:, None]  # a scalar target is evaluated without its TargetFunction wrapper
+        return X, w, None if f is None else f(X).T if f.piecewise is None else f.piecewise(x)
 
 
 @quiet

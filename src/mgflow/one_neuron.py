@@ -197,6 +197,9 @@ def _one_pass(states: np.ndarray, problem: OneNeuronProblem, risk: bool = False)
 
 @quiet
 def risk_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
+    """Risk at states (..., 3).  `_one_pass` forms it as t3 R2 - t3^2 J3 + int (f - fbar)^2,
+    so its error is absolute, a few eps times those three terms' magnitudes, and not relative:
+    near its minimum the risk is a small difference of terms of size int (f - fbar)^2."""
     return _one_pass(np.asarray(states, dtype=float), problem, True)[2]
 
 

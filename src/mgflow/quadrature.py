@@ -36,7 +36,7 @@ def constant(value) -> np.ndarray:
     return np.broadcast_to(np.float64(value), ())
 
 
-ZERO, ONE, TWO = map(constant, (0.0, 1.0, 2.0))  # the circle flow's stage-loop operands
+HALF, ZERO, ONE, TWO = map(constant, (0.5, 0.0, 1.0, 2.0))  # the stage loops' operands
 
 
 class QuadratureError(RuntimeError):
@@ -102,12 +102,10 @@ def gauss_legendre(order: int):
 def segment_rule(edges: np.ndarray, order: int = SEGMENT_GL_ORDER):
     """Gauss-Legendre nodes/weights on each [edges[j], edges[j+1]] segment."""
     x_ref, w_ref = gauss_legendre(order)
-    lo = edges[:-1, None]
-    hi = edges[1:, None]
-    half = (hi - lo) / 2.0
-    nodes = (lo + hi) / 2.0 + half * x_ref
-    weights = half * w_ref
-    return nodes.ravel(), weights.ravel()
+    lo, hi = edges[:-1, None], edges[1:, None]
+    half = (hi - lo) * HALF  # * 0.5 rounds as / 2 does
+    nodes = (lo + hi) * HALF + half * x_ref
+    return nodes.ravel(), (half * w_ref).ravel()
 
 
 def composite_rule(a: float, b: float, n_nodes: int):
@@ -117,18 +115,13 @@ def composite_rule(a: float, b: float, n_nodes: int):
     return segment_rule(edges, order=_PANEL_ORDER)
 
 
-def _segment_edges(breakpoints, a: float, b: float) -> np.ndarray:
-    """a, then the distinct breakpoints strictly inside (a, b) in increasing
-    order, then b.  Nan and infinite breakpoints fail the range test."""
-    bp = np.asarray(breakpoints, dtype=float).ravel()
-    inner = bp[(bp > a) & (bp < b)]
-    inner.sort()
-    edges = np.empty(inner.size + 2)
-    edges[0], edges[1:-1], edges[-1] = a, inner, b
-    keep = np.empty(edges.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(edges[1:], edges[:-1], out=keep[1:])
-    return edges[keep]
+def _segment_edges(points: np.ndarray, a, b, fixed: np.ndarray) -> np.ndarray:
+    """`fixed` (a, b and values inside (a, b)) and the `points` strictly inside (a, b), sorted,
+    without repeats; both 1-d.  Nan and infinite points fail the range test."""
+    edges = np.concatenate((fixed, points[(points > a) & (points < b)]))
+    edges.sort()
+    step = np.not_equal(edges[1:], edges[:-1])
+    return edges if step.all() else edges[np.concatenate(((True,), step))]
 
 
 def quadrature_nodes(
@@ -140,7 +133,8 @@ def quadrature_nodes(
     if measure.kind == "discrete":
         return measure.points, measure.weights
     if measure.dim == 1 and breakpoints is not None:
-        x, w = segment_rule(_segment_edges(breakpoints, measure.a, measure.b))
+        a, b = measure.a, measure.b
+        x, w = segment_rule(_segment_edges(np.asarray(breakpoints, float).ravel(), a, b, np.array([a, b])))
         return x[:, None], w
     res = DEFAULT_RESOLUTION if resolution is None else int(resolution)
     return _composite_grid(measure.a, measure.b, measure.dim, res)

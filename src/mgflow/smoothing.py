@@ -20,6 +20,8 @@ import math
 
 import numpy as np
 
+from .quadrature import ZERO
+
 INF = math.inf
 
 
@@ -39,7 +41,7 @@ def _evaluate(r, x, out, exact, cubic):
     if r != INF and not math.isinf(r := _check_index(r)):
         band = ~((x <= 0.0) | (x >= 1.0 / r))
         piece = cubic(r, x[band])  # read before `out`, which may be x, is written
-    out = exact(x, 0.0, out=np.empty_like(x) if out is None else out)
+    out = exact(x, ZERO, out=np.empty_like(x) if out is None else out)
     if band is not None:
         out[band] = piece
     return out if out.ndim else float(out)

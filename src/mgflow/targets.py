@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .quadrature import ZERO
+
 MAX_POLY_DEGREE = 5
 
 
@@ -60,7 +62,7 @@ class PiecewisePolynomial:
         # interior breaks at or below s: the piece index, clamped to the domain
         piece = self._inner.searchsorted(s, side="right")
         top, *rest = self._columns
-        out = top[piece] + s * 0.0  # polyval's first step, kept for equal bits
+        out = top[piece] + s * ZERO  # polyval's first step, kept for equal bits
         for c in rest:
             out = c[piece] + out * s
         return out if out.ndim else float(out)

@@ -177,12 +177,12 @@ class TestIntegrateFlow:
     def test_one_node_set_per_rhs_evaluation(self, monkeypatch):
         # RK4 evaluates the field 4 times per step plus once at the last state;
         # the recorded risk comes from the first of them, without a node set of
-        # its own
-        from mgflow import network
+        # its own; each node set is one segment rule over the stage's edges
+        from mgflow import quadrature
 
         calls = []
-        build = network.quadrature_nodes
-        monkeypatch.setattr(network, "quadrature_nodes", lambda *a, **k: calls.append(1) or build(*a, **k))
+        build = quadrature.segment_rule
+        monkeypatch.setattr(quadrature, "segment_rule", lambda *a, **k: calls.append(1) or build(*a, **k))
         xi = random_params(Architecture((1, 8, 1)), np.random.default_rng(12))
         rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.01, step=1e-3, record_every=1))
         assert len(rec.times) == 11

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -126,6 +127,24 @@ class TestRiskAndGradient:
                 MU, breakpoints=np.concatenate((f.interior_breaks(), [q])),
             )
             assert on.risk_batch(theta, problem) == pytest.approx(ref, abs=1e-13)
+
+    @pytest.mark.parametrize("eps", [1e-1, 1e-3, 1e-5, 1e-7])
+    def test_risk_near_its_minimum_within_an_absolute_bound(self, eps):
+        # affine_up in the full regime: the exact risk of the float state is
+        # (t1 t3 - 1)^2 / 12, down to about 1e-15 at eps = 1e-7.  risk_batch
+        # forms it as t3 R2 - t3^2 J3 + int (f - fbar)^2 (R2 = t1 (t1 t3 - 1) / 6,
+        # J3 = t1^2 / 12, int (f - fbar)^2 = 1/12), so its error is absolute: at
+        # most 16 eps times the three terms' magnitudes.  At these states every
+        # intermediate of the moment lookup and `_one_pass` is no larger than
+        # those terms, and the longest chain from the moments to the risk has
+        # about 15 roundings of at most eps / 2 each; a relative bound would be
+        # off by up to 5e-2 at eps = 1e-7.
+        t = np.array([math.cos(0.3), math.sin(0.3), (1.0 + eps) / math.cos(0.3)])
+        t1, t3 = Fraction(t[0]), Fraction(t[2])
+        exact = (t1 * t3 - 1) ** 2 / 12
+        terms = abs(t3 * t1 * (t1 * t3 - 1) / 6) + t3 * t3 * t1 * t1 / 12 + Fraction(1, 12)
+        got = on.risk_batch(t, on.as_problem(affine_target(0.0, 1.0)))
+        assert abs(Fraction(float(got)) - exact) <= 16 * Fraction(np.finfo(float).eps) * terms
 
     def test_gradient_matches_explicit_integrands(self):
         # angular factors (t2^2 s - t1 t2) and (t1^2 - t1 t2 s) on the

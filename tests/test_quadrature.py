@@ -17,6 +17,7 @@ from mgflow import (
 )
 from mgflow import targets
 from mgflow.quadrature import (
+    HALF,
     ONE,
     TWO,
     ZERO,
@@ -29,9 +30,10 @@ from mgflow.quadrature import (
 )
 
 
-@pytest.mark.parametrize("const, value", [(ZERO, 0.0), (ONE, 1.0), (TWO, 2.0), (constant(3), 3.0)])
+@pytest.mark.parametrize("const, value",
+                         [(HALF, 0.5), (ZERO, 0.0), (ONE, 1.0), (TWO, 2.0), (constant(3), 3.0)])
 def test_stage_loop_constants_are_read_only_0d_float64(const, value):
-    # shared by every stage of every circle flow run: a write must not go through
+    # shared by every stage of every circle flow and network run: a write must not go through
     assert type(const) is np.ndarray and const.dtype == np.float64 and const.shape == ()
     with pytest.raises(ValueError, match="read-only"):
         const[...] = 5.0
@@ -337,7 +339,7 @@ class TestExactNodeBuild:
     def test_exact_breakpoints_feed_the_same_nodes(self, seed, width, r, f_breaks, cases):
         from unittest import mock
 
-        from mgflow import ParamVector, exact_breakpoints, network
+        from mgflow import ParamVector, exact_breakpoints, quadrature
         from mgflow.dynamics import _network_field
         from mgflow.quadrature import quiet
         from mgflow.params import Architecture
@@ -369,15 +371,17 @@ class TestExactNodeBuild:
         assert _same_bits(got, _nodes_with_unique(bp, 0.0, 1.0))
 
         # the flow's field builds the same nodes, from the rows it gathers and
-        # the target breaks it reads once
+        # the domain ends and target breaks it reads once, through the segment
+        # rule that the network module looks up in `quadrature`
         f = TargetFunction(lambda x: np.abs(x - 0.3), breakpoints=np.array(f_breaks, dtype=float))
         field = quiet(_network_field(theta.arch, mu, f, r, None, 1.0))  # as fixed_step runs it
         built = []
 
         def spy(*args, **kwargs):
-            built.append(quadrature_nodes(*args, **kwargs))
-            return built[-1]
+            x, w = segment_rule(*args, **kwargs)
+            built.append((x[:, None], w))
+            return x, w
 
-        with mock.patch.object(network, "quadrature_nodes", spy):
+        with mock.patch.object(quadrature, "segment_rule", spy):
             field(theta.values[None, :], False)
         assert len(built) == 1 and _same_bits(built[0], got)
