@@ -103,7 +103,6 @@ def _resolve_config(args) -> ExperimentConfig:
             raise ConfigError(f"config field 'target': invalid JSON ({e})")
     if args.command == "one-neuron":
         raw.setdefault("architecture", [1, 1, 1])
-        raw.setdefault("measure", {"kind": "uniform", "a": 0.0, "b": 1.0})
     return config_from_dict(raw)
 
 

@@ -45,12 +45,16 @@ DIVERGENCE_GUARD = 1e12
 GAMMA_CAP = 1e6
 
 
-def check_schedule(t_end, step, integrator, gamma, record_every, error=ValueError) -> None:
-    """Validate a fixed-step schedule; raises `error` naming the offending field.
+class ConfigError(ValueError):
+    """Invalid experiment configuration; the message names the field."""
+
+
+def check_schedule(t_end, step, integrator, gamma, record_every) -> None:
+    """Validate a fixed-step schedule; raises ConfigError naming the offending field.
     All three dynamics take this one gamma rule: a nonnegative number or "rescaled"."""
 
     def bad(name, why):
-        raise error(f"config field '{name}': {why}")
+        raise ConfigError(f"config field '{name}': {why}")
 
     if not (_number(t_end) and 0 < t_end < np.inf):
         bad("t_end", f"must be a positive finite number, got {t_end!r}")

@@ -150,6 +150,6 @@ def zero_rows(theta: ParamVector) -> int:
     return _retract(theta.arch, theta.values)[1]
 
 
-def random_on_manifold(arch: Architecture, rng: np.random.Generator, scale: float = 1.0) -> ParamVector:
+def random_on_manifold(arch: Architecture, rng: np.random.Generator) -> ParamVector:
     """Standard normal draw pushed onto the constraint set by the cascade."""
-    return rescale_full(random_params(arch, rng, scale))
+    return rescale_full(random_params(arch, rng))

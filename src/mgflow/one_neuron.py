@@ -74,7 +74,6 @@ class MonitorWindows:
     value matches the mean and only the Lipschitz endpoint monitor applies.
     """
 
-    fbar: float
     lipschitz: float
     right_sign: int
     eps_right_plain: float
@@ -84,11 +83,10 @@ class MonitorWindows:
     eps_left_band: float
 
 
-def scan_windows(f: PiecewisePolynomial, grid_n: int = 10001) -> MonitorWindows:
-    """Grid-scan the target for the monitor windows (10^4 points by default)."""
-    fbar = f.mean()
-    s = np.linspace(0.0, 1.0, grid_n)
-    v = f(s) - fbar
+def scan_windows(f: PiecewisePolynomial) -> MonitorWindows:
+    """Grid-scan the target for the monitor windows (10^4 cells)."""
+    s = np.linspace(0.0, 1.0, 10001)
+    v = f(s) - f.mean()
     h = s[1] - s[0]
     tol = 1e-12 * (1.0 + float(np.max(np.abs(v))))
 
@@ -103,7 +101,7 @@ def scan_windows(f: PiecewisePolynomial, grid_n: int = 10001) -> MonitorWindows:
         # the running oscillation only grows with the window
         plain_ok = running_min > 0.0
         band_ok = plain_ok & (9.0 * (running_max - running_min) < running_min)
-        half = (grid_n - 1) // 2
+        half = (s.size - 1) // 2
 
         def largest(mask):
             upto = mask[: half + 1]
@@ -115,7 +113,6 @@ def scan_windows(f: PiecewisePolynomial, grid_n: int = 10001) -> MonitorWindows:
     right_sign, eps_rp, eps_rb = one_side(v[::-1])
     left_sign, eps_lp, eps_lb = one_side(v)
     return MonitorWindows(
-        fbar=fbar,
         lipschitz=f.lipschitz_bound(),
         right_sign=right_sign,
         eps_right_plain=eps_rp,
@@ -245,33 +242,6 @@ def closed_integrals(theta) -> dict:
             "centered_second_moment": t1**2 * q**3 * (1.0 / 3.0 - q / 4.0),
         }
     raise ValueError(f"closed integrals need a breakpoint regime, got {tag!r}")
-
-
-@quiet
-def closed_gradient(theta, f) -> np.ndarray:
-    """Fully closed gradient in the breakpoint regimes (circle points only).
-
-    The angular polynomial factor in the left regime is
-    q^3 (6 - 6q + 2q^2 - 3q^3)/12 with |t1|^3; the variant with all-positive
-    signs fails a direct quadrature check.
-    """
-    theta = np.asarray(theta, dtype=float)
-    g = theta[0] ** 2 + theta[1] ** 2
-    if abs(g - 1.0) > _CIRCLE_TOL:
-        raise ValueError("closed gradient formulas hold on the constraint circle")
-    problem = as_problem(f)
-    J3 = closed_integrals(theta)["centered_second_moment"]  # raises outside the breakpoint regimes
-    t1, t2, t3 = theta
-    code, q = _regime_codes(t1, t2)
-    tag, q = REGIME_TAGS[int(code)], float(q)
-    A, B = (float(v) for v in problem.f.partial_moments(*_intervals(t1, t2)[0], problem.fbar))
-    if tag == "right":
-        J1 = t1 * t2**2 / 12.0 * (1.0 - q) ** 2 * (7.0 + 2.0 * q + 3.0 * q**2)
-    else:
-        J1 = abs(t1) ** 3 / 12.0 * q**3 * (6.0 - 6.0 * q + 2.0 * q**2 - 3.0 * q**3)
-    # the tangent map of the raw gradient, with J1 = t2 K (t2 != 0 off the full/empty regimes)
-    w = 2.0 * t3 * (t3 * J1 / t2 + t2 * B - t1 * A)
-    return np.array([t2 * w, -t1 * w, 2.0 * (t3 * J3 + t1 * B + t2 * A)])
 
 
 def affine_integral_bound_check(alpha: float, beta: float, interval) -> bool:
@@ -437,10 +407,9 @@ def random_circle_states(rng: np.random.Generator, n: int, t3_scale: float = 1.0
     return np.column_stack([np.cos(angle), np.sin(angle), t3_scale * rng.standard_normal(n)])
 
 
-def boundedness_experiment(f, init_seed: int, cfg: OneNeuronConfig,
-                           n_trajectories: int = 20, lyapunov_slack: float = 1e-5) -> dict:
+def boundedness_experiment(f, init_seed: int, cfg: OneNeuronConfig, n_trajectories: int = 20) -> dict:
     """Long-horizon evidence run: integrate many seeded circle trajectories and
-    report sup-norms, regime occupancy, and Lyapunov monitor violations.
+    report the sup-norm, regime occupancy, and Lyapunov violations (slack 1e-5).
 
     A plateauing running sup-norm (ratio of the full-horizon sup to the sup
     over the first 90%) is reported as boundedness evidence, not proof.
@@ -456,15 +425,12 @@ def boundedness_experiment(f, init_seed: int, cfg: OneNeuronConfig,
     early_sup = norms[:max(cut, 1)].max(axis=0)
     code, _ = _regime_codes(batch.states[..., 0], batch.states[..., 1])
     occupancy = {tag: float(np.mean(code == i)) for i, tag in enumerate(REGIME_TAGS)}
-    monitors = monitor_report(batch, problem, slack=lyapunov_slack)
+    monitors = monitor_report(batch, problem, slack=1e-5)
 
     return {
-        "n_trajectories": int(n_trajectories),
         "sup_norm": float(sup_norms.max()),
-        "sup_norms": [float(v) for v in sup_norms],
         "plateau_ratio_max": float(np.max(sup_norms / early_sup)),
         "regime_occupancy": occupancy,
         "lyapunov_violations": {k: v["violations"] for k, v in monitors.items()},
-        "monitor_detail": monitors,
         "aborted": int(batch.aborted.sum()),
     }

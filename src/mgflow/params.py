@@ -110,6 +110,6 @@ class ParamVector:
         return self.values[self.arch.layer(k)[2]]
 
 
-def random_params(arch: Architecture, rng: np.random.Generator, scale: float = 1.0) -> ParamVector:
-    """Standard normal initialization (times `scale`)."""
-    return ParamVector(arch, scale * rng.standard_normal(arch.param_count))
+def random_params(arch: Architecture, rng: np.random.Generator) -> ParamVector:
+    """Standard normal initialization."""
+    return ParamVector(arch, rng.standard_normal(arch.param_count))

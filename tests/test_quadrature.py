@@ -139,7 +139,35 @@ class TestMeasureValidation:
         assert discrete_measure([[0.2], [0.4]], [1.0, 2.5]).total_mass == pytest.approx(3.5)
 
 
+_NON_FINITE_TARGETS = [
+    pytest.param(lambda: PiecewisePolynomial((0.0, np.nan, 1.0), ((1.0,), (2.0,))), id="inner break nan"),
+    pytest.param(lambda: PiecewisePolynomial((-np.inf, 0.5, 1.0), ((1.0,), (2.0,))), id="first break -inf"),
+    pytest.param(lambda: PiecewisePolynomial((0.0, 0.5, np.inf), ((1.0,), (2.0,))), id="last break inf"),
+    pytest.param(lambda: PiecewisePolynomial((0.0, 0.5, 1.0), ((1.0,), (np.nan, 2.0))), id="coefficient nan"),
+    pytest.param(lambda: PiecewisePolynomial((0.0, 1.0), ((1.0, -np.inf),)), id="coefficient -inf"),
+    pytest.param(lambda: piecewise_linear_target([0.0, np.nan, 1.0], [0.0, 1.0, 0.0]), id="knot location nan"),
+    pytest.param(lambda: piecewise_linear_target([-np.inf, 0.0, 1.0], [0.0, 1.0, 0.0]), id="first knot location -inf"),
+    pytest.param(lambda: piecewise_linear_target([0.0, 1.0, np.inf], [0.0, 1.0, 0.0]), id="last knot location inf"),
+    pytest.param(lambda: piecewise_linear_target([0.0, 0.5, 1.0], [np.nan, 1.0, 0.0]), id="knot value nan"),
+    pytest.param(lambda: piecewise_linear_target([0.0, 0.5, 1.0], [0.0, 1.0, np.inf]), id="knot value inf"),
+    pytest.param(lambda: piecewise_linear_target([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0]), id="knot slope overflows"),
+    pytest.param(lambda: constant_target(np.nan), id="constant nan"),
+    pytest.param(lambda: affine_target(np.inf, 1.0), id="affine intercept inf"),
+    pytest.param(lambda: affine_target(0.0, np.nan), id="affine slope nan"),
+    pytest.param(lambda: abs_offset_target(np.nan), id="abs_offset center nan"),
+    pytest.param(lambda: abs_offset_target(np.inf), id="abs_offset center inf"),
+    pytest.param(lambda: polynomial_target([1.0, np.nan, 2.0]), id="polynomial coefficient nan"),
+]
+
+
 class TestTargets:
+    @pytest.mark.parametrize("build", _NON_FINITE_TARGETS)
+    def test_non_finite_breaks_coefficients_and_knots_are_refused(self, build):
+        # a nan compares false, so the ordering checks alone let it through,
+        # and the mean and fbar of such a target would be nan
+        with pytest.raises(ValueError, match="finite"):
+            build()
+
     def test_builders_evaluate(self):
         s = np.linspace(0, 1, 7)
         np.testing.assert_allclose(constant_target(2.0)(s), 2.0)
