@@ -8,9 +8,9 @@
 A config file is JSON with the fields of ExperimentConfig; command-line flags
 override file values.  Runs write trajectory.csv and summary.json into --out;
 verify writes report.json, and timings.json with each criterion's
-seconds.  Each output file replaces any file at its path rather than writing
-through it.  Outputs other than timings.json are byte-deterministic for a
-fixed config and seed.
+seconds and the OpenBLAS kernel (`blas_core`).  Each output file replaces
+any file at its path rather than writing through it.  Outputs other than
+timings.json are byte-deterministic for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from pathlib import Path
 
 from .quadrature import QuadratureError
 from .runner import ConfigError, ExperimentConfig, _write_new, config_from_dict, run_experiment
-from .verify import verify_all
+from .verify import blas_core, verify_all
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
@@ -117,7 +117,8 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "report.json"
         _write_new(report_path, json.dumps(outcome.report(args.seed), sort_keys=True, indent=1) + "\n")
-        _write_new(out / "timings.json", json.dumps(outcome.timings, indent=1) + "\n")
+        timings = {**outcome.timings, "blas_core": blas_core()}
+        _write_new(out / "timings.json", json.dumps(timings, indent=1) + "\n")
         print(f"report written to {report_path}")
         return 0 if outcome.all_passed else 1
     try:

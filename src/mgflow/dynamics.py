@@ -24,9 +24,9 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gradients import _flat, _risk_and_rows
+from .gradients import _risk_and_rows
 from .gradients import generalized_gradient  # noqa: F401  (bench/tracing.py wraps dynamics.generalized_gradient)
-from .manifold import _max_deviation, _retract, _tangent_rows, rescale_full, zero_rows
+from .manifold import _max_deviation, _retract, _tangent_rows, _unit_rows, rescale_full, zero_rows
 from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* names)
     max_constraint_deviation,
     min_subvector_norm,
@@ -121,10 +121,13 @@ class TrajectoryRecord:
     @quiet
     def sup_norm(self) -> float:
         """The largest Euclidean norm of a recorded state; nan if any state
-        holds a nan.  `np.vecdot` runs the kernel of the 1-d `np.linalg.norm`
-        per row (not that of `np.linalg.norm(..., axis=-1)`)."""
+        holds a nan.  The norms are `manifold._unit_rows`'s: `np.vecdot`, the
+        kernel of the 1-d `np.linalg.norm` (not that of
+        `np.linalg.norm(..., axis=-1)`), on every state whose norm lies in
+        [1e-140, 1e140], and the scaled norm on the others, which neither
+        overflows nor underflows."""
         S = self.states
-        return float(np.sqrt(np.vecdot(S, S)).max())
+        return float(_unit_rows(S.reshape(-1, S.shape[-1]))[1].max())
 
 
 def step_factor(raw, proj, gamma):
@@ -218,17 +221,21 @@ def _network_field(arch, measure, f, r, resolution, gamma):
     and the step factor is `gamma` itself, or for "rescaled" the
     `step_factor` of the raw and the projected gradient.
 
-    One node plan (`network._NodePlan`) serves the run.  The hidden rows'
-    gradients are projected against the rows the pass gathered; the risk
-    comes from the same pass, and max |psi - 1| from the squared row norms
-    the projection took."""
+    One node plan (`network._NodePlan`) serves the run.  G starts as a copy
+    of the pass's flat gradient, and each hidden layer's rows take their
+    gradient projected against the rows the pass gathered; the risk comes
+    from the same pass, and max |psi - 1| from the squared row norms the
+    projection took."""
     plan = _NodePlan(arch, measure, f, r, resolution)
+    hidden = arch.subvector_rows[:-1]
 
     def field(Y, record):
-        value, rows, grads = _risk_and_rows(plan, Y[0])
-        tangent, squares = zip(*map(_tangent_rows, rows[:-1], grads[:-1]))
-        G = _flat(arch, tangent + (grads[-1],))
-        factor = step_factor(_flat(arch, grads), G, gamma) if isinstance(gamma, str) else gamma
+        value, rows, grads, raw = _risk_and_rows(plan, Y[0])
+        G, squares = raw.copy(), []
+        for idx, V, g in zip(hidden, rows, grads):
+            G[idx], sq = _tangent_rows(V, g)
+            squares.append(sq)
+        factor = step_factor(raw, G, gamma) if isinstance(gamma, str) else gamma
         if not record:
             return G[None, :], factor, None, None
         return G[None, :], factor, np.array([value]), np.array([_max_deviation(squares)])

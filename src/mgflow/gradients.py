@@ -19,19 +19,21 @@ from typing import Optional
 
 import numpy as np
 
-from .network import _layer_rows, _matmul, _NodePlan, _risk_pass, risk
+from .network import _layer_rows, _NodePlan, risk
 from .network import forward  # noqa: F401  (bench/tracing.py wraps gradients.forward)
 from .params import ParamVector
 from .quadrature import TWO, InputMeasure, QuadratureError, quiet
-from .smoothing import INF, smoothed_act_deriv
+from .smoothing import INF
+from .smoothing import smoothed_act_deriv  # noqa: F401  (bench/tracing.py wraps gradients.smoothed_act_deriv)
 from .targets import TargetFunction
 
 
-def _risk_and_rows(plan: _NodePlan, values: np.ndarray) -> tuple[float, list, list]:
-    """(risk, rows, grads) from one node set of `plan`, one forward pass and
-    the target values the plan gives: per layer k = 1..L, rows[k - 1] is
+def _risk_and_rows(plan: _NodePlan, values: np.ndarray):
+    """(risk, rows, grads, raw) from one node set of `plan`, one forward pass
+    and the target values the plan gives: per layer k = 1..L, rows[k - 1] is
     [W_k | b_k] as gathered from `values` and grads[k - 1] the risk gradient
-    in that row layout.
+    in that row layout; raw is the gradient scattered into the flat layout,
+    checked finite (with the risk) once.
 
     The backprop runs feature-major in the forward pass's workspace: deltas
     are (l_k, n), and a layer's gradient is the single product
@@ -39,13 +41,13 @@ def _risk_and_rows(plan: _NodePlan, values: np.ndarray) -> tuple[float, list, li
     mean correction is applied once, on the residual row, which then also
     takes the node weights: every hidden delta carries them.
     """
-    arch, r = plan.arch, plan.r
+    arch, L = plan.arch, plan.arch.depth
     rows = _layer_rows(arch, values)
-    X, w, fX = plan.nodes(rows)
-    value, ws = _risk_pass(arch, rows, X, w, fX, r)
+    ws, w, fX = plan.load(rows)
+    value = plan.risk(rows, ws, w, fX)
     H, R = ws.acts[-1], ws.resid  # [centered last hidden activations; 1], residual
 
-    grads = [None] * len(rows)
+    grads = [None] * L
     wr = np.multiply(R, w, out=ws.scratch)
     grads[-1] = wr @ H.T
     grads[-1] *= TWO
@@ -56,19 +58,22 @@ def _risk_and_rows(plan: _NodePlan, values: np.ndarray) -> tuple[float, list, li
     # so every delta below carries them.
     R -= (R @ w)[:, None]
     R *= w
-    delta = _matmul(TWO * rows[-1][:, :-1].T, R, H[:-1])
-    for k in range(len(rows) - 1, 0, -1):
+    delta = plan.products[L](TWO * rows[-1][:, :-1].T, R, out=ws.heads[-1])
+    for k in range(L - 1, 0, -1):
         # layer k's pre-activations are read for the last time: dz replaces them
-        dz = smoothed_act_deriv(r, ws.pres[k - 1], out=ws.pres[k - 1])
+        dz = plan.deriv(ws.pres[k - 1], ws.pres[k - 1])
         dz *= delta
         prev = ws.acts[k - 2] if k > 1 else ws.nodes
         grads[k - 1] = dz @ prev.T
         if k > 1:  # layer k - 1's activations are read for the last time
-            delta = _matmul(rows[k - 1][:, :-1].T, dz, prev[:-1])
+            delta = plan.products[k](rows[k - 1][:, :-1].T, dz, out=ws.heads[k - 2])
 
-    if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
+    raw = np.empty(arch.param_count)
+    for idx, g in zip(arch.subvector_rows, grads):
+        raw[idx] = g
+    if not (math.isfinite(value) and np.isfinite(raw).all()):
         raise QuadratureError("risk or gradient has non-finite components")
-    return value, rows, grads
+    return value, rows, grads, raw
 
 
 @quiet
@@ -80,26 +85,14 @@ def risk_and_gradient(
     resolution: Optional[int] = None,
 ) -> tuple[float, np.ndarray]:
     """The risk and its gradient w.r.t. the flat parameter vector, from one
-    node set, one forward pass and one target evaluation.
+    node set, one forward pass and one target evaluation (`_risk_and_rows`).
 
     The risk equals `network.risk` bit for bit.  With r = inf the gradient is
     the exact-ReLU generalized gradient (indicator convention at kinks); with
-    finite r it is the gradient of the smoothed risk on the same nodes.  The
-    per-layer gradients of `_risk_and_rows` are scattered into the flat
-    layout (`_flat`).
+    finite r it is the gradient of the smoothed risk on the same nodes.
     """
-    plan = _NodePlan(theta.arch, measure, f, r, resolution)
-    value, _, grads = _risk_and_rows(plan, theta.values)
-    return value, _flat(theta.arch, grads)
-
-
-def _flat(arch, grads: list) -> np.ndarray:
-    """Per-layer arrays in the row layout of `subvector_rows`, scattered into
-    one flat parameter-sized vector."""
-    out = np.empty(arch.param_count)
-    for idx, g in zip(arch.subvector_rows, grads):
-        out[idx] = g
-    return out
+    value, _, _, raw = _risk_and_rows(_NodePlan(theta.arch, measure, f, r, resolution), theta.values)
+    return value, raw
 
 
 def generalized_gradient(theta: ParamVector, measure: InputMeasure, f: TargetFunction,

@@ -20,7 +20,8 @@ import numpy as np
 from .params import ParamVector
 from . import quadrature
 from .quadrature import ZERO, InputMeasure, QuadratureError, _segment_edges, constant, quadrature_nodes, quiet
-from .smoothing import INF, activation_knots, smoothed_act
+from .smoothing import INF, activation, activation_knots
+from .smoothing import smoothed_act  # noqa: F401  (bench/tracing.py wraps network.smoothed_act)
 from .targets import TargetFunction
 
 
@@ -50,7 +51,8 @@ class _Workspace:
     activations as (l_k + 1, n); the last row of each is ones and no pass
     writes it, so layer k's map is the single product V_k @ [a_{k-1}; 1]
     with V_k = [W_k | b_k], and its gradient the single product
-    dz @ [a_{k-1}; 1].T, already in that row layout.  `pres` holds each
+    dz @ [a_{k-1}; 1].T, already in that row layout; `heads[k - 1]` views
+    the activation rows of `acts[k - 1]`.  `pres` holds each
     hidden layer's pre-activations (backprop overwrites them with that
     layer's dz); backprop writes each delta into the activation rows of the
     layer it reaches once that layer's gradient is taken.  `resid` holds the
@@ -60,35 +62,26 @@ class _Workspace:
     may alias them and passes of one (layer_dims, n) must not overlap (one
     thread at a time).
 
-    `load(X)` copies the nodes X (n, l_0) into `nodes`.  A read-only X (the
-    nodes of a `_NodePlan` off the exact path) is copied once and kept while
-    the same X returns.
+    `load(X)` copies the nodes X (n, l_0), or (n,) for l_0 = 1, into
+    `nodes`.  A read-only X (the nodes of a `_NodePlan` off the exact path)
+    is copied once and kept while the same X returns.
     """
 
     def __init__(self, dims: tuple, n: int):
         self.nodes = np.ones((dims[0] + 1, n))
         self.pres = [np.empty((l, n)) for l in dims[1:-1]]
         self.acts = [np.ones((l + 1, n)) for l in dims[1:-1]]
+        self.heads = [a[:-1] for a in self.acts]  # the activation rows, as views
         self.resid, self.scratch = np.empty((2, dims[-1], n))
         self._X = None
 
-    def load(self, X: np.ndarray) -> np.ndarray:
+    def load(self, X: np.ndarray) -> None:
         if X is not self._X:
             self.nodes[:-1] = X.T
             self._X = None if X.flags.writeable else X
-        return self.nodes
 
 
 _workspace = functools.lru_cache(maxsize=4)(_Workspace)
-
-
-def _matmul(A: np.ndarray, B: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """A @ B into out.  A rank-one product (A has one column) is a broadcast
-    multiply: the same single product per entry, which BLAS computes several
-    times slower."""
-    if A.shape[1] == 1:
-        return np.multiply(A, B, out=out)
-    return np.matmul(A, B, out=out)
 
 
 def _layer_rows(arch, values: np.ndarray) -> list:
@@ -96,16 +89,17 @@ def _layer_rows(arch, values: np.ndarray) -> list:
     return [values[idx] for idx in arch.subvector_rows]
 
 
-def _forward_into(rows, nodes: np.ndarray, r, pres, acts) -> np.ndarray:
-    """Feature-major forward pass over the columns of nodes, (l_0 + 1, n)
+def _forward_into(rows, ws: _Workspace, act) -> np.ndarray:
+    """Feature-major forward pass over the columns of ws.nodes, (l_0 + 1, n)
     with a last row of ones: layer k's pre-activations V_k @ [a_{k-1}; 1] go
-    to pres[k - 1], (l_k, n), and its activations to the leading rows of
-    acts[k - 1], (l_k + 1, n), whose last row stays ones.  Returns the last
-    hidden activations with their row of ones."""
-    h = nodes
-    for V, z, a in zip(rows, pres, acts):
+    to ws.pres[k - 1], (l_k, n), and its activations act(z, out)
+    (`smoothing.activation`) to ws.heads[k - 1], the leading rows of
+    ws.acts[k - 1], (l_k + 1, n), whose last row stays ones.  Returns the
+    last hidden activations with their row of ones."""
+    h = ws.nodes
+    for V, z, a, head in zip(rows, ws.pres, ws.acts, ws.heads):
         np.matmul(V, h, out=z)
-        smoothed_act(r, z, out=a[:-1])
+        act(z, head)
         h = a
     return h
 
@@ -121,15 +115,17 @@ def forward(theta: ParamVector, x, r=INF):
     dims = theta.arch.layer_dims
     X, _ = _as_batch(x, dims[0])
     ws = _Workspace(dims, X.shape[0])
-    _forward_into(_layer_rows(theta.arch, theta.values), ws.load(X), r, ws.pres, ws.acts)
-    return [z.T for z in ws.pres], [a[:-1].T for a in ws.acts]
+    ws.load(X)
+    _forward_into(_layer_rows(theta.arch, theta.values), ws, activation(r)[0])
+    return [z.T for z in ws.pres], [a.T for a in ws.heads]
 
 
-def _breakpoints(V1: np.ndarray, r) -> np.ndarray:
-    """The kinks (knot - b) / w of the first layer's rows V1 = [W_1 | b_1], knot-major.  A row
-    with w = 0 gives +-inf or nan (the caller sets the error state), which the node build drops."""
+def _breakpoints(V1: np.ndarray, knots: np.ndarray) -> np.ndarray:
+    """The kinks (knot - b) / w of the first layer's rows V1 = [W_1 | b_1] at the activation
+    knots (`activation_knots`), knot-major.  A row with w = 0 gives +-inf or nan (the caller
+    sets the error state), which the node build drops."""
     w, b = V1[:, 0], V1[:, 1]
-    return (ZERO - b) / w if r == INF else ((activation_knots(r)[:, None] - b) / w).ravel()
+    return (ZERO - b) / w if knots.size == 1 else ((knots[:, None] - b) / w).ravel()
 
 
 @quiet
@@ -145,28 +141,39 @@ def exact_breakpoints(theta: ParamVector, f_breaks=None, r=INF) -> Optional[np.n
     arch = theta.arch
     if arch.depth != 2 or arch.layer_dims[0] != 1:
         return None
-    pts = _breakpoints(theta.values[arch.subvector_rows[0]], r)
+    pts = _breakpoints(theta.values[arch.subvector_rows[0]], activation_knots(r))
     return pts if f_breaks is None else np.concatenate((pts, np.asarray(f_breaks, dtype=float).ravel()))
 
 
 class _NodePlan:
     """The nodes X (n, l_0), weights w and target values fX, (out_dim, n) or a
-    (n,) row for a scalar target (None without a target), of a run's passes.
+    (n,) row for a scalar target (None without a target), of a run's passes,
+    and the run's fixed choices, bound once: the activation, its derivative
+    and knots for r, and per layer k whether W_k^T @ dz is a broadcast
+    multiply (l_k = 1: a rank-one product, which BLAS computes several times
+    slower) or a matrix product.  Every pass takes its workspace from the
+    cache that all runs share.
     A discrete measure's points and the composite grid (input dim > 1 or
     depth > 2) do not depend on the state: X is read-only, so the workspace
     loads it once, and fX is evaluated here once, before any pass runs, so a
     target must be a pure function of x.  On the exact shallow 1-d path the
     domain ends and the target breaks inside (a, b) are read here once, and
-    `nodes` merges them with the kinks of the rows it gets into the segment
-    edges, then evaluates the target at the new nodes."""
+    `load` merges them with the kinks of the rows it gets into the segment
+    edges, calls `quadrature.segment_rule` through its module and evaluates
+    the target (a scalar one without its wrappers) at the new 1-d nodes."""
 
     def __init__(self, arch, measure: InputMeasure, f: Optional[TargetFunction], r=INF,
                  resolution: Optional[int] = None):
-        self.arch, self.measure, self.f, self.r, self._fixed = arch, measure, f, r, None
+        self.arch, self._fixed = arch, None
+        self.act, self.deriv = activation(r)
+        self._knots = activation_knots(r)
+        self.products = tuple(np.multiply if l == 1 else np.matmul for l in arch.layer_dims)
         if measure.kind == "uniform" and arch.depth == 2 and arch.layer_dims[0] == 1:
             a, b = measure.a, measure.b
             bp = np.asarray(() if f is None or f.breakpoints is None else f.breakpoints, float).ravel()
             self._edges = constant(a), constant(b), np.concatenate(([a], bp[(bp > a) & (bp < b)], [b]))
+            self._target = (None if f is None else f.piecewise._values if f.piecewise is not None
+                            else lambda x: f(x[:, None]).T)
             return
         X, w = quadrature_nodes(measure, resolution=resolution)
         if X.flags.writeable:  # a discrete measure's points: the run keeps a read-only copy
@@ -174,13 +181,31 @@ class _NodePlan:
             X.flags.writeable = False
         self._fixed = X, w, None if f is None else np.array(f(X).T, order="C")
 
-    def nodes(self, rows):
-        """(X, w, fX) for a pass over the layer rows `rows`."""
+    def load(self, rows):
+        """(workspace holding the nodes, w, fX) for a pass over the layer rows
+        `rows`.  fX comes first: a target may itself run a pass there."""
         if self._fixed:
-            return self._fixed
-        x, w = quadrature.segment_rule(_segment_edges(_breakpoints(rows[0], self.r), *self._edges))
-        f, X = self.f, x[:, None]  # a scalar target is evaluated without its TargetFunction wrapper
-        return X, w, None if f is None else f(X).T if f.piecewise is None else f.piecewise(x)
+            X, w, fX = self._fixed
+        else:
+            X, w = quadrature.segment_rule(_segment_edges(_breakpoints(rows[0], self._knots), *self._edges))
+            fX = None if self._target is None else self._target(X)
+        ws = _workspace(self.arch.layer_dims, w.size)
+        ws.load(X)
+        return ws, w, fX
+
+    def risk(self, rows, ws: _Workspace, w: np.ndarray, fX: np.ndarray) -> float:
+        """The risk of the pass over `rows` on `load`'s (ws, w, fX).  The
+        workspace is left holding what backprop reads: the hidden
+        pre-activations in `pres`, the centered last hidden activations
+        h - int h dmu in `acts[-1]` (above its row of ones) and the output
+        residual in `resid`."""
+        H = _forward_into(rows, ws, self.act)
+        h = ws.heads[-1]
+        h -= (h @ w)[:, None]
+        R = np.matmul(rows[-1], H, out=ws.resid)
+        R -= fX
+        sq = np.multiply(R, R, out=ws.scratch)
+        return float(sum(np.vecdot(sq, w)))  # vecdot: the kernel of row @ w, per row
 
 
 @quiet
@@ -193,9 +218,10 @@ def hidden_mean(
     """mu-integral of the last hidden layer's activations (not mass-normalized)."""
     arch = theta.arch
     rows = _layer_rows(arch, theta.values)
-    X, w, _ = _NodePlan(arch, measure, None, r, resolution).nodes(rows)
-    ws = _workspace(arch.layer_dims, X.shape[0])
-    m = _forward_into(rows, ws.load(X), r, ws.pres, ws.acts)[:-1] @ w
+    plan = _NodePlan(arch, measure, None, r, resolution)
+    ws, w, _ = plan.load(rows)
+    _forward_into(rows, ws, plan.act)
+    m = ws.heads[-1] @ w
     if not np.all(np.isfinite(m)):
         raise QuadratureError("hidden mean is non-finite")
     return m
@@ -218,27 +244,6 @@ def realize(
     return out[0] if squeeze else out
 
 
-def _risk_pass(arch, rows, X: np.ndarray, w: np.ndarray, fX: np.ndarray, r):
-    """The risk on the nodes X (n, l_0) with weights w against the target
-    values fX at X, (out_dim, n) or a (n,) row, in the workspace of
-    (layer_dims, n); returns (risk, workspace).
-
-    The workspace is left holding what backprop reads: the hidden
-    pre-activations in `pres`, the centered last hidden activations
-    h - int h dmu in `acts[-1]` (above its row of ones) and the output
-    residual in `resid`.  fX comes first (`_NodePlan`): a target may itself
-    run a pass in this workspace.
-    """
-    ws = _workspace(arch.layer_dims, X.shape[0])
-    H = _forward_into(rows, ws.load(X), r, ws.pres, ws.acts)
-    h = H[:-1]
-    h -= (h @ w)[:, None]
-    R = np.matmul(rows[-1], H, out=ws.resid)
-    R -= fX
-    sq = np.multiply(R, R, out=ws.scratch)
-    return float(sum(np.vecdot(sq, w))), ws  # vecdot: the kernel of row @ w, per row
-
-
 @quiet
 def risk(
     theta: ParamVector,
@@ -248,10 +253,9 @@ def risk(
     resolution: Optional[int] = None,
 ) -> float:
     """mu-integral of the squared output error against the target."""
-    arch = theta.arch
-    rows = _layer_rows(arch, theta.values)
-    X, w, fX = _NodePlan(arch, measure, f, r, resolution).nodes(rows)
-    value = _risk_pass(arch, rows, X, w, fX, r)[0]
+    rows = _layer_rows(theta.arch, theta.values)
+    plan = _NodePlan(theta.arch, measure, f, r, resolution)
+    value = plan.risk(rows, *plan.load(rows))
     if not math.isfinite(value):
         raise QuadratureError("risk is non-finite")
     return value

@@ -99,9 +99,10 @@ def gauss_legendre(order: int):
     return x, w
 
 
-def segment_rule(edges: np.ndarray, order: int = SEGMENT_GL_ORDER):
-    """Gauss-Legendre nodes/weights on each [edges[j], edges[j+1]] segment."""
-    x_ref, w_ref = gauss_legendre(order)
+def segment_rule(edges: np.ndarray, rule=gauss_legendre(SEGMENT_GL_ORDER)):
+    """Gauss-Legendre nodes/weights on each [edges[j], edges[j+1]] segment, from
+    the reference `rule` (`gauss_legendre`), of order SEGMENT_GL_ORDER unless given."""
+    x_ref, w_ref = rule
     lo, hi = edges[:-1, None], edges[1:, None]
     half = (hi - lo) * HALF  # * 0.5 rounds as / 2 does
     nodes = (lo + hi) * HALF + half * x_ref
@@ -112,7 +113,7 @@ def composite_rule(a: float, b: float, n_nodes: int):
     """Composite Gauss-Legendre rule on [a, b] with about n_nodes nodes."""
     panels = max(1, int(n_nodes) // _PANEL_ORDER)
     edges = np.linspace(a, b, panels + 1)
-    return segment_rule(edges, order=_PANEL_ORDER)
+    return segment_rule(edges, gauss_legendre(_PANEL_ORDER))
 
 
 def _segment_edges(points: np.ndarray, a, b, fixed: np.ndarray) -> np.ndarray:

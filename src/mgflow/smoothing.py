@@ -16,6 +16,7 @@ derivative convention relu'(0) = 0.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -55,6 +56,16 @@ def smoothed_act(r, x, out=None):
 def smoothed_act_deriv(r, x, out=None):
     """Activation derivative (see `_evaluate`)."""
     return _evaluate(r, x, out, np.greater, lambda r, xb: 4.0 * r * xb - 3.0 * r**2 * xb**2)
+
+
+def activation(r):
+    """(act, deriv) for index r: each fn(x, out) writes `smoothed_act(r, x)` or
+    `smoothed_act_deriv(r, x)` into out (which may be x), exact ReLU through their ufuncs
+    directly; r is checked once, here."""
+    r = _check_index(r)
+    if math.isinf(r):
+        return (lambda x, out: np.maximum(x, ZERO, out=out)), (lambda x, out: np.greater(x, ZERO, out=out))
+    return functools.partial(smoothed_act, r), functools.partial(smoothed_act_deriv, r)
 
 
 _RELU_KNOTS = np.array([0.0])

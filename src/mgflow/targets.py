@@ -60,14 +60,18 @@ class PiecewisePolynomial:
 
     def __call__(self, s):
         """`np.polynomial.polynomial.polyval` on the padded piece of each s, bit for bit."""
-        s = np.asarray(s, dtype=float)
+        out = self._values(np.asarray(s, dtype=float))
+        return out if out.ndim else float(out)
+
+    def _values(self, s: np.ndarray):
+        """`__call__` on a float array s, without its conversions."""
         # interior breaks at or below s: the piece index, clamped to the domain
         piece = self._inner.searchsorted(s, side="right")
         top, *rest = self._columns
         out = top[piece] + s * ZERO  # polyval's first step, kept for equal bits
         for c in rest:
             out = c[piece] + out * s
-        return out if out.ndim else float(out)
+        return out
 
     def integral(self) -> float:
         """Exact integral over the full domain."""

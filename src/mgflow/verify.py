@@ -8,6 +8,7 @@ the test harness, never stored in the report.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import tempfile
 import time
@@ -438,6 +439,20 @@ def check_determinism(seed) -> CheckResult:
     details["verify_check_rerun"] = {"byte_identical": a == b}
     passed = passed and a == b
     return CheckResult("determinism", passed, details)
+
+
+def blas_core() -> str:
+    """The kernel numpy's bundled OpenBLAS picked at load time (as
+    OPENBLAS_CORETYPE names it), or "unknown" without a bundled OpenBLAS.
+    The kernel sets how the network pass's matrix products round."""
+    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
+        try:
+            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
+        except (OSError, AttributeError):
+            continue
+        corename.restype = ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
 
 
 @dataclass

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from mgflow.cli import main
 from mgflow.runner import ConfigError, ExperimentConfig, _row_format, config_from_dict, run_experiment
+from mgflow.verify import blas_core
 
 
 class TestConfigValidation:
@@ -408,8 +409,19 @@ class TestVerifyCommand:
         expected = VerifyOutcome(results, timings).report(3)
         assert report == json.dumps(expected, sort_keys=True, indent=1) + "\n"
         assert "1.25" not in report
-        assert json.loads((tmp_path / "timings.json").read_text()) == timings
+        assert json.loads((tmp_path / "timings.json").read_text()) == {**timings, "blas_core": blas_core()}
         assert "[PASS] first (1.2 s)" in capsys.readouterr().out
+
+    def test_timings_file_names_the_blas_kernel(self, tmp_path, monkeypatch):
+        from mgflow import cli
+        from mgflow.verify import CheckResult, VerifyOutcome
+
+        outcome = VerifyOutcome([CheckResult("first", True, {"x": 1})], {"first": 0.5})
+        monkeypatch.setattr(cli, "verify_all", lambda seed, echo=None: outcome)
+        assert main(["verify", "--seed", "0", "--out", str(tmp_path)]) == 0
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert timings["blas_core"] == blas_core() != "unknown"  # numpy's wheel bundles OpenBLAS
+        assert "blas_core" not in (tmp_path / "report.json").read_text()
 
     def test_echo_lines_carry_seconds(self, monkeypatch):
         from mgflow import verify

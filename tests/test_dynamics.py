@@ -20,7 +20,6 @@ from mgflow import (
     hidden_mean,
     integrate_flow,
     max_constraint_deviation,
-    network,
     piecewise_linear_target,
     project_gradient,
     quadrature_nodes,
@@ -54,6 +53,15 @@ class TestSupNorm:
     def test_a_nan_row_gives_nan_in_any_order(self):
         # max over a Python generator skipped a nan that came after a number
         for states in ([[3.0, 4.0], [np.nan, 0.0]], [[np.nan, 0.0], [3.0, 4.0]]):
+            assert np.isnan(_record(states).sup_norm)
+
+    @pytest.mark.parametrize("state, norm", [([0.6, 0.8, 1e200], 1e200), ([3e-170, 4e-170, 0.0], 5e-170)])
+    def test_a_state_whose_squares_overflow_or_underflow_keeps_its_norm(self, state, norm):
+        # the squared norm is inf at 1e200 and 0 at 5e-170; the record gave inf and 0
+        assert _record([[0.0, 0.0, 0.0], state]).sup_norm == norm
+
+    def test_a_nan_state_beside_a_huge_one_gives_nan(self):
+        for states in ([[0.6, 0.8, 1e200], [np.nan, 0.8, 1.0]], [[np.nan, 0.8, 1.0], [3e-170, 4e-170, 0.0]]):
             assert np.isnan(_record(states).sup_norm)
 
 
@@ -377,6 +385,9 @@ class TestNetworkField:
         "1,8,1 exact ReLU": ((1, 8, 1), MU, None, float("inf")),
         "1,8,1 r = 50": ((1, 8, 1), MU, None, 50.0),
         "2,4,4,1 grid 16": ((2, 4, 4, 1), uniform_measure(0, 1, 2), 16, float("inf")),
+        # the output delta a matrix product (two outputs); a rank-one hidden delta (width 1)
+        "2,3,2 grid 16": ((2, 3, 2), uniform_measure(0, 1, 2), 16, float("inf")),
+        "2,4,1,1 grid 16": ((2, 4, 1, 1), uniform_measure(0, 1, 2), 16, float("inf")),
         "1,3,3,1 grid 32": ((1, 3, 3, 1), MU, 32, float("inf")),
         "1,4,1 discrete": ((1, 4, 1), discrete_measure([[0.1], [0.35], [0.8]], [0.5, 1.0, 2.0]),
                            None, float("inf")),
@@ -388,7 +399,7 @@ class TestNetworkField:
     def test_field_equals_the_flat_projection_bit_for_bit(self, seed, setup, start):
         dims, measure, resolution, r = self.SETUPS[setup]
         arch = Architecture(dims)
-        f = F if dims[0] == 1 else TargetFunction.affine_map([[0.5, -0.25]], [0.1])
+        f = self.targets(dims)[0]
         rng = np.random.default_rng(seed)
         theta = random_on_manifold(arch, rng) if start == "manifold" else random_params(arch, rng)
         if start == "zero row":
@@ -407,6 +418,9 @@ class TestNetworkField:
         """The run's target and another one, for passes between field calls."""
         if dims[0] == 1:
             return F, TargetFunction.from_scalar(affine_target(0.2, -0.5))
+        if dims[-1] == 2:
+            return (TargetFunction.affine_map([[0.5, -0.25], [0.3, 0.8]], [0.1, -0.2]),
+                    TargetFunction.affine_map([[-1.0, 2.0], [0.4, 0.0]], [0.3, 0.5]))
         return TargetFunction.affine_map([[0.5, -0.25]], [0.1]), TargetFunction.affine_map([[-1.0, 2.0]], [0.3])
 
     @staticmethod
@@ -416,10 +430,10 @@ class TestNetworkField:
         return quadrature_nodes(measure, breakpoints=bp, resolution=resolution)
 
     def direct_risk(self, theta, measure, f, r, resolution):
-        """The risk pass on nodes and target values built without a node plan."""
+        """The risk pass on nodes and target values built without the run's
+        node plan: on a discrete measure at those nodes and weights."""
         X, w = self.direct_nodes(theta, measure, f, r, resolution)
-        rows = network._layer_rows(theta.arch, theta.values)
-        return network._risk_pass(theta.arch, rows, X, w, np.array(f(X).T), r)[0]
+        return risk(theta, discrete_measure(X, w, measure.a, measure.b), f, r=r)
 
     @pytest.mark.parametrize("setup", sorted(SETUPS))
     def test_one_plan_serves_a_sequence_of_states(self, setup):

@@ -15,7 +15,6 @@ a silent fallback cannot pass.  Run as a script, this file prints the
 subprocess's kernel and digests as JSON.
 """
 
-import ctypes
 import hashlib
 import json
 import os
@@ -23,10 +22,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from mgflow.runner import ExperimentConfig, run_experiment
+from mgflow.verify import blas_core
 
 RECORDED_UNDER = "Haswell"  # the OpenBLAS kernel that wrote DIGESTS
 
@@ -98,19 +97,6 @@ DIGESTS = {
         "06ca3fffdf7ff653743db48ec0363f9c9d1665deb3fb4ee82a63fe775c4f73a5",
     ),
 }
-
-
-def blas_core() -> str:
-    """The kernel numpy's bundled OpenBLAS picked at load time (as
-    OPENBLAS_CORETYPE names it), or "unknown" without a bundled OpenBLAS."""
-    for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
 
 
 def output_digests(name, out):

@@ -14,6 +14,7 @@ from mgflow import (
     discrete_measure,
     fd_gradient,
     forward,
+    gd_run,
     generalized_gradient,
     hidden_mean,
     random_params,
@@ -321,13 +322,29 @@ class TestWorkspace:
         owned = {id(b): b for b in (a if a.base is None else a.base for a in arrays)}
         assert sum(b.nbytes for b in owned.values()) <= 23 * 16384 * 8
 
+    def test_a_warm_descent_run_allocates_less_than_one_node_array(self):
+        # runs share the cached workspace: a second descent run on the same
+        # 128 x 128 grid takes no node-sized buffer of its own (a run that
+        # built its own 23 node rows would take 3 MB); it evaluates the target
+        # on the grid once, a single (1, 16384) row and its temporaries
+        xi = random_params(Architecture((2, 4, 4, 1)), np.random.default_rng(5))
+        measure, f = uniform_measure(0, 1, 2), TargetFunction.affine_map([[0.5, 0.5]], [0.0])
+        gd_run(xi, measure, f, 2, 1e-2, resolution=128)
+        tracemalloc.start()
+        try:
+            gd_run(xi, measure, f, 2, 1e-2, resolution=128)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 16384 * 8
+
 
 class TestTextbookBackprop:
     """The fused pass against node-major reverse mode written out term by
     term: the centered readout, every weighted sum over the nodes and the
     chain rule through the subtracted mean, with no workspace."""
 
-    DIMS = [(1, 8, 1), (2, 4, 4, 1), (3, 2, 5, 2), (1, 3, 3, 3, 1)]
+    DIMS = [(1, 8, 1), (2, 4, 4, 1), (3, 2, 5, 2), (1, 3, 3, 3, 1), (2, 4, 1, 1)]
     MEASURES = ("uniform [0, 1]", "uniform [0, 2]", "discrete, mass 3.5")
 
     @staticmethod
@@ -375,7 +392,8 @@ class TestTextbookBackprop:
             theta, measure, f = self.problem(dims, measure_name, seed)
             resolution = None if dims[0] == 1 else 12
             rows = network._layer_rows(theta.arch, theta.values)
-            X, w, _ = network._NodePlan(theta.arch, measure, f, r, resolution).nodes(rows)
+            ws, w, _ = network._NodePlan(theta.arch, measure, f, r, resolution).load(rows)
+            X = ws.nodes[:-1].T.copy()  # the pass below overwrites the workspace
             ref_value, ref_grad = self.textbook(theta, X, w, f, r)
             value, grad = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
             assert abs(value - ref_value) <= 1e-12 * abs(ref_value)
