@@ -51,6 +51,7 @@ class ConfigError(ValueError):
 
 def check_schedule(t_end, step, integrator, gamma, record_every) -> None:
     """Validate a fixed-step schedule; raises ConfigError naming the offending field.
+    t_end must be a whole number of steps, up to 1e-9 per step for float rounding.
     All three dynamics take this one gamma rule: a nonnegative number or "rescaled"."""
 
     def bad(name, why):
@@ -60,6 +61,9 @@ def check_schedule(t_end, step, integrator, gamma, record_every) -> None:
         bad("t_end", f"must be a positive finite number, got {t_end!r}")
     if not (_number(step) and 0 < step <= t_end and t_end / step < np.inf):
         bad("step", f"must be a number with 0 < step <= t_end and a finite t_end / step, got {step!r}")
+    n = t_end / step
+    if abs(n - round(n)) > 1e-9 * n:
+        bad("step", f"t_end {t_end!r} must be a whole number of steps, got {step!r}")
     if integrator not in ("euler", "rk4"):
         bad("integrator", f"must be euler|rk4, got {integrator!r}")
     rescaled = isinstance(gamma, str) and gamma == "rescaled"
@@ -131,12 +135,13 @@ class TrajectoryRecord:
 
 
 def step_factor(raw, proj, gamma):
-    """The step factor per row: a number passes through, and "rescaled" gives |raw|^2 /
-    |proj|^2, capped at GAMMA_CAP and 0 where proj vanishes (the caller sets the error state)."""
+    """The step factor that scales G's rows: a number passes through, and "rescaled" gives
+    |raw|^2 / |proj|^2 per row with the last axis kept, capped at GAMMA_CAP and 0 where
+    proj vanishes (the caller sets the error state)."""
     if not isinstance(gamma, str):
         return float(gamma)
-    raw2 = np.sum(raw**2, axis=-1)
-    g2 = np.sum(proj**2, axis=-1)
+    raw2 = np.sum(raw**2, axis=-1, keepdims=True)
+    g2 = np.sum(proj**2, axis=-1, keepdims=True)
     return np.where(g2 > 0.0, np.minimum(raw2 / g2, GAMMA_CAP), 0.0)
 
 
@@ -147,8 +152,8 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRe
     It runs under `quadrature.quiet`; the field and `retract` set no error state.
 
     `field(Y, record)` returns (G, gamma, risk, psi) at the state Y alone;
-    gamma is one number or one per row, and risk and psi (the constraint
-    deviation) are per-row arrays when `record` is true and None otherwise.
+    gamma is one number or a (B, 1) column (`step_factor`), and risk and psi
+    (the constraint deviation) are per-row arrays if `record`, else None.
     `retract(Y)` returns the retracted rows and how many zero hidden rows
     they hold; the record's `degenerate_events` sums those counts over the
     run.  A row is frozen at its last valid state once its retracted state
@@ -173,8 +178,6 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRe
 
     def rate(Z, record=False):
         G, gamma, risk, psi = field(Z, record)
-        if isinstance(gamma, np.ndarray):
-            gamma = gamma[..., None]
         return -gamma * G, G, risk, psi
 
     for n in range(n_steps + 1):
@@ -235,7 +238,7 @@ def _network_field(arch, measure, f, r, resolution, gamma):
         for idx, V, g in zip(hidden, rows, grads):
             G[idx], sq = _tangent_rows(V, g)
             squares.append(sq)
-        factor = step_factor(raw, G, gamma) if isinstance(gamma, str) else gamma
+        factor = step_factor(raw, G, gamma)
         if not record:
             return G[None, :], factor, None, None
         return G[None, :], factor, np.array([value]), np.array([_max_deviation(squares)])

@@ -152,7 +152,8 @@ class _NodePlan:
     and knots for r, and per layer k whether W_k^T @ dz is a broadcast
     multiply (l_k = 1: a rank-one product, which BLAS computes several times
     slower) or a matrix product.  Every pass takes its workspace from the
-    cache that all runs share.
+    cache that all runs share.  It raises ValueError unless the measure's
+    dim is the input width and the target's outputs the output width.
     A discrete measure's points and the composite grid (input dim > 1 or
     depth > 2) do not depend on the state: X is read-only, so the workspace
     loads it once, and fX is evaluated here once, before any pass runs, so a
@@ -164,11 +165,14 @@ class _NodePlan:
 
     def __init__(self, arch, measure: InputMeasure, f: Optional[TargetFunction], r=INF,
                  resolution: Optional[int] = None):
+        dims = arch.layer_dims
+        if measure.dim != dims[0] or f is not None and f.out_dim != dims[-1]:
+            raise ValueError(f"a {dims} network needs a {dims[0]}-d measure and a {dims[-1]}-output target")
         self.arch, self._fixed = arch, None
         self.act, self.deriv = activation(r)
         self._knots = activation_knots(r)
-        self.products = tuple(np.multiply if l == 1 else np.matmul for l in arch.layer_dims)
-        if measure.kind == "uniform" and arch.depth == 2 and arch.layer_dims[0] == 1:
+        self.products = tuple(np.multiply if l == 1 else np.matmul for l in dims)
+        if measure.kind == "uniform" and arch.depth == 2 and dims[0] == 1:
             a, b = measure.a, measure.b
             bp = np.asarray(() if f is None or f.breakpoints is None else f.breakpoints, float).ravel()
             self._edges = constant(a), constant(b), np.concatenate(([a], bp[(bp > a) & (bp < b)], [b]))
@@ -176,9 +180,6 @@ class _NodePlan:
                             else lambda x: f(x[:, None]).T)
             return
         X, w = quadrature_nodes(measure, resolution=resolution)
-        if X.flags.writeable:  # a discrete measure's points: the run keeps a read-only copy
-            X = np.array(X)
-            X.flags.writeable = False
         self._fixed = X, w, None if f is None else np.array(f(X).T, order="C")
 
     def load(self, rows):

@@ -26,7 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -61,26 +61,26 @@ def _regime_codes(t1, t2):
     return np.where((q > 0.0) & (q < 1.0), 3 - (t1 > 0.0), ends[1] > ends[0]), q
 
 
+class Side(NamedTuple):
+    """One boundary window of the target, [1-eps, 1] right or [0, eps] left.  sign is
+    sign(f - fbar) at the end (0: f there is the mean, so only the Lipschitz endpoint
+    monitor applies); plain the largest eps <= 1/2 with f - fbar of one strict sign
+    on the window (0 if none); band the largest eps with the monotone-Lyapunov
+    monitors' tighter oscillation condition 9 * osc < |min deviation|."""
+
+    sign: int
+    plain: float
+    band: float
+
+
 @dataclass(frozen=True)
 class MonitorWindows:
-    """Regime windows, scanned from the target, in which each Lyapunov
-    monitor's hypotheses hold.
-
-    eps_*_plain: largest eps <= 1/2 with f - fbar of one strict sign on the
-    boundary window ([1-eps, 1] right, [0, eps] left); 0 when none exists.
-    eps_*_band: largest eps with the tighter oscillation condition
-    9 * osc < |min deviation| required by the monotone-Lyapunov monitors.
-    Signs are sign(f(1) - fbar) and sign(f(0) - fbar); 0 means the endpoint
-    value matches the mean and only the Lipschitz endpoint monitor applies.
-    """
+    """Regime windows, scanned from the target, in which each Lyapunov monitor's
+    hypotheses hold: the target's Lipschitz bound and one `Side` per boundary."""
 
     lipschitz: float
-    right_sign: int
-    eps_right_plain: float
-    eps_right_band: float
-    left_sign: int
-    eps_left_plain: float
-    eps_left_band: float
+    right: Side
+    left: Side
 
 
 def scan_windows(f: PiecewisePolynomial) -> MonitorWindows:
@@ -108,19 +108,9 @@ def scan_windows(f: PiecewisePolynomial) -> MonitorWindows:
             k = half if upto.all() else int(np.argmin(upto)) - 1
             return max(0.0, (k - 1) * h)  # one-cell safety margin
 
-        return sign, largest(plain_ok), largest(band_ok)
+        return Side(sign, largest(plain_ok), largest(band_ok))
 
-    right_sign, eps_rp, eps_rb = one_side(v[::-1])
-    left_sign, eps_lp, eps_lb = one_side(v)
-    return MonitorWindows(
-        lipschitz=f.lipschitz_bound(),
-        right_sign=right_sign,
-        eps_right_plain=eps_rp,
-        eps_right_band=eps_rb,
-        left_sign=left_sign,
-        eps_left_plain=eps_lp,
-        eps_left_band=eps_lb,
-    )
+    return MonitorWindows(f.lipschitz_bound(), right=one_side(v[::-1]), left=one_side(v))
 
 
 @dataclass(frozen=True)
@@ -295,11 +285,11 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
 
     # a side without a window has sign 0 and eps 0, and eps 0 selects no state
     # of that side's regime (0 < q < 1): its signed and band masks stay empty
-    t3sq = signed(right & (qs >= 1.0 - w.eps_right_plain), w.right_sign, t3)
-    if w.right_sign == 0 and w.lipschitz > 0.0:
+    t3sq = signed(right & (qs >= 1.0 - w.right.plain), w.right.sign, t3)
+    if w.right.sign == 0 and w.lipschitz > 0.0:
         t3sq |= right & (qs >= 0.5) & (np.abs(t3) >= 4.0 * w.lipschitz)
-    t3sq |= signed(left & (qs <= w.eps_left_plain), w.left_sign, t3)
-    if w.left_sign == 0 and w.lipschitz > 0.0:
+    t3sq |= signed(left & (qs <= w.left.plain), w.left.sign, t3)
+    if w.left.sign == 0 and w.lipschitz > 0.0:
         t3sq |= left & (qs <= 0.5) & (np.abs(t3) >= 4.0 * w.lipschitz)
 
     c1 = (
@@ -311,10 +301,10 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
     cA = 1.25 * t1**2 * (2.0 + qs**2) > 20.0 / 9.0
     cB = (-4.0 / 3.0 + qs + 1.25 * t1**2 * (1.0 + 2.0 * qs)) < 0.0
 
-    sgn = (t3 < 0.0) if w.right_sign > 0 else (t3 > 0.0)
-    v_right = right & (qs >= 1.0 - w.eps_right_band) & c1 & c3 & sgn
-    sgn = (t3 > 0.0) if w.left_sign > 0 else (t3 < 0.0)
-    v_left = left & (qs <= w.eps_left_band) & cA & cB & sgn
+    sgn = (t3 < 0.0) if w.right.sign > 0 else (t3 > 0.0)
+    v_right = right & (qs >= 1.0 - w.right.band) & c1 & c3 & sgn
+    sgn = (t3 > 0.0) if w.left.sign > 0 else (t3 < 0.0)
+    v_left = left & (qs <= w.left.band) & cA & cB & sgn
 
     conserved = (code == 1) & (np.abs(t1) <= _E_FULL_T1_CAP)
     return {"theta3_sq": t3sq, "v_right": v_right, "v_left": v_left, "conserved_full": conserved}

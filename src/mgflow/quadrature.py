@@ -45,7 +45,8 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class InputMeasure:
-    """Finite measure on [a, b]^dim: uniform (Lebesgue on the box) or discrete."""
+    """Finite measure on [a, b]^dim: uniform (Lebesgue on the box) or discrete.
+    A discrete measure keeps read-only copies of its points and weights."""
 
     kind: str
     a: float
@@ -62,8 +63,9 @@ class InputMeasure:
         if self.dim < 1:
             raise ValueError("need dim >= 1")
         if self.kind == "discrete":
-            pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-            w = np.atleast_1d(np.asarray(self.weights, dtype=float))
+            pts = np.atleast_2d(np.array(self.points, dtype=float))
+            w = np.atleast_1d(np.array(self.weights, dtype=float))
+            pts.flags.writeable = w.flags.writeable = False
             if pts.shape[1] != self.dim or pts.shape[0] != w.size:
                 raise ValueError("points must be (n, dim) with matching weights")
             if np.any(w < 0):

@@ -132,8 +132,11 @@ def build_measure(cfg: ExperimentConfig) -> InputMeasure:
         if kind == "uniform":
             return uniform_measure(_real(m.get("a", 0.0)), _real(m.get("b", 1.0)), cfg.architecture[0])
         if kind == "discrete":
-            points, weights = _finite(m["points"]), _finite(m["weights"])
-            return discrete_measure(points, weights, _real(m.get("a", 0.0)), _real(m.get("b", 1.0)))
+            measure = discrete_measure(_finite(m["points"]), _finite(m["weights"]),
+                                       _real(m.get("a", 0.0)), _real(m.get("b", 1.0)))
+            if measure.dim != cfg.architecture[0]:
+                raise ValueError(f"points must have {cfg.architecture[0]} columns, got {measure.dim}")
+            return measure
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"config field 'measure': {e}")
     raise ConfigError(f"config field 'measure': unknown kind {kind!r}")

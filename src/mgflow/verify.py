@@ -293,21 +293,21 @@ def _window_inits(problem, rng):
         return [t1, -q * t1, t3]
 
     extra = []
-    if w.eps_right_band > 0:
-        q = 1.0 - 0.3 * w.eps_right_band
-        s = -1.0 if w.right_sign > 0 else 1.0
+    if w.right.band > 0:
+        q = 1.0 - 0.3 * w.right.band
+        s = -1.0 if w.right.sign > 0 else 1.0
         extra += [at_q(q, 1.0, s * 0.8), at_q(q, 1.0, s * 0.2)]
-    if w.eps_left_band > 0:
-        q = 0.3 * w.eps_left_band
-        s = 1.0 if w.left_sign > 0 else -1.0
+    if w.left.band > 0:
+        q = 0.3 * w.left.band
+        s = 1.0 if w.left.sign > 0 else -1.0
         extra += [at_q(q, -1.0, s * 0.8), at_q(q, -1.0, s * 0.2)]
-    if w.eps_right_plain > 0:
-        q = 1.0 - 0.5 * w.eps_right_plain
-        s = -0.5 if w.right_sign > 0 else 0.5
+    if w.right.plain > 0:
+        q = 1.0 - 0.5 * w.right.plain
+        s = -0.5 if w.right.sign > 0 else 0.5
         extra += [at_q(q, 1.0, s), at_q(q, 1.0, 2.0 * s)]
-    if w.eps_left_plain > 0:
-        q = 0.5 * w.eps_left_plain
-        s = -0.5 if w.left_sign > 0 else 0.5
+    if w.left.plain > 0:
+        q = 0.5 * w.left.plain
+        s = -0.5 if w.left.sign > 0 else 0.5
         extra += [at_q(q, -1.0, s), at_q(q, -1.0, 2.0 * s)]
     blocks.append(np.asarray(extra))
     return np.concatenate(blocks, axis=0)
@@ -342,14 +342,7 @@ def check_boundedness(seed) -> CheckResult:
     counts = (34, 33, 33)
     cfg = on.OneNeuronConfig(t_end=100.0, step=1e-2, renormalize=True)
     for (name, f), n in zip(LYAPUNOV_TARGETS, counts):
-        rep = on.boundedness_experiment(f, seed + 11, cfg, n_trajectories=n)
-        details[name] = {
-            "sup_norm": rep["sup_norm"],
-            "plateau_ratio_max": rep["plateau_ratio_max"],
-            "aborted": rep["aborted"],
-            "lyapunov_violations": rep["lyapunov_violations"],
-            "regime_occupancy": rep["regime_occupancy"],
-        }
+        details[name] = rep = on.boundedness_experiment(f, seed + 11, cfg, n_trajectories=n)
         passed = (
             passed
             and rep["aborted"] == 0

@@ -5,6 +5,7 @@ and prints its pass/fail line.  Wall-clock budgets are asserted here for the
 checks that carry one.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -108,3 +109,22 @@ def test_c14_determinism(outcome):
 def test_all_criteria_present(outcome):
     assert len(outcome.results) == 14
     assert outcome.all_passed
+
+
+# sha256 of the `as_dict()` JSON (sorted keys) at SEED of c09-c13, the
+# criteria of the one-neuron circle flow and its lemmas.  None of these criteria takes a BLAS reduction, so the bytes hold
+# under every OpenBLAS kernel.  A deliberate change to the circle flow, its
+# monitors or these reports updates the digests and says so in CHANGES.md.
+CIRCLE_FLOW_DIGESTS = {
+    "full_regime_conservation": "60594e8ccce2172cd582a9dde75addf1dbe49746960f4f650e9f907a945f6323",
+    "lyapunov_monotonicity": "c8b7c365efe51e98523bbb94b14e35b2255db4f7fae67852e0f05a5df23e3ea1",
+    "boundedness_evidence": "a19a5908629e932d9a9923683892afbed32d5ec6da3c3e5919ef572df4cc59ea",
+    "affine_integral_bound": "f82c858350c92d8a2e2995bfbacc5b447c4e85cd33b675ecd8d07694acc99dad",
+    "rescaled_flow_identity": "2eaddfce9bac0da5a75b6d83a856085869f89a097a7e693483e860f0d4f52c71",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CIRCLE_FLOW_DIGESTS))
+def test_circle_flow_report_bytes(outcome, name):
+    text = json.dumps(_criterion(outcome, name).as_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CIRCLE_FLOW_DIGESTS[name]

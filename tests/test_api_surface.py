@@ -23,7 +23,7 @@ PUBLIC = [
 
 # the names one_neuron's own top-level statements bind (its imports excluded)
 ONE_NEURON = [
-    "INV_SQRT2", "MonitorWindows", "OneNeuronConfig", "OneNeuronProblem", "REGIME_TAGS",
+    "INV_SQRT2", "MonitorWindows", "OneNeuronConfig", "OneNeuronProblem", "REGIME_TAGS", "Side",
     "affine_integral_bound_check", "applicability_masks", "as_problem", "boundedness_experiment",
     "closed_integrals", "flow_batch", "grad_1n", "gradient_batch", "lyapunov_values",
     "monitor_report", "random_circle_states", "risk_batch", "scan_windows",

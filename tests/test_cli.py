@@ -116,6 +116,11 @@ class TestConfigValidation:
         ("target", {"target": {"name": "abs_offset", "center": True}}),
         ("target", {"target": {"name": "piecewise_linear", "knots": [[0.0, False], [1.0, True]]}}),
         ("measure", {"measure": {"kind": "uniform", "a": False, "b": True}}),
+        ("measure", {"measure": {"kind": "discrete", "points": [[0.2, 0.5]], "weights": [1.0]}}),
+        ("measure", {"architecture": [2, 3, 1], "target": {"name": "zero"},
+                     "measure": {"kind": "discrete", "points": [[0.2], [0.5]], "weights": [1.0, 1.0]}}),
+        ("step", {"t_end": 1.0, "step": 0.6}),
+        ("step", {"t_end": 1.0, "step": 0.4}),
     ])
     def test_bad_shape_named(self, name, raw, tmp_path):
         # integral floats and booleans were truncated into layer widths; null
@@ -213,6 +218,24 @@ class TestCliExitCodes:
         assert capsys.readouterr().err == ""
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["termination"] == "nonfinite"
+
+    @pytest.mark.parametrize("argv", [
+        ["gd", "--architecture", "2,3,1", "--steps", "2", "--target", '{"name": "zero"}', "--config"],
+        ["one-neuron", "--t-end", "1", "--step", "0.6", "--config"],
+    ], ids=["gd_one_column_points", "one_neuron_partial_step"])
+    def test_an_input_that_does_not_fit_exits_2_before_writing(self, argv, tmp_path, capsys):
+        # the gd run used the one coordinate as both inputs; the circle flow
+        # ran to t = 1.2, the whole steps nearest to t_end
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(
+            {"measure": {"kind": "discrete", "points": [[0.2], [0.5]], "weights": [1.0, 1.0]}}
+            if argv[0] == "gd" else {}))
+        rc = main(argv + [str(config), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err.splitlines()
+        name = "measure" if argv[0] == "gd" else "step"
+        assert len(err) == 1 and err[0].startswith(f"error: config field '{name}': ")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", ["flow", "gd"])
     def test_unaddressable_width_exits_2_before_writing(self, mode, tmp_path, capsys):

@@ -30,7 +30,7 @@ from mgflow import (
     uniform_measure,
 )
 from mgflow import one_neuron as on
-from mgflow.dynamics import _network_field, fixed_step, step_factor
+from mgflow.dynamics import ConfigError, _network_field, fixed_step, step_factor
 from mgflow.quadrature import quiet
 from mgflow.verify import LYAPUNOV_TARGETS
 
@@ -127,6 +127,23 @@ class TestFlowConfig:
             FlowConfig(gamma="adaptive")
         with pytest.raises(ValueError):
             FlowConfig(record_every=0)
+
+    @pytest.mark.parametrize("t_end, step", [
+        (1.0, 0.6), (1.0, 0.4), (0.02, 0.003), (1.0 + 1e-8, 1e-3),
+    ])
+    def test_a_horizon_between_steps_is_refused(self, t_end, step):
+        # the run ended at round(t_end / step) steps: t = 1.2 for (1, 0.6), 0.8 for (1, 0.4)
+        for config in (FlowConfig, on.OneNeuronConfig):
+            with pytest.raises(ConfigError, match="config field 'step': .* whole number of steps"):
+                config(t_end=t_end, step=step)
+
+    @pytest.mark.parametrize("t_end, step", [
+        (20 * 1e-3, 1e-3), (40 * 1e-2, 1e-2), (0.005, 1e-3), (0.05, 1e-3), (0.5, 1e-2), (1.0, 1e-3),
+        (2.0, 1e-4), (10.0, 1e-3), (100.0, 1e-2), (0.3, 0.1), (0.7, 0.1), (1.0 + 1e-11, 1e-3),
+    ])
+    def test_a_float_rounded_multiple_of_the_step_is_kept(self, t_end, step):
+        FlowConfig(t_end=t_end, step=step)
+        on.OneNeuronConfig(t_end=t_end, step=step)
 
 
 class TestIntegrateFlow:

@@ -136,6 +136,22 @@ class TestRisk:
             assert gaps[2] <= gaps[0] + 1e-15
             assert gaps[2] <= 1e-9 * (1 + exact)
 
+    @pytest.mark.parametrize("dims, measure, f", [
+        ((2, 3, 1), discrete_measure([[0.2], [0.7]], [1.0, 1.0]), TargetFunction.zero()),
+        ((1, 3, 1), discrete_measure([[0.2, 0.5], [0.7, 0.1]], [1.0, 1.0]), TargetFunction.zero()),
+        ((1, 3, 1), uniform_measure(0, 1, 2), TargetFunction.zero()),
+        ((1, 4, 2), MU, TargetFunction.from_scalar(abs_offset_target(0.3))),
+        ((1, 3, 1), MU, TargetFunction.zero(out_dim=3)),
+    ], ids=["1-column points on 2 inputs", "2-column points on 1 input", "2-d uniform on 1 input",
+            "scalar target on 2 outputs", "3-output target on 1 output"])
+    def test_a_measure_or_target_that_does_not_fit_the_architecture_raises(self, dims, measure, f):
+        # the pass broadcast one coordinate into both input rows, fitted both
+        # outputs to one scalar target, or failed in numpy's broadcasting
+        theta = random_params(Architecture(dims), np.random.default_rng(8))
+        for call in (risk, risk_and_gradient):
+            with pytest.raises(ValueError, match="network needs a"):
+                call(theta, measure, f)
+
     def test_multivariate_grid_path(self):
         arch = Architecture((2, 3, 2))
         rng = np.random.default_rng(7)

@@ -396,7 +396,7 @@ class TestLyapunovValues:
 
     def test_applicability_reported_with_target(self):
         problem = on.as_problem(affine_target(0.0, 1.0))
-        # the target rises (right_sign = 1), so the v_right window has t3 < 0
+        # the target rises (right.sign = 1), so the v_right window has t3 < 0
         states = np.array([circle_point(0.99, 1.0, -0.5), circle_point(0.99, 1.0, 0.5),
                            circle_point(0.5, 1.0, -0.5)])
         v_right = on.applicability_masks(states, problem)["v_right"]
@@ -406,9 +406,9 @@ class TestLyapunovValues:
 class TestWindows:
     def test_affine_target_windows(self):
         w = on.scan_windows(affine_target(0.0, 1.0))
-        assert w.right_sign == 1 and w.left_sign == -1
-        assert 0.45 < w.eps_right_plain <= 0.5
-        assert 0.045 < w.eps_right_band <= 0.05
+        assert w.right.sign == 1 and w.left.sign == -1
+        assert 0.45 < w.right.plain <= 0.5
+        assert 0.045 < w.right.band <= 0.05
         assert w.lipschitz == pytest.approx(1.0)
 
     def test_endpoint_matching_mean_gives_zero_sign(self):
@@ -416,7 +416,7 @@ class TestWindows:
         # target built to hit the mean at the right endpoint
         f = piecewise_linear_target([0.0, 1.0], [-0.5, 0.5])  # mean 0, f(1)=0.5
         w = on.scan_windows(f)
-        assert w.right_sign == 1
+        assert w.right.sign == 1
         f2 = piecewise_linear_target([0.0, 0.5, 1.0], [0.5, -0.25, 0.125])
         # mean of f2: pieces (0.5->-0.25), (-0.25->0.125): 0.125/2 + (-0.0625)/2
         fbar = f2.mean()
@@ -436,8 +436,7 @@ class TestWindows:
         w = problem.windows
         rng = np.random.default_rng(20)
         for side in ("right", "left"):
-            sign, plain, band = (getattr(w, f"{side}_sign"), getattr(w, f"eps_{side}_plain"),
-                                 getattr(w, f"eps_{side}_band"))
+            sign, plain, band = getattr(w, side)
             if side not in sides:
                 assert sign != 0 and plain > 0.0 and band > 0.0
                 continue
@@ -565,7 +564,7 @@ class TestMonitors:
     def test_theta3_monitor_engages_and_holds(self):
         problem = on.as_problem(affine_target(0.0, 1.0))
         w = problem.windows
-        q = 1.0 - 0.5 * w.eps_right_plain
+        q = 1.0 - 0.5 * w.right.plain
         init = circle_point(q, 1.0, -0.5)[None, :]
         cfg = on.OneNeuronConfig(t_end=2.0, step=1e-3)
         batch = on.flow_batch(init, problem, cfg)
@@ -579,7 +578,7 @@ class TestMonitors:
         problem = on.as_problem(f)
         w = problem.windows
         assert f(1.0) == pytest.approx(problem.fbar)
-        assert w.right_sign == 0 and w.eps_right_plain == 0.0
+        assert w.right.sign == 0 and w.right.plain == 0.0
         assert w.lipschitz == pytest.approx(2.4)
         state = circle_point(0.7, 1.0, 4.0 * w.lipschitz + 3.0)
         masks = on.applicability_masks(state[None, :], problem)
