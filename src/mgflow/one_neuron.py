@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -115,17 +115,14 @@ def scan_windows(f: PiecewisePolynomial) -> MonitorWindows:
 
 @dataclass(frozen=True)
 class OneNeuronProblem:
-    """Target bundled with the precomputed quantities the flow needs."""
+    """Target bundled with the precomputed quantities the flow needs, both derived from f."""
 
     f: PiecewisePolynomial
-    fbar: float
-    centered_square: float  # int_0^1 (f - fbar)^2 ds
+    fbar: float = field(init=False)
+    centered_square: float = field(init=False)  # int_0^1 (f - fbar)^2 ds
 
-    def __post_init__(self):  # both as 0-d operands, for `_one_pass`
-        object.__setattr__(self, "_operands", (constant(self.fbar), constant(self.centered_square)))
-
-    @classmethod
-    def from_target(cls, f: PiecewisePolynomial) -> "OneNeuronProblem":
+    def __post_init__(self):
+        f = self.f
         if not (f.breaks[0] == 0.0 and f.breaks[-1] == 1.0):
             raise ValueError("one-neuron targets must live on [0, 1]")
         fbar = f.mean()
@@ -138,7 +135,9 @@ class OneNeuronProblem:
             half = (hi - lo) / 2.0
             nodes = (lo + hi) / 2.0 + half * x_ref
             sq += half * float(w_ref @ (f(nodes) - fbar) ** 2)
-        return cls(f=f, fbar=fbar, centered_square=sq)
+        object.__setattr__(self, "fbar", fbar)
+        object.__setattr__(self, "centered_square", sq)
+        object.__setattr__(self, "_operands", (constant(fbar), constant(sq)))  # 0-d, for `_one_pass`
 
     @functools.cached_property
     def windows(self) -> MonitorWindows:
@@ -147,7 +146,7 @@ class OneNeuronProblem:
 
 
 def as_problem(f: Union[PiecewisePolynomial, OneNeuronProblem]) -> OneNeuronProblem:
-    return f if isinstance(f, OneNeuronProblem) else OneNeuronProblem.from_target(f)
+    return f if isinstance(f, OneNeuronProblem) else OneNeuronProblem(f)
 
 
 def _one_pass(states: np.ndarray, problem: OneNeuronProblem, risk: bool = False):

@@ -125,6 +125,11 @@ def _real(value) -> float:
     return float(_finite(value))
 
 
+def _reason(e: Exception) -> str:
+    """Why a measure or target spec did not build: a KeyError names its missing key."""
+    return f"missing key {e}" if isinstance(e, KeyError) else str(e)
+
+
 def build_measure(cfg: ExperimentConfig) -> InputMeasure:
     m = dict(cfg.measure)
     kind = m.pop("kind", "uniform")
@@ -138,7 +143,7 @@ def build_measure(cfg: ExperimentConfig) -> InputMeasure:
                 raise ValueError(f"points must have {cfg.architecture[0]} columns, got {measure.dim}")
             return measure
     except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"config field 'measure': {e}")
+        raise ConfigError(f"config field 'measure': {_reason(e)}")
     raise ConfigError(f"config field 'measure': unknown kind {kind!r}")
 
 
@@ -160,7 +165,7 @@ def build_scalar_target(spec: dict):
         if name == "zero":
             return constant_target(0.0)
     except (KeyError, IndexError, TypeError, ValueError) as e:
-        raise ConfigError(f"config field 'target': {e}")
+        raise ConfigError(f"config field 'target': {_reason(e)}")
     raise ConfigError(f"config field 'target': unknown name {name!r}")
 
 
@@ -183,7 +188,7 @@ def build_target(cfg: ExperimentConfig) -> TargetFunction:
             vals = np.broadcast_to(np.atleast_1d(_finite(spec.get("value", 0.0))), (out_dim,))
             return TargetFunction.affine_map(np.zeros((out_dim, in_dim)), vals)
     except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"config field 'target': {e}")
+        raise ConfigError(f"config field 'target': {_reason(e)}")
     raise ConfigError(
         f"config field 'target': {name!r} unsupported for input dim {in_dim} / output dim {out_dim}"
     )
@@ -239,7 +244,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     theta0 = None if cfg.theta0 is None else np.asarray(cfg.theta0, dtype=float)
     if cfg.mode == "one-neuron":
         problem = on.as_problem(build_scalar_target(cfg.target))
-        theta0 = on.random_circle_states(rng, 1, t3_scale=cfg.t3_scale)[0] if theta0 is None else theta0
+        if theta0 is None:
+            theta0 = on.random_circle_states(rng, 1, t3_scale=cfg.t3_scale)[0]
+        elif rho := np.hypot(theta0[0], theta0[1]):  # (t1, t2) onto the circle, the same realization
+            theta0 = np.r_[theta0[:2] / rho, rho * theta0[2]]
     else:
         measure, f, arch = build_measure(cfg), build_target(cfg), Architecture(cfg.architecture)
         try:  # a width numpy cannot allocate fails here

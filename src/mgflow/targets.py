@@ -81,23 +81,11 @@ class PiecewisePolynomial:
         """Integral divided by the domain length."""
         return self.integral() / (self.breaks[-1] - self.breaks[0])
 
-    def interval_moments(self, lo, hi):
-        """(P0, P1, P2, int f, int s f) over [lo, hi], with P_k = int s^k ds.
-
-        `lo`, `hi` broadcast elementwise and are clipped to the domain; an
-        empty interval (hi <= lo) gives exact zeros.  Both ends are looked up
-        in one pass over the primitive table.
-        """
-        hi = np.maximum(lo, hi)
-        s = np.empty((2,) + hi.shape)
-        s[0], s[1] = lo, hi
-        np.minimum(np.maximum(s, self.breaks[0], out=s), self.breaks[-1], out=s)
-        return tuple(self.lookup_moments(s))
-
     def lookup_moments(self, ends):
-        """The five moments of `interval_moments` as one (5, ...) array, for
-        ends of shape (2, ...) already inside the domain with ends[0] <= ends[1]
-        (nan ends give nan moments)."""
+        """(P0, P1, P2, int f, int s f) over [ends[0], ends[1]], with P_k = int s^k ds,
+        as one (5, ...) array, for ends of shape (2, ...) already inside the domain
+        with ends[0] <= ends[1] (nan ends give nan moments).  Both ends are looked
+        up in one pass over the primitive table."""
         piece = self._upper.searchsorted(ends, side="right")
         C = self._primitive.take(piece, axis=-1)  # (D, 5, 2, ...)
         u = ends - self._breaks[piece]
@@ -108,8 +96,10 @@ class PiecewisePolynomial:
         return F[:, 1] - F[:, 0]
 
     def partial_moments(self, lo, hi, fbar: float):
-        """Exact (A, B) with A = int_lo^hi (fbar - f) ds, B = same times s."""
-        P0, P1, _, F0, F1 = self.interval_moments(lo, hi)
+        """Exact (A, B) with A = int (fbar - f) ds, B = same times s, over [lo, max(lo, hi)]
+        clipped to the domain: `lo`, `hi` broadcast, and an empty interval gives exact zeros."""
+        ends = np.clip(np.broadcast_arrays(lo, np.maximum(lo, hi)), self.breaks[0], self.breaks[-1])
+        P0, P1, _, F0, F1 = self.lookup_moments(ends)
         return fbar * P0 - F0, fbar * P1 - F1
 
     def lipschitz_bound(self) -> float:

@@ -56,18 +56,12 @@ def _rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
 
-def _measure_for(dims):
-    return uniform_measure(0.0, 1.0, dims[0])
-
-
-def _target_for(dims):
+def _setup(dims):
+    """The measure, target and quadrature resolution every network check uses for dims."""
+    measure = uniform_measure(0.0, 1.0, dims[0])
     if dims[0] == 1:
-        return TargetFunction.from_scalar(abs_offset_target(0.3))
-    return TargetFunction.affine_map(np.ones((dims[-1], dims[0])) * 0.5, np.zeros(dims[-1]))
-
-
-def _resolution_for(dims):
-    return GRID_RESOLUTION if dims[0] > 1 else None
+        return measure, TargetFunction.from_scalar(abs_offset_target(0.3)), None
+    return measure, TargetFunction.affine_map(np.ones((dims[-1], dims[0])) * 0.5, np.zeros(dims[-1])), GRID_RESOLUTION
 
 
 def _grid_for(dims):
@@ -90,8 +84,7 @@ def check_rescaling_invariance(seed) -> CheckResult:
     n = 0
     for arch, theta in _theta_draws(seed):
         dims = arch.layer_dims
-        measure = _measure_for(dims)
-        res = _resolution_for(dims)
+        measure, _, res = _setup(dims)
         grid = _grid_for(dims)
         y0 = realize(theta, grid, measure, resolution=res)
         y1 = realize(rescale_full(theta), grid, measure, resolution=res)
@@ -129,7 +122,7 @@ def check_flow_invariance(seed):
         arch = Architecture(dims)
         rng = _rng(seed, 3, len(dims), dims[1])
         xi = random_params(arch, rng)
-        measure, f, res = _measure_for(dims), _target_for(dims), _resolution_for(dims)
+        measure, f, res = _setup(dims)
         for reproject, tol in ((False, 1e-6), (True, 1e-12)):
             cfg = FlowConfig(t_end=1.0, step=1e-3, reproject=reproject, resolution=res)
             rec = integrate_flow(xi, measure, f, cfg)
@@ -159,7 +152,7 @@ def check_tangency(seed) -> CheckResult:
     for dims in ARCHS:
         arch = Architecture(dims)
         rng = _rng(seed, 5, len(dims))
-        measure, f, res = _measure_for(dims), _target_for(dims), _resolution_for(dims)
+        measure, f, res = _setup(dims)
         for _ in range(1000):
             theta = random_on_manifold(arch, rng)
             G = project_gradient(theta, generalized_gradient(theta, measure, f, resolution=res))
@@ -194,7 +187,7 @@ def check_gradient_fd_oracle(seed) -> CheckResult:
     for dims, n in (((1, 1, 1), 34), ((1, 8, 1), 33), ((2, 3, 1), 33)):
         arch = Architecture(dims)
         rng = _rng(seed, 6, len(dims), dims[1])
-        measure, f, res = _measure_for(dims), _target_for(dims), _resolution_for(dims)
+        measure, f, res = _setup(dims)
         for _ in range(n):
             theta = _smooth_region_theta(arch, measure, rng, r, res)
             g = generalized_gradient(theta, measure, f, r=r, resolution=res)

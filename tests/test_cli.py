@@ -130,6 +130,16 @@ class TestConfigValidation:
             run_experiment(config_from_dict({"mode": "flow", "t_end": 0.002, **raw, "out": str(tmp_path)}))
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("name, raw, key", [
+        ("target", {"target": {"name": "constant"}}, "value"),
+        ("measure", {"measure": {"kind": "discrete", "points": [[0.2], [0.5]]}}, "weights"),
+    ], ids=["target_value", "measure_weights"])
+    def test_missing_key_named(self, name, raw, key, tmp_path):
+        # the message was the KeyError alone: "config field 'target': 'value'"
+        with pytest.raises(ConfigError, match=f"^config field '{name}': missing key '{key}'$"):
+            run_experiment(config_from_dict({"mode": "flow", **raw, "out": str(tmp_path / "out")}))
+        assert not list(tmp_path.iterdir())
+
 
 class TestCliExitCodes:
     def test_invalid_flag_value_exits_nonzero(self, tmp_path, capsys):
@@ -261,6 +271,17 @@ class TestExperimentOutputs:
         lines = (tmp_path / "trajectory.csv").read_text().strip().splitlines()
         assert len(lines) == 3  # header + start/end
         assert lines[1].split(",")[1:] == lines[2].split(",")[1:]
+
+    def test_one_neuron_start_off_the_circle_is_rescaled_onto_it(self, tmp_path):
+        # (t1, t2, t3) -> (t1 / rho, t2 / rho, rho t3) with rho = |(t1, t2)| keeps the
+        # realization, so row 0 has the given start's risk and psi 0; the start was
+        # recorded as given (psi 3), and the first retraction dropped the risk to 0.0279
+        cfg = ExperimentConfig(mode="one-neuron", architecture=(1, 1, 1), theta0=[2.0, 0.0, 1.0],
+                               t_end=0.01, step=1e-3, out=str(tmp_path))
+        summary = run_experiment(cfg)
+        row0 = (tmp_path / "trajectory.csv").read_text().splitlines()[1].split(",")
+        assert row0[:6] == ["0", "1", "0", "2", "0.18323333333333347", "0"]
+        assert summary["psi_max_dev_max"] <= 1e-12 and summary["config"]["theta0"] == [2.0, 0.0, 1.0]
 
     def test_flow_risk_column_monotone(self, tmp_path):
         cfg = ExperimentConfig(

@@ -702,7 +702,7 @@ def _ref_moments(states, problem):
     """(P0, P1, P2, m, A, B) over the activity interval, from one table lookup."""
     t1, t2 = states[..., 0], states[..., 1]
     lo, hi, _ = _ref_intervals(t1, t2)
-    P0, P1, P2, F0, F1 = problem.f.interval_moments(lo, hi)
+    P0, P1, P2, F0, F1 = problem.f.lookup_moments(np.clip([lo, np.maximum(lo, hi)], 0.0, 1.0))
     return P0, P1, P2, t1 * P1 + t2 * P0, problem.fbar * P0 - F0, problem.fbar * P1 - F1
 
 

@@ -106,7 +106,7 @@ class TestCachedRules:
         f = TargetFunction.from_scalar(abs_offset_target(0.3))
         integrate_flow(xi, uniform_measure(0, 1, 1), f, FlowConfig(t_end=0.003, step=1e-3))
         integrate(lambda X: X[:, 0] * X[:, 1], uniform_measure(0, 1, 2), resolution=16)
-        OneNeuronProblem.from_target(abs_offset_target(0.4))
+        OneNeuronProblem(abs_offset_target(0.4))
 
     def test_reference_rules_are_computed_once(self, monkeypatch):
         self._work()
@@ -266,8 +266,13 @@ class TestTargets:
         assert A[0] == 0.0 and B[0] == 0.0
 
 
+def _domain_ends(f, lo, hi):
+    """[lo, max(lo, hi)] clipped to f's domain: the (2, ...) ends `lookup_moments` takes."""
+    return np.clip(np.broadcast_arrays(lo, np.maximum(lo, hi)), f.breaks[0], f.breaks[-1])
+
+
 def _gauss_moments(f, lo, hi):
-    """Per-piece Gauss-Legendre reference for interval_moments at one pair."""
+    """Per-piece Gauss-Legendre reference for the five moments over [lo, hi] at one pair."""
     x, w = np.polynomial.legendre.leggauss(8)  # exact up to degree 15
     out = np.zeros(5)
     lo, hi = max(lo, f.breaks[0]), min(hi, f.breaks[-1])
@@ -305,7 +310,7 @@ class TestIntervalMoments:
     def test_matches_per_piece_gauss_legendre(self, case):
         f, ends = case
         tol = 1e-14 * (1.0 + max(abs(c) for piece in f.coeffs for c in piece))
-        got = np.array(f.interval_moments(ends[:, 0], ends[:, 1]))
+        got = f.lookup_moments(_domain_ends(f, ends[:, 0], ends[:, 1]))
         ref = np.array([_gauss_moments(f, lo, hi) for lo, hi in ends]).T
         np.testing.assert_allclose(got, ref, rtol=0, atol=tol)
         fbar = 0.25
@@ -313,15 +318,19 @@ class TestIntervalMoments:
         np.testing.assert_allclose(A, fbar * ref[0] - ref[3], rtol=0, atol=tol)
         np.testing.assert_allclose(B, fbar * ref[1] - ref[4], rtol=0, atol=tol)
         # a scalar lo broadcasts against an array hi
-        wide = np.array(f.interval_moments(float(ends[0, 0]), ends[:, 1]))
+        wide = f.lookup_moments(_domain_ends(f, float(ends[0, 0]), ends[:, 1]))
         ref = np.array([_gauss_moments(f, ends[0, 0], hi) for hi in ends[:, 1]]).T
         np.testing.assert_allclose(wide, ref, rtol=0, atol=tol)
+        A, B = f.partial_moments(float(ends[0, 0]), ends[:, 1], fbar)
+        np.testing.assert_allclose(A, fbar * ref[0] - ref[3], rtol=0, atol=tol)
+        np.testing.assert_allclose(B, fbar * ref[1] - ref[4], rtol=0, atol=tol)
         assert f.integral() == pytest.approx(_gauss_moments(f, -np.inf, np.inf)[3], rel=0, abs=tol)
 
     def test_reversed_and_outside_intervals_are_exactly_empty(self):
         f = abs_offset_target(0.3)
         for lo, hi in ((0.7, 0.2), (1.2, 1.5), (-0.5, -0.1), (0.3, 0.3)):
-            assert all(v == 0.0 for v in f.interval_moments(lo, hi))
+            assert all(v == 0.0 for v in f.lookup_moments(_domain_ends(f, lo, hi)))
+            assert all(v == 0.0 for v in f.partial_moments(lo, hi, 0.25))
 
 
 def _nodes_with_unique(breakpoints, a, b):
