@@ -127,7 +127,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except QuadratureError as e:
+    except (QuadratureError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(f"termination: {summary['termination']}  rows: {summary['rows']}  "

@@ -75,14 +75,13 @@ def check_schedule(t_end, step, integrator, gamma, record_every) -> None:
 
 @dataclass
 class FlowConfig:
+    """The one fixed-step schedule of the flow, the descent and the circle flow."""
     t_end: float = 1.0
     step: float = 1e-3
     integrator: str = "rk4"
-    reproject: bool = True
+    renormalize: bool = True
     gamma: Union[float, str] = 1.0  # constant factor, or "rescaled"
     record_every: int = 1
-    r: float = INF
-    resolution: Optional[int] = None
 
     def __post_init__(self):
         check_schedule(self.t_end, self.step, self.integrator, self.gamma, self.record_every)
@@ -246,18 +245,18 @@ def _network_field(arch, measure, f, r, resolution, gamma):
     return field
 
 
-def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int) -> TrajectoryRecord:
+def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, r, resolution) -> TrajectoryRecord:
     """Run n_steps of `fixed_step` with cfg's step, integrator and gamma on one
     network from the rescaled xi; returns its record, or raises
     QuadratureError if the rescaled xi is not finite.  The retraction
     (`manifold._retract`) counts the zero hidden rows of the state, and
-    renormalizes it with `reproject`."""
+    renormalizes it with `renormalize`."""
     arch = xi.arch
-    field = _network_field(arch, measure, f, cfg.r, cfg.resolution, cfg.gamma)
+    field = _network_field(arch, measure, f, r, resolution, cfg.gamma)
 
     def retract(Y):
         values, zeros = _retract(arch, Y[0])
-        return (values[None, :] if cfg.reproject else Y), zeros
+        return (values[None, :] if cfg.renormalize else Y), zeros
 
     start = rescale_full(xi)
     if not np.isfinite(start.values).all():
@@ -280,15 +279,18 @@ def integrate_flow(
     measure: InputMeasure,
     f: TargetFunction,
     cfg: FlowConfig,
+    r=INF,
+    resolution: Optional[int] = None,
 ) -> TrajectoryRecord:
-    """Integrate the projected flow from the rescaled initial point.
+    """Integrate the projected flow from the rescaled initial point; `r` and
+    `resolution` set the network's discretization, as in `gd_run`.
 
     Early termination: 'stationary' when a recorded |G| falls below 1e-12
     (`fixed_step`'s stationary rule), 'nonfinite' or 'divergence_guard' when
     a step leaves non-finite values or a component above 1e12; the record
     then ends with the last valid state.
     """
-    return _network_run(xi, measure, f, cfg, int(round(cfg.t_end / cfg.step)))
+    return _network_run(xi, measure, f, cfg, int(round(cfg.t_end / cfg.step)), r, resolution)
 
 
 def gd_run(
@@ -309,6 +311,5 @@ def gd_run(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    cfg = FlowConfig(t_end=max(steps, 1), step=1.0, integrator="euler", gamma=gamma,
-                     record_every=record_every, r=r, resolution=resolution)
-    return _network_run(xi, measure, f, cfg, steps)
+    cfg = FlowConfig(t_end=max(steps, 1), step=1.0, integrator="euler", gamma=gamma, record_every=record_every)
+    return _network_run(xi, measure, f, cfg, steps, r, resolution)

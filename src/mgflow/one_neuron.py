@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .dynamics import GAMMA_CAP, TrajectoryRecord, check_schedule, fixed_step, step_factor
+from .dynamics import GAMMA_CAP, FlowConfig, TrajectoryRecord, fixed_step, step_factor
 from .quadrature import ONE, TWO, ZERO, constant, gauss_legendre, quiet
 from .targets import PiecewisePolynomial
 
@@ -250,7 +250,7 @@ def lyapunov_values(states: np.ndarray):
     """(E_full, V_right, V_left) arrays; E_full is nan where |t1| >= 1."""
     states = np.asarray(states, dtype=float)
     t1, t3 = states[..., 0], states[..., 2]
-    E = np.where(np.abs(t1) < 1.0, t3**2 + np.log(np.maximum(1.0 - t1**2, 1e-300)), np.nan)
+    E = np.where(np.abs(t1) < 1.0, t3**2 + np.log(1.0 - t1**2), np.nan)
     V_right = t3**2 - 0.625 * (t1 - INV_SQRT2) ** 2
     V_left = t3**2 + 0.625 * t1**2
     return E, V_right, V_left
@@ -275,8 +275,7 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
     states = np.asarray(states, dtype=float)
     t1, t3 = states[..., 0], states[..., 2]
     code, q = _regime_codes(t1, states[..., 1])
-    right, left = code == 2, code == 3
-    qs = np.where(np.isfinite(q), q, 0.0)
+    right, left = code == 2, code == 3  # every use of q below is masked by one: there 0 < q < 1
     w = problem.windows
 
     def signed(mask_regime, sign, t3v):
@@ -284,42 +283,32 @@ def applicability_masks(states: np.ndarray, problem: OneNeuronProblem) -> dict:
 
     # a side without a window has sign 0 and eps 0, and eps 0 selects no state
     # of that side's regime (0 < q < 1): its signed and band masks stay empty
-    t3sq = signed(right & (qs >= 1.0 - w.right.plain), w.right.sign, t3)
+    t3sq = signed(right & (q >= 1.0 - w.right.plain), w.right.sign, t3)
     if w.right.sign == 0 and w.lipschitz > 0.0:
-        t3sq |= right & (qs >= 0.5) & (np.abs(t3) >= 4.0 * w.lipschitz)
-    t3sq |= signed(left & (qs <= w.left.plain), w.left.sign, t3)
+        t3sq |= right & (q >= 0.5) & (np.abs(t3) >= 4.0 * w.lipschitz)
+    t3sq |= signed(left & (q <= w.left.plain), w.left.sign, t3)
     if w.left.sign == 0 and w.lipschitz > 0.0:
-        t3sq |= left & (qs <= 0.5) & (np.abs(t3) >= 4.0 * w.lipschitz)
+        t3sq |= left & (q <= 0.5) & (np.abs(t3) >= 4.0 * w.lipschitz)
 
     c1 = (
-        5.0 * t1**2 * (1.0 + qs) * qs * (2.0 + qs + qs**2)
-        / (8.0 + 4.0 * np.sqrt(2.0 * (1.0 + qs**2)))
+        5.0 * t1**2 * (1.0 + q) * q * (2.0 + q + q**2)
+        / (8.0 + 4.0 * np.sqrt(2.0 * (1.0 + q**2)))
         >= 10.0 / 9.0
     )
-    c3 = (1.0 / 6.0 + qs / 2.0) > 0.625
-    cA = 1.25 * t1**2 * (2.0 + qs**2) > 20.0 / 9.0
-    cB = (-4.0 / 3.0 + qs + 1.25 * t1**2 * (1.0 + 2.0 * qs)) < 0.0
+    c3 = (1.0 / 6.0 + q / 2.0) > 0.625
+    cA = 1.25 * t1**2 * (2.0 + q**2) > 20.0 / 9.0
+    cB = (-4.0 / 3.0 + q + 1.25 * t1**2 * (1.0 + 2.0 * q)) < 0.0
 
     sgn = (t3 < 0.0) if w.right.sign > 0 else (t3 > 0.0)
-    v_right = right & (qs >= 1.0 - w.right.band) & c1 & c3 & sgn
+    v_right = right & (q >= 1.0 - w.right.band) & c1 & c3 & sgn
     sgn = (t3 > 0.0) if w.left.sign > 0 else (t3 < 0.0)
-    v_left = left & (qs <= w.left.band) & cA & cB & sgn
+    v_left = left & (q <= w.left.band) & cA & cB & sgn
 
     conserved = (code == 1) & (np.abs(t1) <= _E_FULL_T1_CAP)
     return {"theta3_sq": t3sq, "v_right": v_right, "v_left": v_left, "conserved_full": conserved}
 
 
-@dataclass
-class OneNeuronConfig:
-    t_end: float = 100.0
-    step: float = 1e-2
-    integrator: str = "rk4"
-    renormalize: bool = True
-    record_every: int = 1
-    gamma: Union[float, str] = 1.0
-
-    def __post_init__(self):
-        check_schedule(self.t_end, self.step, self.integrator, self.gamma, self.record_every)
+OneNeuronConfig = FlowConfig  # the one schedule, under the name bench/workloads.py builds it by
 
 
 def _retract_to_circle(Y):
@@ -330,7 +319,7 @@ def _retract_to_circle(Y):
     return Y, 0
 
 
-def flow_batch(theta0, f, cfg: OneNeuronConfig) -> TrajectoryRecord:
+def flow_batch(theta0, f, cfg: FlowConfig) -> TrajectoryRecord:
     """Integrate the circle flow for a batch of initial states.
 
     Returns the batch record: `states` is (R, B, 3) and `psi_max_dev` holds
@@ -396,7 +385,7 @@ def random_circle_states(rng: np.random.Generator, n: int, t3_scale: float = 1.0
     return np.column_stack([np.cos(angle), np.sin(angle), t3_scale * rng.standard_normal(n)])
 
 
-def boundedness_experiment(f, init_seed: int, cfg: OneNeuronConfig, n_trajectories: int = 20) -> dict:
+def boundedness_experiment(f, init_seed: int, cfg: FlowConfig, n_trajectories: int = 20) -> dict:
     """Long-horizon evidence run: integrate many seeded circle trajectories and
     report the sup-norm, regime occupancy, and Lyapunov violations (slack 1e-5).
 

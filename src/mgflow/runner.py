@@ -254,26 +254,25 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             xi = random_params(arch, rng) if theta0 is None else ParamVector(arch, theta0)
         except (ValueError, MemoryError) as e:
             raise ConfigError(f"config field 'architecture': {e}")
-    out = Path(cfg.out)  # made only once the measure, the target and the start are built
-    out.mkdir(parents=True, exist_ok=True)
     r = INF if cfg.smoothing_r is None else float(cfg.smoothing_r)
-    schedule = dict(t_end=cfg.t_end, step=cfg.step, integrator=cfg.integrator, gamma=cfg.gamma,
-                    record_every=cfg.record_every)
+    schedule = FlowConfig(t_end=cfg.t_end, step=cfg.step, integrator=cfg.integrator,
+                          renormalize=cfg.reproject, gamma=cfg.gamma, record_every=cfg.record_every)
 
     summary = {"config": {name: getattr(cfg, name) for name in _FIELDS}, "seed": cfg.seed}
     if cfg.mode == "one-neuron":
-        batch = on.flow_batch(theta0, problem, on.OneNeuronConfig(renormalize=cfg.reproject, **schedule))
+        batch = on.flow_batch(theta0, problem, schedule)
         rec = batch.row(0)
         monitors = on.monitor_report(batch, problem, slack=1e-6, conservation_rate=1e-6)
         summary["monitor_violations"] = {k: v["violations"] for k, v in monitors.items()}
     elif cfg.mode == "flow":
-        flow_cfg = FlowConfig(reproject=cfg.reproject, r=r, resolution=cfg.quad_nodes, **schedule)
-        rec = integrate_flow(xi, measure, f, flow_cfg)
+        rec = integrate_flow(xi, measure, f, schedule, r=r, resolution=cfg.quad_nodes)
     else:
         rec = gd_run(
             xi, measure, f, cfg.steps, cfg.gamma, r=r,
             resolution=cfg.quad_nodes, record_every=cfg.record_every,
         )
+    out = Path(cfg.out)  # made only once the run has a record: a failed run writes nothing
+    out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / "trajectory.csv", rec, cfg.mode)
 
     summary.update(

@@ -123,11 +123,11 @@ def check_flow_invariance(seed):
         rng = _rng(seed, 3, len(dims), dims[1])
         xi = random_params(arch, rng)
         measure, f, res = _setup(dims)
-        for reproject, tol in ((False, 1e-6), (True, 1e-12)):
-            cfg = FlowConfig(t_end=1.0, step=1e-3, reproject=reproject, resolution=res)
-            rec = integrate_flow(xi, measure, f, cfg)
+        for renormalize, tol in ((False, 1e-6), (True, 1e-12)):
+            cfg = FlowConfig(t_end=1.0, step=1e-3, renormalize=renormalize)
+            rec = integrate_flow(xi, measure, f, cfg, resolution=res)
             dev = max(rec.psi_max_dev)
-            key = f"{dims}{'_reproject' if reproject else ''}"
+            key = f"{dims}{'_reproject' if renormalize else ''}"
             details[key] = {"max_psi_dev": dev, "tolerance": tol, "termination": rec.termination}
             passed = passed and dev <= tol and rec.termination == "completed"
             trajectories.append(rec)
@@ -265,7 +265,7 @@ def check_conservation(seed) -> CheckResult:
     problem = on.as_problem(affine_target(0.0, 1.0))
     angles = np.array([0.6, 0.9273, 1.2])
     inits = np.stack([np.cos(angles), np.sin(angles), np.array([0.5, -0.4, 1.0])], axis=1)
-    cfg = on.OneNeuronConfig(t_end=2.0, step=1e-4, renormalize=False)
+    cfg = FlowConfig(t_end=2.0, step=1e-4, renormalize=False)
     batch = on.flow_batch(inits, problem, cfg)
     rep = on.monitor_report(batch, problem, conservation_rate=1e-6)["conserved_full"]
     passed = rep["violations"] == 0 and rep["checked_pairs"] >= 1000
@@ -314,7 +314,7 @@ def check_lyapunov_monotonicity(seed) -> CheckResult:
         problem = on.as_problem(f)
         rng = _rng(seed, 10, len(name))
         inits = _window_inits(problem, rng)[:20]
-        cfg = on.OneNeuronConfig(t_end=10.0, step=1e-3, renormalize=True)
+        cfg = FlowConfig(t_end=10.0, step=1e-3, renormalize=True)
         batch = on.flow_batch(inits, problem, cfg)
         details[name] = rep = on.monitor_report(batch, problem, slack=1e-6)
         for k, v in rep.items():
@@ -333,7 +333,7 @@ def check_boundedness(seed) -> CheckResult:
     details = {}
     passed = True
     counts = (34, 33, 33)
-    cfg = on.OneNeuronConfig(t_end=100.0, step=1e-2, renormalize=True)
+    cfg = FlowConfig(t_end=100.0, step=1e-2, renormalize=True)
     for (name, f), n in zip(LYAPUNOV_TARGETS, counts):
         details[name] = rep = on.boundedness_experiment(f, seed + 11, cfg, n_trajectories=n)
         passed = (
@@ -369,7 +369,7 @@ def check_rescaled_flow_identity(seed) -> CheckResult:
     """With the rescaled step factor, dL/dt matches -|raw gradient|^2."""
     problem = on.as_problem(abs_offset_target(0.3))
     h = 1e-4
-    cfg = on.OneNeuronConfig(t_end=0.5, step=h, renormalize=True, gamma="rescaled")
+    cfg = FlowConfig(t_end=0.5, step=h, renormalize=True, gamma="rescaled")
     rec = on.flow_batch(np.array([[0.6, 0.8, 0.9]]), problem, cfg).row(0)
     L, states = rec.risk, rec.states
     proj, raw, _ = quiet(on._one_pass)(states, problem)

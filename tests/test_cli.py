@@ -192,6 +192,22 @@ class TestCliExitCodes:
             rc = main(["flow", "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc != 0
         assert capsys.readouterr().err.splitlines() == ["error: rescaled start has non-finite components"]
+        assert not (tmp_path / "out").exists()  # a failed run writes nothing
+
+    @pytest.mark.parametrize("mode", ["flow", "gd"])
+    def test_a_grid_numpy_cannot_allocate_exits_1_before_writing(self, mode, tmp_path, capsys, monkeypatch):
+        # a --quad-nodes 1000000 grid on two inputs asks numpy for 7.28 TiB; the
+        # node builder raises what numpy raises then, without allocating it
+        def unallocatable(measure, resolution=None):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)")
+
+        monkeypatch.setattr("mgflow.network.quadrature_nodes", unallocatable)
+        rc = main([mode, "--architecture", "2,3,1", "--target", '{"name": "zero"}', "--quad-nodes", "1000000",
+                   "--t-end", "0.001", "--step", "0.001", "--steps", "1", "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv", [
         ["flow", "--gamma", "1e308", "--t-end", "0.01", "--step", "0.01"],

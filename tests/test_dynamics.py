@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +32,7 @@ from mgflow import (
     uniform_measure,
 )
 from mgflow import one_neuron as on
-from mgflow.dynamics import ConfigError, _network_field, fixed_step, step_factor
+from mgflow.dynamics import GAMMA_CAP, ConfigError, _network_field, fixed_step, step_factor
 from mgflow.quadrature import quiet
 from mgflow.verify import LYAPUNOV_TARGETS
 
@@ -116,6 +118,15 @@ def test_field_failure_at_a_first_stage_propagates_recorded_or_not(rk4):
 
 
 class TestFlowConfig:
+    def test_one_schedule_serves_the_three_dynamics(self):
+        names = [f.name for f in dataclasses.fields(FlowConfig)]
+        assert names == ["t_end", "step", "integrator", "renormalize", "gamma", "record_every"]
+        assert on.OneNeuronConfig is FlowConfig
+        # the keywords bench/workloads.py builds the circle flow's schedule with
+        cfg = on.OneNeuronConfig(t_end=0.5, step=1e-2, integrator="rk4", renormalize=True, gamma=1.0)
+        assert (cfg.t_end, cfg.step, cfg.integrator, cfg.renormalize, cfg.gamma, cfg.record_every) == (
+            0.5, 1e-2, "rk4", True, 1.0, 1)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(t_end=0.0)
@@ -177,7 +188,7 @@ class TestIntegrateFlow:
     def test_psi_invariance_without_reprojection(self):
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(33))
-        rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.2, step=1e-3, reproject=False))
+        rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.2, step=1e-3, renormalize=False))
         assert max(rec.psi_max_dev) <= 1e-8
 
     def test_risk_monotone_euler_and_rk4(self):
@@ -265,7 +276,7 @@ class TestGradientDescent:
         # activation: it holds for the smoothed family too
         arch = Architecture((1, 2, 1))
         xi = random_params(arch, np.random.default_rng(45))
-        rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.2, step=1e-3, reproject=False, r=100.0))
+        rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.2, step=1e-3, renormalize=False), r=100.0)
         assert max(rec.psi_max_dev) <= 1e-8
         assert np.max(np.diff(rec.risk)) <= 1e-8
 
@@ -392,6 +403,14 @@ class TestRescaledGamma:
         proj = project_gradient(theta, raw)
         assert not proj.any()
         assert quiet(step_factor)(raw, proj, "rescaled") == 0.0  # the caller sets the error state
+
+    def test_gamma_cap_clips_the_factor_per_row(self):
+        # per-row ratios |raw|^2 / |proj|^2 of about 1e10, of 4, and over a
+        # zero projection: clipped to GAMMA_CAP, passed, and 0
+        raw = np.array([[1e4, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        proj = np.array([[0.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        factor = quiet(step_factor)(raw, proj, "rescaled")
+        np.testing.assert_array_equal(factor, [[GAMMA_CAP], [4.0], [0.0]])
 
 
 class TestNetworkField:
@@ -530,7 +549,7 @@ def test_network_flow_on_1_1_1_is_the_circle_flow(regime, frac, t3, target):
     xi = ParamVector(Architecture((1, 1, 1)), np.r_[start, problem.fbar])
     for gamma, integrator, retract in CIRCLE_SCHEMES:
         net = integrate_flow(xi, MU, TargetFunction.from_scalar(f),
-                             FlowConfig(t_end=0.5, step=1e-3, integrator=integrator, reproject=retract, gamma=gamma))
+                             FlowConfig(t_end=0.5, step=1e-3, integrator=integrator, renormalize=retract, gamma=gamma))
         circle = on.flow_batch(start, problem, on.OneNeuronConfig(
             t_end=0.5, step=1e-3, integrator=integrator, renormalize=retract, gamma=gamma)).row(0)
         scheme, tol = (gamma, integrator, retract), SCHEME_TOL[integrator]

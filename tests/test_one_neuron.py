@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mgflow import (
@@ -17,7 +17,7 @@ from mgflow import (
     uniform_measure,
 )
 from mgflow import one_neuron as on
-from mgflow.dynamics import DIVERGENCE_GUARD
+from mgflow.dynamics import DIVERGENCE_GUARD, GAMMA_CAP, step_factor
 from mgflow.quadrature import quiet
 from mgflow.verify import LYAPUNOV_TARGETS
 
@@ -839,3 +839,43 @@ def test_monitors_non_increasing_inside_their_windows(seed, f):
     for name, rate in _monitor_rates(states, problem).items():
         inside = masks[name]
         assert np.all(rate[inside] <= tol[inside]), name
+
+
+# |f| <= 1 on [0, 1] for each of these targets
+CAP_PROBLEMS = [on.as_problem(f) for _, f in LYAPUNOV_TARGETS] + [on.as_problem(
+    piecewise_linear_target(np.linspace(0.0, 1.0, 9), [0.5, -0.6, 0.3, 0.9, -0.2, 0.8, -0.7, 0.4, 0.6]))]
+
+
+@given(st.floats(0.0, 2.0 * np.pi), st.floats(-1e4, 1e4), st.integers(0, len(CAP_PROBLEMS) - 1))
+@example(0.3, 0.0, 0)
+@example(5.9, 1e4, 1)
+@settings(deadline=None)
+def test_rescaled_factor_on_the_circle_is_at_most_one_plus_t3_squared(angle, t3, k):
+    """The risk is unchanged by (t1, t2, t3) -> (c t1, c t2, t3 / c) with the
+    interval moments held fixed, so the raw gradient R satisfies
+    t1 R0 + t2 R1 = t3 R2 for any moment values.  On the circle (t1, t2) and
+    (t2, -t1) are orthonormal, so with w = t2 R0 - t1 R1 the squared norms are
+    |R|^2 = w^2 + t3^2 R2^2 + R2^2 and |G|^2 = w^2 + R2^2, and the rescaled
+    factor |R|^2 / |G|^2 = 1 + t3^2 R2^2 / (w^2 + R2^2) is at most 1 + t3^2:
+    GAMMA_CAP = 1e6 can bind only where |t3| >= 999.9995.
+
+    Rounding: with |t1|, |t2| <= 1, moments P_k in [0, 1] and |F_k|, |fbar| <=
+    |f|_inf <= 1, every term of e = t1 R0 + t2 R1 - t3 R2 is at most
+    S = 40 (1 + t3^2) (1 + |f|_inf) in size (|m| <= 2, |d| <= 3, |a|, |b| <= 4,
+    J3's terms <= 20), and each passes through a dozen roundings, so the
+    computed e is at most E = 32 u S (measured: 0.03 u S).  Then
+    |R|^2 <= (1 + t3^2) |G|^2 + 2 |t3| |R2| |e| + e^2 with |R2| <= |G|, and the
+    few relative roundings of the norms, the quotient and t1^2 + t2^2 - 1 stay
+    within 32 u."""
+    problem = CAP_PROBLEMS[k]
+    state = np.array([[np.cos(angle), np.sin(angle), t3]])
+    G, R, _ = _one_pass(state, problem)
+    factor = quiet(step_factor)(R, G, "rescaled")[0, 0]
+    g2 = float(np.sum(G**2))
+    if g2 == 0.0:  # an inactive neuron: a vanishing projection gives the factor 0
+        assert factor == 0.0
+        return
+    u = np.finfo(float).eps / 2
+    E = 32 * u * 40 * (1 + t3**2) * 2
+    bound = (1 + t3**2) * (1 + 32 * u) + (3 * abs(t3) * np.sqrt(g2) * E + 2 * E**2) / g2
+    assert factor <= min(bound, GAMMA_CAP)
