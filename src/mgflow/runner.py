@@ -19,7 +19,7 @@ import numpy as np
 from . import one_neuron as on
 from .dynamics import ConfigError, FlowConfig, TrajectoryRecord, check_schedule, gd_run, integrate_flow
 from .params import Architecture, ParamVector, _number, random_params
-from .quadrature import InputMeasure, discrete_measure, uniform_measure
+from .quadrature import InputMeasure, QuadratureError, discrete_measure, uniform_measure
 from .smoothing import INF
 from .targets import (
     TargetFunction,
@@ -247,7 +247,10 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if theta0 is None:
             theta0 = on.random_circle_states(rng, 1, t3_scale=cfg.t3_scale)[0]
         elif rho := np.hypot(theta0[0], theta0[1]):  # (t1, t2) onto the circle, the same realization
-            theta0 = np.r_[theta0[:2] / rho, rho * theta0[2]]
+            with np.errstate(over="ignore", invalid="ignore"):  # an inf or an overflow is refused below
+                theta0 = np.r_[theta0[:2] / rho, rho * theta0[2]]
+        if not np.isfinite(theta0).all():  # as `dynamics._network_run` refuses one
+            raise QuadratureError("rescaled start has non-finite components")
     else:
         measure, f, arch = build_measure(cfg), build_target(cfg), Architecture(cfg.architecture)
         try:  # a width numpy cannot allocate fails here

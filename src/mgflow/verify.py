@@ -52,6 +52,14 @@ class CheckResult:
         return {"name": self.name, "passed": bool(self.passed), "details": self.details}
 
 
+def _bounded(name, tol, details=None, **deviations) -> CheckResult:
+    """The verdict of a tolerance-bounded criterion: each keyword's per-draw
+    measurements reduce to their worst with `np.max`, so a nan stays nan and
+    fails; the criterion passes only when every worst is at most tol."""
+    worst = {key: float(np.max(values)) for key, values in deviations.items()}
+    return CheckResult(name, all(w <= tol for w in worst.values()), {**worst, "tolerance": tol, **(details or {})})
+
+
 def _rng(seed, *key):
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
 
@@ -80,36 +88,27 @@ def _theta_draws(seed):
 
 def check_rescaling_invariance(seed) -> CheckResult:
     """Full cascade leaves the realization unchanged on a dense grid."""
-    worst = 0.0
-    n = 0
+    devs = []
     for arch, theta in _theta_draws(seed):
         dims = arch.layer_dims
         measure, _, res = _setup(dims)
         grid = _grid_for(dims)
         y0 = realize(theta, grid, measure, resolution=res)
         y1 = realize(rescale_full(theta), grid, measure, resolution=res)
-        worst = max(worst, float(np.max(np.abs(y0 - y1) / (1.0 + np.abs(y0)))))
-        n += 1
-    return CheckResult(
-        "rescaling_realization_invariance",
-        worst <= 1e-10,
-        {"theta_count": n, "max_relative_deviation": worst, "tolerance": 1e-10},
-    )
+        devs.append(np.max(np.abs(y0 - y1) / (1.0 + np.abs(y0))))
+    return _bounded("rescaling_realization_invariance", 1e-10, {"theta_count": len(devs)},
+                    max_relative_deviation=devs)
 
 
 def check_unit_norms(seed) -> CheckResult:
     """After the cascade every hidden subvector has unit norm."""
-    worst = 0.0
+    devs = []
     for arch, theta in _theta_draws(seed):
         out = rescale_full(theta)
         for idx in arch.subvector_rows[:-1]:
             V = out.values[idx]
-            worst = max(worst, float(np.max(np.abs(np.sqrt(np.vecdot(V, V)) - 1.0))))
-    return CheckResult(
-        "unit_norm_postcondition",
-        worst <= 1e-12,
-        {"max_norm_deviation": worst, "tolerance": 1e-12},
-    )
+            devs.append(np.max(np.abs(np.sqrt(np.vecdot(V, V)) - 1.0)))
+    return _bounded("unit_norm_postcondition", 1e-12, max_norm_deviation=devs)
 
 
 def check_flow_invariance(seed):
@@ -126,7 +125,7 @@ def check_flow_invariance(seed):
         for renormalize, tol in ((False, 1e-6), (True, 1e-12)):
             cfg = FlowConfig(t_end=1.0, step=1e-3, renormalize=renormalize)
             rec = integrate_flow(xi, measure, f, cfg, resolution=res)
-            dev = max(rec.psi_max_dev)
+            dev = float(np.max(rec.psi_max_dev))
             key = f"{dims}{'_reproject' if renormalize else ''}"
             details[key] = {"max_psi_dev": dev, "tolerance": tol, "termination": rec.termination}
             passed = passed and dev <= tol and rec.termination == "completed"
@@ -135,34 +134,25 @@ def check_flow_invariance(seed):
 
 
 def check_monotone_risk(trajectories) -> CheckResult:
-    """Risk is non-increasing along every accepted trajectory (1e-8 slack/step)."""
-    worst = -np.inf
-    for rec in trajectories:
-        worst = max(worst, float(np.max(np.diff(np.asarray(rec.risk)))))
-    return CheckResult(
-        "monotone_risk",
-        worst <= 1e-8,
-        {"max_risk_increase_per_step": worst, "tolerance": 1e-8},
-    )
+    """Risk is non-increasing along every accepted trajectory, up to the tolerance per step."""
+    return _bounded("monotone_risk", 1e-8,
+                    max_risk_increase_per_step=np.concatenate([np.diff(rec.risk) for rec in trajectories]))
 
 
 def check_tangency(seed) -> CheckResult:
     """Projected gradients are orthogonal to every constraint gradient."""
-    worst = 0.0
+    points, products = 1000, []
     for dims in ARCHS:
         arch = Architecture(dims)
         rng = _rng(seed, 5, len(dims))
         measure, f, res = _setup(dims)
-        for _ in range(1000):
+        for _ in range(points):
             theta = random_on_manifold(arch, rng)
             G = project_gradient(theta, generalized_gradient(theta, measure, f, resolution=res))
             for idx in arch.subvector_rows[:-1]:
-                worst = max(worst, float(np.max(np.abs(2.0 * np.vecdot(theta.values[idx], G[idx])))))
-    return CheckResult(
-        "projected_gradient_tangency",
-        worst <= 1e-12,
-        {"max_inner_product": worst, "tolerance": 1e-12, "points_per_arch": 1000},
-    )
+                products.append(np.max(np.abs(2.0 * np.vecdot(theta.values[idx], G[idx]))))
+    return _bounded("projected_gradient_tangency", 1e-12, {"points_per_arch": points},
+                    max_inner_product=products)
 
 
 def _smooth_region_theta(arch, measure, rng, r, resolution):
@@ -182,8 +172,7 @@ def _smooth_region_theta(arch, measure, rng, r, resolution):
 def check_gradient_fd_oracle(seed) -> CheckResult:
     """Analytic smoothed gradient vs central finite differences."""
     r, h = 100.0, 1e-5
-    worst = 0.0
-    count = 0
+    errors = []
     for dims, n in (((1, 1, 1), 34), ((1, 8, 1), 33), ((2, 3, 1), 33)):
         arch = Architecture(dims)
         rng = _rng(seed, 6, len(dims), dims[1])
@@ -192,15 +181,9 @@ def check_gradient_fd_oracle(seed) -> CheckResult:
             theta = _smooth_region_theta(arch, measure, rng, r, res)
             g = generalized_gradient(theta, measure, f, r=r, resolution=res)
             fd = fd_gradient(theta, measure, f, r=r, h=h, resolution=res)
-            rel = float(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12))
-            worst = max(worst, rel)
-            count += 1
-    return CheckResult(
-        "gradient_fd_oracle",
-        worst <= 1e-4,
-        {"theta_count": count, "max_relative_error": worst, "tolerance": 1e-4,
-         "smoothing_index": r, "fd_step": h},
-    )
+            errors.append(np.linalg.norm(fd - g) / max(np.linalg.norm(g), 1e-12))
+    return _bounded("gradient_fd_oracle", 1e-4, {"theta_count": len(errors), "smoothing_index": r, "fd_step": h},
+                    max_relative_error=errors)
 
 
 def check_one_neuron_gradient_identity(seed) -> CheckResult:
@@ -208,9 +191,8 @@ def check_one_neuron_gradient_identity(seed) -> CheckResult:
     arch = Architecture((1, 1, 1))
     measure = uniform_measure(0.0, 1.0, 1)
     rng = _rng(seed, 7)
-    worst = 0.0
-    worst_bias = 0.0
-    for _ in range(1000):
+    draws, deviations, biases = 1000, [], []
+    for _ in range(draws):
         angle = rng.uniform(0.0, 2.0 * np.pi)
         t = np.array([np.cos(angle), np.sin(angle), 1.5 * rng.standard_normal()])
         knots = np.concatenate(([0.0], np.sort(rng.uniform(0.05, 0.95, 3)), [1.0]))
@@ -218,14 +200,10 @@ def check_one_neuron_gradient_identity(seed) -> CheckResult:
         tf = TargetFunction.from_scalar(f)
         full = ParamVector(arch, np.array([t[0], t[1], t[2], f.mean()]))
         G = project_gradient(full, generalized_gradient(full, measure, tf))
-        worst = max(worst, float(np.max(np.abs(G[:3] - on.grad_1n(t, f)))))
-        worst_bias = max(worst_bias, abs(float(G[3])))
-    return CheckResult(
-        "one_neuron_gradient_identity",
-        worst <= 1e-9 and worst_bias <= 1e-9,
-        {"max_component_deviation": worst, "max_output_bias_component": worst_bias,
-         "tolerance": 1e-9, "draws": 1000},
-    )
+        deviations.append(np.max(np.abs(G[:3] - on.grad_1n(t, f))))
+        biases.append(abs(G[3]))
+    return _bounded("one_neuron_gradient_identity", 1e-9, {"draws": draws},
+                    max_component_deviation=deviations, max_output_bias_component=biases)
 
 
 def check_integral_identities(seed) -> CheckResult:
@@ -233,8 +211,8 @@ def check_integral_identities(seed) -> CheckResult:
     regimes, including the sign-corrected left-regime mean)."""
     measure = uniform_measure(0.0, 1.0, 1)
     rng = _rng(seed, 8)
-    worst = 0.0
-    for _ in range(10000):
+    draws, deviations = 10000, []
+    for _ in range(draws):
         q = rng.uniform(1e-3, 1.0 - 1e-3)
         t1 = rng.choice((1.0, -1.0)) * rng.uniform(0.1, 2.0)
         t2 = -q * t1
@@ -247,17 +225,8 @@ def check_integral_identities(seed) -> CheckResult:
         second = integrate(
             lambda X: (np.maximum(t1 * X[:, 0] + t2, 0.0) - m) ** 2, measure, breakpoints=[q]
         )
-        worst = max(
-            worst,
-            abs(ci["m"] - m),
-            abs(ci["centered_first_moment"] - first),
-            abs(ci["centered_second_moment"] - second),
-        )
-    return CheckResult(
-        "integral_identities",
-        worst <= 1e-12,
-        {"max_deviation": worst, "tolerance": 1e-12, "draws": 10000},
-    )
+        deviations += [ci["m"] - m, ci["centered_first_moment"] - first, ci["centered_second_moment"] - second]
+    return _bounded("integral_identities", 1e-12, {"draws": draws}, max_deviation=np.abs(deviations))
 
 
 def check_conservation(seed) -> CheckResult:
@@ -265,15 +234,11 @@ def check_conservation(seed) -> CheckResult:
     problem = on.as_problem(affine_target(0.0, 1.0))
     angles = np.array([0.6, 0.9273, 1.2])
     inits = np.stack([np.cos(angles), np.sin(angles), np.array([0.5, -0.4, 1.0])], axis=1)
-    cfg = FlowConfig(t_end=2.0, step=1e-4, renormalize=False)
-    batch = on.flow_batch(inits, problem, cfg)
-    rep = on.monitor_report(batch, problem, conservation_rate=1e-6)["conserved_full"]
+    rate, h = 1e-6, 1e-4
+    batch = on.flow_batch(inits, problem, FlowConfig(t_end=2.0, step=h, renormalize=False))
+    rep = on.monitor_report(batch, problem, conservation_rate=rate)["conserved_full"]
     passed = rep["violations"] == 0 and rep["checked_pairs"] >= 1000
-    return CheckResult(
-        "full_regime_conservation",
-        passed,
-        {**rep, "rate_tolerance": 1e-6, "step": 1e-4},
-    )
+    return CheckResult("full_regime_conservation", passed, {**rep, "rate_tolerance": rate, "step": h})
 
 
 def _window_inits(problem, rng):
@@ -308,24 +273,20 @@ def _window_inits(problem, rng):
 
 def check_lyapunov_monotonicity(seed) -> CheckResult:
     """Designated quantities are non-increasing in their regime windows."""
-    details = {}
+    slack, h, count = 1e-6, 1e-3, 20
+    details = {"slack_per_step": slack, "step": h, "trajectories_per_target": count}
     passed = True
     for name, f in LYAPUNOV_TARGETS:
         problem = on.as_problem(f)
         rng = _rng(seed, 10, len(name))
-        inits = _window_inits(problem, rng)[:20]
-        cfg = FlowConfig(t_end=10.0, step=1e-3, renormalize=True)
-        batch = on.flow_batch(inits, problem, cfg)
-        details[name] = rep = on.monitor_report(batch, problem, slack=1e-6)
+        inits = _window_inits(problem, rng)[:count]
+        batch = on.flow_batch(inits, problem, FlowConfig(t_end=10.0, step=h, renormalize=True))
+        details[name] = rep = on.monitor_report(batch, problem, slack=slack)
         for k, v in rep.items():
             passed = passed and v["violations"] == 0
         # the windows must actually have been exercised
         passed = passed and all(rep[k]["checked_pairs"] > 0 for k in ("theta3_sq", "v_right", "v_left"))
-    return CheckResult(
-        "lyapunov_monotonicity",
-        passed,
-        {"slack_per_step": 1e-6, "step": 1e-3, "trajectories_per_target": 20, **details},
-    )
+    return CheckResult("lyapunov_monotonicity", passed, details)
 
 
 def check_boundedness(seed) -> CheckResult:
@@ -342,33 +303,25 @@ def check_boundedness(seed) -> CheckResult:
             and rep["plateau_ratio_max"] < 1.01
             and all(v == 0 for v in rep["lyapunov_violations"].values())
         )
-    return CheckResult(
-        "boundedness_evidence",
-        passed,
-        {"horizon": 100.0, "trajectories": sum(counts), **details},
-    )
+    return CheckResult("boundedness_evidence", passed, {"horizon": cfg.t_end, "trajectories": sum(counts), **details})
 
 
 def check_affine_integral_bound(seed) -> CheckResult:
     """int_I (a x + b)^2 dx >= a^2 len(I)^3 / 12 over random draws."""
     rng = _rng(seed, 12)
-    failures = 0
-    for _ in range(100000):
+    draws, failures = 100000, 0
+    for _ in range(draws):
         alpha, beta = 10.0 * rng.standard_normal(2)
         ends = np.sort(rng.uniform(-5.0, 5.0, 2))
         if not on.affine_integral_bound_check(alpha, beta, ends):
             failures += 1
-    return CheckResult(
-        "affine_integral_bound",
-        failures == 0,
-        {"draws": 100000, "failures": failures},
-    )
+    return CheckResult("affine_integral_bound", failures == 0, {"draws": draws, "failures": failures})
 
 
 def check_rescaled_flow_identity(seed) -> CheckResult:
     """With the rescaled step factor, dL/dt matches -|raw gradient|^2."""
     problem = on.as_problem(abs_offset_target(0.3))
-    h = 1e-4
+    h, tol = 1e-4, 0.02
     cfg = FlowConfig(t_end=0.5, step=h, renormalize=True, gamma="rescaled")
     rec = on.flow_batch(np.array([[0.6, 0.8, 0.9]]), problem, cfg).row(0)
     L, states = rec.risk, rec.states
@@ -386,9 +339,8 @@ def check_rescaled_flow_identity(seed) -> CheckResult:
     worst = float(rel[smooth].max()) if smooth.any() else np.inf
     return CheckResult(
         "rescaled_flow_identity",
-        smooth.sum() >= 100 and worst <= 0.02,
-        {"checked_steps": int(smooth.sum()), "max_relative_deviation": worst,
-         "tolerance": 0.02, "step": h},
+        smooth.sum() >= 100 and worst <= tol,
+        {"checked_steps": int(smooth.sum()), "max_relative_deviation": worst, "tolerance": tol, "step": h},
     )
 
 

@@ -6,10 +6,15 @@ checks that carry one.
 """
 
 import hashlib
+import itertools
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
+from mgflow import verify
+from mgflow.params import ParamVector
 from mgflow.verify import verify_all
 
 SEED = 0
@@ -128,3 +133,49 @@ CIRCLE_FLOW_DIGESTS = {
 def test_circle_flow_report_bytes(outcome, name):
     text = json.dumps(_criterion(outcome, name).as_dict(), sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CIRCLE_FLOW_DIGESTS[name]
+
+
+# A nan measurement fails its criterion and is reported as nan: a worst kept
+# with Python's `max` would drop it (`max(0.0, nan)` is 0.0) and pass.
+
+
+def _nan_on_call(monkeypatch, name, spoil, call=5):
+    """Replace verify's `name` with a wrapper whose result on its `call`-th call
+    (counted from 0) goes through `spoil`."""
+    real, calls = getattr(verify, name), itertools.count()
+
+    def wrapper(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return spoil(out) if next(calls) == call else out
+
+    monkeypatch.setattr(verify, name, wrapper)
+
+
+def test_a_nan_state_fails_the_unit_norm_criterion(monkeypatch):
+    def nan_state(theta):
+        return ParamVector(theta.arch, np.full_like(theta.values, np.nan))
+
+    _nan_on_call(monkeypatch, "rescale_full", nan_state)
+    res = verify.check_unit_norms(SEED)
+    assert not res.passed
+    assert np.isnan(res.details["max_norm_deviation"])
+
+
+def test_a_nan_risk_fails_the_monotone_risk_criterion():
+    records = [SimpleNamespace(risk=np.array([1.0, 0.5])), SimpleNamespace(risk=np.array([1.0, np.nan, 0.5]))]
+    res = verify.check_monotone_risk(records)
+    assert not res.passed
+    assert np.isnan(res.details["max_risk_increase_per_step"])
+
+
+def test_a_nan_output_bias_component_fails_the_gradient_identity(monkeypatch):
+    def nan_bias(G):
+        G = G.copy()
+        G[3] = np.nan
+        return G
+
+    _nan_on_call(monkeypatch, "project_gradient", nan_bias)
+    res = verify.check_one_neuron_gradient_identity(SEED)
+    assert not res.passed
+    assert np.isnan(res.details["max_output_bias_component"])
+    assert res.details["max_component_deviation"] <= res.details["tolerance"]

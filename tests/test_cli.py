@@ -180,16 +180,22 @@ class TestCliExitCodes:
             main(["verify", "--seed", "1.5", "--out", str(tmp_path / "out")])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("theta0", [[1e200] * 25, [0.5] * 3 + [float("nan")] + [0.5] * 21],
-                             ids=["overflowing", "one_nan"])
-    def test_non_finite_start_exits_nonzero_with_one_error_line(self, theta0, tmp_path, capsys):
-        # the rescaled start is not finite (1e200 overflows the cascade), so
-        # the run stops before any pass, with no numpy warning
+    @pytest.mark.parametrize("mode, theta0", [
+        ("flow", [1e200] * 25),
+        ("flow", [0.5] * 3 + [float("nan")] + [0.5] * 21),
+        ("one-neuron", [0.6, float("nan"), 1.0]),
+        ("one-neuron", [1e300] * 3),
+    ], ids=["overflowing", "one_nan", "one_neuron_nan", "one_neuron_overflowing"])
+    def test_non_finite_start_exits_nonzero_with_one_error_line(self, mode, theta0, tmp_path, capsys):
+        # the rescaled start is not finite (1e200 overflows the cascade, and
+        # 1e300 the one-neuron start's t3 * |(t1, t2)|), so the run stops
+        # before any pass, with no numpy warning
         config = tmp_path / "cfg.json"
-        config.write_text(json.dumps({"architecture": [1, 8, 1], "theta0": theta0}))
+        config.write_text(json.dumps({"theta0": theta0} if mode == "one-neuron"
+                                     else {"architecture": [1, 8, 1], "theta0": theta0}))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc = main(["flow", "--config", str(config), "--out", str(tmp_path / "out")])
+            rc = main([mode, "--config", str(config), "--out", str(tmp_path / "out")])
         assert rc != 0
         assert capsys.readouterr().err.splitlines() == ["error: rescaled start has non-finite components"]
         assert not (tmp_path / "out").exists()  # a failed run writes nothing

@@ -1,5 +1,6 @@
 """Golden output bytes: sha256 digests of `trajectory.csv` and of
-`summary.json` (with `config.out` removed) for a few tiny runs.
+`summary.json` (with `config.out` removed) for a few tiny runs, and of the
+reports of verify's network criteria c01-c08 at seed 0.
 
 The acceptance suite's determinism criterion compares two runs of the same
 code; these digests compare the code with the recorded outputs, so a
@@ -7,11 +8,11 @@ refactor that changes a single output bit fails here.  A deliberate numeric
 change must update the digests and say so in CHANGES.md.
 
 The digests hold under one OpenBLAS kernel: another kernel rounds the network
-pass's matrix products in another order.  So all ten configs run in one
-subprocess started with OPENBLAS_CORETYPE set to the kernel the digests were
-recorded under, one that every x86-64 CI runner has, whatever kernel the
-calling process picked; a test checks that the subprocess got that kernel, so
-a silent fallback cannot pass.  Run as a script, this file prints the
+pass's matrix products in another order.  So all ten configs and the eight
+criteria run in one subprocess started with OPENBLAS_CORETYPE set to the
+kernel the digests were recorded under, one that every x86-64 CI runner has,
+whatever kernel the calling process picked; a test checks that the
+subprocess got that kernel, so a silent fallback cannot pass.  Run as a script, this file prints the
 subprocess's kernel and digests as JSON.
 """
 
@@ -24,6 +25,7 @@ from pathlib import Path
 
 import pytest
 
+from mgflow import verify
 from mgflow.runner import ExperimentConfig, run_experiment
 from mgflow.verify import blas_core
 
@@ -98,6 +100,27 @@ DIGESTS = {
     ),
 }
 
+# sha256 of the `as_dict()` JSON (sorted keys) of c01-c08 at seed 0, c04 on
+# c03's trajectories
+CRITERION_DIGESTS = {
+    "gradient_fd_oracle":
+        "eb0374afcd9b0a3a4ae42115e74832d59e7bf448dfa170464ff272d32d92fd1c",
+    "integral_identities":
+        "72c25b6bc873b549de739be3ae5d14fe4c82b161a0a507ae263cc4ff6d326829",
+    "monotone_risk":
+        "793b73a1f2f941b72ccd180bc278cfb95fc47850fc21da727f9a1e5325a9a9b8",
+    "one_neuron_gradient_identity":
+        "0db7f36ea9f4fea046e7907d65db1ca9b55740b2db22a897f83c4fc9afbad439",
+    "projected_gradient_tangency":
+        "bb206cf1f047dbb4e0ceaf8dd270dab76378533bb3587acf5eec6662af6dd4a4",
+    "psi_invariance_along_flow":
+        "0c740fddbd202ac1ca37e7aa762dc1d719706ad0c8629403ef1b6c1cfb9820e8",
+    "rescaling_realization_invariance":
+        "cb884f7c06ab5752854c9fe1520799ccc5323db26ba6d9ab43505464f75eb42a",
+    "unit_norm_postcondition":
+        "bcdb39dedd30746aa12f30419926690f1b1cad1b287a8dc06401f3c199b452bf",
+}
+
 
 def output_digests(name, out):
     run_experiment(ExperimentConfig(out=str(out), **CONFIGS[name]))
@@ -109,10 +132,24 @@ def output_digests(name, out):
     )
 
 
+def criterion_digests(seed=0):
+    """{name: sha256 of its report} for c01-c08 at seed, as `verify_all` runs them."""
+    flow, trajectories = verify.check_flow_invariance(seed)
+    results = [
+        verify.check_rescaling_invariance(seed), verify.check_unit_norms(seed), flow,
+        verify.check_monotone_risk(trajectories), verify.check_tangency(seed),
+        verify.check_gradient_fd_oracle(seed), verify.check_one_neuron_gradient_identity(seed),
+        verify.check_integral_identities(seed),
+    ]
+    return {r.name: hashlib.sha256(json.dumps(r.as_dict(), sort_keys=True).encode()).hexdigest()
+            for r in results}
+
+
 @pytest.fixture(scope="module")
 def pinned_run(tmp_path_factory):
-    """{"core": kernel, "digests": {name: [csv, summary]}} from one subprocess
-    run of every config under OPENBLAS_CORETYPE = RECORDED_UNDER."""
+    """{"core": kernel, "digests": {name: [csv, summary]}, "criteria": {name:
+    report}} from one subprocess run of every config and of c01-c08 under
+    OPENBLAS_CORETYPE = RECORDED_UNDER."""
     env = dict(os.environ, OPENBLAS_CORETYPE=RECORDED_UNDER, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, __file__, str(tmp_path_factory.mktemp("golden"))],
                           env=env, capture_output=True, text=True)
@@ -131,7 +168,13 @@ def test_output_bytes_match_the_recorded_digests(name, pinned_run):
         f"digests recorded under the OpenBLAS kernel {RECORDED_UNDER}; this run used {pinned_run['core']}")
 
 
+@pytest.mark.parametrize("name", sorted(CRITERION_DIGESTS))
+def test_criterion_report_bytes_match_the_recorded_digests(name, pinned_run):
+    assert pinned_run["criteria"][name] == CRITERION_DIGESTS[name], (
+        f"digests recorded under the OpenBLAS kernel {RECORDED_UNDER}; this run used {pinned_run['core']}")
+
+
 if __name__ == "__main__":
     out = Path(sys.argv[1])
     digests = {name: output_digests(name, out / name) for name in sorted(CONFIGS)}
-    print(json.dumps({"core": blas_core(), "digests": digests}))
+    print(json.dumps({"core": blas_core(), "digests": digests, "criteria": criterion_digests()}))
