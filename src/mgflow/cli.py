@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from .quadrature import QuadratureError
-from .runner import ConfigError, ExperimentConfig, _write_new, config_from_dict, run_experiment
+from .runner import ConfigError, ExperimentConfig, _write_json, config_from_dict, run_experiment
 from .verify import blas_core, verify_all
 
 
@@ -116,9 +116,8 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         report_path = out / "report.json"
-        _write_new(report_path, json.dumps(outcome.report(args.seed), sort_keys=True, indent=1) + "\n")
-        timings = {**outcome.timings, "blas_core": blas_core()}
-        _write_new(out / "timings.json", json.dumps(timings, indent=1) + "\n")
+        _write_json(report_path, outcome.report(args.seed))
+        _write_json(out / "timings.json", {**outcome.timings, "blas_core": blas_core()}, sort_keys=False)
         print(f"report written to {report_path}")
         return 0 if outcome.all_passed else 1
     try:

@@ -24,7 +24,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .gradients import _risk_and_rows
 from .gradients import generalized_gradient  # noqa: F401  (bench/tracing.py wraps dynamics.generalized_gradient)
 from .manifold import _max_deviation, _retract, _tangent_rows, _unit_rows, rescale_full, zero_rows
 from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* names)
@@ -232,7 +231,7 @@ def _network_field(arch, measure, f, r, resolution, gamma):
     hidden = arch.subvector_rows[:-1]
 
     def field(Y, record):
-        value, rows, grads, raw = _risk_and_rows(plan, Y[0])
+        value, rows, grads, raw = plan.gradient(Y[0])
         G, squares = raw.copy(), []
         for idx, V, g in zip(hidden, rows, grads):
             G[idx], sq = _tangent_rows(V, g)

@@ -1,4 +1,4 @@
-"""Forward pass, centered readout, and risk of the ReLU network.
+"""Forward pass, centered readout, risk and backprop of the ReLU network.
 
 The realization subtracts, inside the final affine map only, the integral of
 the last hidden layer's activations against the input measure:
@@ -19,7 +19,7 @@ import numpy as np
 
 from .params import ParamVector
 from . import quadrature
-from .quadrature import ZERO, InputMeasure, QuadratureError, _segment_edges, constant, quadrature_nodes, quiet
+from .quadrature import TWO, ZERO, InputMeasure, QuadratureError, _segment_edges, constant, quadrature_nodes, quiet
 from .smoothing import INF, activation, activation_knots
 from .smoothing import smoothed_act  # noqa: F401  (bench/tracing.py wraps network.smoothed_act)
 from .targets import TargetFunction
@@ -89,19 +89,17 @@ def _layer_rows(arch, values: np.ndarray) -> list:
     return [values[idx] for idx in arch.subvector_rows]
 
 
-def _forward_into(rows, ws: _Workspace, act) -> np.ndarray:
+def _forward_into(rows, ws: _Workspace, act) -> None:
     """Feature-major forward pass over the columns of ws.nodes, (l_0 + 1, n)
     with a last row of ones: layer k's pre-activations V_k @ [a_{k-1}; 1] go
     to ws.pres[k - 1], (l_k, n), and its activations act(z, out)
     (`smoothing.activation`) to ws.heads[k - 1], the leading rows of
-    ws.acts[k - 1], (l_k + 1, n), whose last row stays ones.  Returns the
-    last hidden activations with their row of ones."""
+    ws.acts[k - 1], (l_k + 1, n), whose last row stays ones."""
     h = ws.nodes
     for V, z, a, head in zip(rows, ws.pres, ws.acts, ws.heads):
         np.matmul(V, h, out=z)
         act(z, head)
         h = a
-    return h
 
 
 def forward(theta: ParamVector, x, r=INF):
@@ -194,19 +192,71 @@ class _NodePlan:
         ws.load(X)
         return ws, w, fX
 
-    def risk(self, rows, ws: _Workspace, w: np.ndarray, fX: np.ndarray) -> float:
-        """The risk of the pass over `rows` on `load`'s (ws, w, fX).  The
-        workspace is left holding what backprop reads: the hidden
-        pre-activations in `pres`, the centered last hidden activations
-        h - int h dmu in `acts[-1]` (above its row of ones) and the output
-        residual in `resid`."""
-        H = _forward_into(rows, ws, self.act)
-        h = ws.heads[-1]
-        h -= (h @ w)[:, None]
-        R = np.matmul(rows[-1], H, out=ws.resid)
+    def hidden_mean(self, values: np.ndarray):
+        """(m, rows, ws, w, fX): the layer rows gathered from `values`, `load`'s
+        (ws, w, fX) with the forward pass over those rows run in ws, and the
+        mu-integral m = int h dmu of the last hidden activations h."""
+        rows = _layer_rows(self.arch, values)
+        ws, w, fX = self.load(rows)
+        _forward_into(rows, ws, self.act)
+        return ws.heads[-1] @ w, rows, ws, w, fX
+
+    def risk(self, values: np.ndarray):
+        """(risk, rows, ws, w) of the pass over `values`.  The workspace is
+        left holding what `gradient` reads: the hidden pre-activations in
+        `pres`, the centered last hidden activations h - int h dmu in
+        `acts[-1]` (above its row of ones) and the output residual in `resid`."""
+        m, rows, ws, w, fX = self.hidden_mean(values)
+        ws.heads[-1] -= m[:, None]
+        R = np.matmul(rows[-1], ws.acts[-1], out=ws.resid)
         R -= fX
         sq = np.multiply(R, R, out=ws.scratch)
-        return float(sum(np.vecdot(sq, w)))  # vecdot: the kernel of row @ w, per row
+        return float(sum(np.vecdot(sq, w))), rows, ws, w  # vecdot: the kernel of row @ w, per row
+
+    def gradient(self, values: np.ndarray):
+        """(risk, rows, grads, raw) from one node set, one forward pass and
+        the target values the plan gives (`risk`): per layer k = 1..L,
+        rows[k - 1] is [W_k | b_k] as gathered from `values` and grads[k - 1]
+        the risk gradient in that row layout; raw is the gradient scattered
+        into the flat layout, checked finite (with the risk) once.
+
+        The backprop runs feature-major in the forward pass's workspace:
+        deltas are (l_k, n), and a layer's gradient is the single product
+        dz @ [a_{k-1}; 1].T with the activations the forward pass kept.  The
+        mean correction is applied once, on the residual row, which then also
+        takes the node weights: every hidden delta carries them.
+        """
+        arch, L = self.arch, self.arch.depth
+        value, rows, ws, w = self.risk(values)
+        H, R = ws.acts[-1], ws.resid  # [centered last hidden activations; 1], residual
+
+        grads = [None] * L
+        wr = np.multiply(R, w, out=ws.scratch)
+        grads[-1] = wr @ H.T
+        grads[-1] *= TWO
+
+        # The signal routed through the subtracted mean is the same for every
+        # node, so it leaves on the residual row: W^T R - (W^T Rbar) 1^T equals
+        # W^T (R - Rbar 1^T), Rbar = R @ w.  The row also takes the node weights,
+        # so every delta below carries them.
+        R -= (R @ w)[:, None]
+        R *= w
+        delta = self.products[L](TWO * rows[-1][:, :-1].T, R, out=ws.heads[-1])
+        for k in range(L - 1, 0, -1):
+            # layer k's pre-activations are read for the last time: dz replaces them
+            dz = self.deriv(ws.pres[k - 1], ws.pres[k - 1])
+            dz *= delta
+            prev = ws.acts[k - 2] if k > 1 else ws.nodes
+            grads[k - 1] = dz @ prev.T
+            if k > 1:  # layer k - 1's activations are read for the last time
+                delta = self.products[k](rows[k - 1][:, :-1].T, dz, out=ws.heads[k - 2])
+
+        raw = np.empty(arch.param_count)
+        for idx, g in zip(arch.subvector_rows, grads):
+            raw[idx] = g
+        if not (math.isfinite(value) and np.isfinite(raw).all()):
+            raise QuadratureError("risk or gradient has non-finite components")
+        return value, rows, grads, raw
 
 
 @quiet
@@ -217,12 +267,7 @@ def hidden_mean(
     resolution: Optional[int] = None,
 ) -> np.ndarray:
     """mu-integral of the last hidden layer's activations (not mass-normalized)."""
-    arch = theta.arch
-    rows = _layer_rows(arch, theta.values)
-    plan = _NodePlan(arch, measure, None, r, resolution)
-    ws, w, _ = plan.load(rows)
-    _forward_into(rows, ws, plan.act)
-    m = ws.heads[-1] @ w
+    m = _NodePlan(theta.arch, measure, None, r, resolution).hidden_mean(theta.values)[0]
     if not np.all(np.isfinite(m)):
         raise QuadratureError("hidden mean is non-finite")
     return m
@@ -254,9 +299,7 @@ def risk(
     resolution: Optional[int] = None,
 ) -> float:
     """mu-integral of the squared output error against the target."""
-    rows = _layer_rows(theta.arch, theta.values)
-    plan = _NodePlan(theta.arch, measure, f, r, resolution)
-    value = plan.risk(rows, *plan.load(rows))
+    value = _NodePlan(theta.arch, measure, f, r, resolution).risk(theta.values)[0]
     if not math.isfinite(value):
         raise QuadratureError("risk is non-finite")
     return value

@@ -356,26 +356,21 @@ def monitor_report(batch: TrajectoryRecord, problem: OneNeuronProblem,
     E, Vr, Vl = lyapunov_values(batch.states)
     values = {"theta3_sq": batch.states[..., 2] ** 2, "v_right": Vr, "v_left": Vl}
     masks = applicability_masks(batch.states, problem)
+
+    def count(name, over, worst_key, worst):
+        # the pairs whose endpoints both hold the monitor's hypotheses
+        both = masks[name][:-1] & masks[name][1:]
+        return {"checked_pairs": int(both.sum()), "violations": int((both & over).sum()),
+                worst_key: float(np.max(worst[both])) if both.any() else 0.0}
+
     report = {}
     for name, vals in values.items():
-        both = masks[name][:-1] & masks[name][1:]
         inc = vals[1:] - vals[:-1]
-        viol = both & (inc > slack)
-        report[name] = {
-            "checked_pairs": int(both.sum()),
-            "violations": int(viol.sum()),
-            "worst_increase": float(np.max(inc[both])) if both.any() else 0.0,
-        }
+        report[name] = count(name, inc > slack, "worst_increase", inc)
     if conservation_rate is not None:
-        both = masks["conserved_full"][:-1] & masks["conserved_full"][1:]
         dt = np.diff(batch.times)[:, None]
         drift = np.abs(E[1:] - E[:-1])
-        viol = both & (drift > conservation_rate * dt)
-        report["conserved_full"] = {
-            "checked_pairs": int(both.sum()),
-            "violations": int(viol.sum()),
-            "worst_rate": float(np.max((drift / dt)[both])) if both.any() else 0.0,
-        }
+        report["conserved_full"] = count("conserved_full", drift > conservation_rate * dt, "worst_rate", drift / dt)
     return report
 
 

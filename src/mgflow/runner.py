@@ -210,6 +210,14 @@ def _write_new(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
+    """Write obj (string keys only) with `_write_new` as strict JSON, indented
+    by one space: a non-finite float, at any depth, is written as null.  A
+    finite float reads back as the same float, so it keeps its text."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    _write_new(path, json.dumps(strict, sort_keys=sort_keys, indent=1, allow_nan=False) + "\n")
+
+
 def _write_csv(path: Path, record: TrajectoryRecord, mode: str):
     """The run's trajectory.csv: time ("n", the step, in gd mode), states and
     diagnostics, plus the regime and the Lyapunov values in one-neuron mode."""
@@ -286,6 +294,6 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         psi_max_dev_max=max(rec.psi_max_dev),
         degenerate_events=rec.degenerate_events,
     )
-    _write_new(out / "summary.json", json.dumps(summary, sort_keys=True, indent=1) + "\n")
+    _write_json(out / "summary.json", summary)
     return summary
 

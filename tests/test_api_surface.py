@@ -4,6 +4,7 @@ in the diff."""
 
 import ast
 import inspect
+from pathlib import Path
 
 import mgflow
 from mgflow import one_neuron
@@ -47,3 +48,18 @@ def test_public_names_are_pinned():
 def test_one_neuron_public_names_are_pinned():
     assert _defined_names(one_neuron) == ONE_NEURON
     assert all(hasattr(one_neuron, name) for name in ONE_NEURON)
+
+
+# what the network pass keeps in its workspace, and the plan's backprop bindings
+PASS_STATE = {"nodes", "pres", "acts", "heads", "resid", "scratch", "deriv", "products"}
+
+
+def test_only_network_reads_the_pass_state():
+    readers = {}
+    for path in sorted(Path(mgflow.__file__).parent.glob("*.py")):
+        if path.name != "network.py":
+            tree = ast.parse(path.read_text())
+            names = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+            if names & PASS_STATE:
+                readers[path.name] = sorted(names & PASS_STATE)
+    assert readers == {}

@@ -12,6 +12,13 @@ from mgflow.runner import ConfigError, ExperimentConfig, _row_format, config_fro
 from mgflow.verify import blas_core
 
 
+def strict_json(path):
+    """The JSON file at path, read by a parser that refuses NaN and Infinity."""
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 class TestConfigValidation:
     def test_unknown_field_named(self):
         with pytest.raises(ConfigError, match="unknown config field"):
@@ -229,7 +236,7 @@ class TestCliExitCodes:
             rc = main(argv + ["--out", str(tmp_path)])
         assert rc == 0 and not caught
         assert capsys.readouterr().err == ""
-        summary = json.loads((tmp_path / "summary.json").read_text())
+        summary = strict_json(tmp_path / "summary.json")
         assert summary["termination"] == "nonfinite" and summary["rows"] == 2
 
     @pytest.mark.parametrize("theta0, flags", [
@@ -248,8 +255,9 @@ class TestCliExitCodes:
                        *flags, "--out", str(tmp_path / "out")])
         assert rc == 0 and not caught
         assert capsys.readouterr().err == ""
-        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        summary = strict_json(tmp_path / "out" / "summary.json")
         assert summary["termination"] == "nonfinite"
+        assert summary["final_risk"] is None  # the risk at the frozen state overflows to nan
 
     @pytest.mark.parametrize("argv", [
         ["gd", "--architecture", "2,3,1", "--steps", "2", "--target", '{"name": "zero"}', "--config"],
@@ -488,6 +496,19 @@ class TestVerifyCommand:
         timings = json.loads((tmp_path / "timings.json").read_text())
         assert timings["blas_core"] == blas_core() != "unknown"  # numpy's wheel bundles OpenBLAS
         assert "blas_core" not in (tmp_path / "report.json").read_text()
+
+    def test_a_nan_measurement_is_written_as_null(self, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        from mgflow import cli
+        from mgflow.verify import VerifyOutcome, check_monotone_risk
+
+        result = check_monotone_risk([SimpleNamespace(risk=np.array([1.0, np.nan]))])
+        monkeypatch.setattr(cli, "verify_all", lambda seed, echo=None: VerifyOutcome([result], {result.name: 0.5}))
+        assert main(["verify", "--seed", "0", "--out", str(tmp_path)]) == 1
+        (criterion,) = strict_json(tmp_path / "report.json")["criteria"]
+        assert criterion["passed"] is False
+        assert criterion["details"] == {"max_risk_increase_per_step": None, "tolerance": 1e-8}
 
     def test_echo_lines_carry_seconds(self, monkeypatch):
         from mgflow import verify
