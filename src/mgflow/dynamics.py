@@ -11,8 +11,8 @@ assume it away.  Renormalizing the hidden subvectors after each step (a
 retraction) is the default policy and can be disabled to measure drift.
 
 All three dynamics (this flow, normalized descent as Euler with h = 1, and the
-one-neuron circle flow) run through `fixed_step`: step against -gamma * G,
-then retract.
+one-neuron circle flow) run through `fixed_step`, which reads their
+`FlowConfig` and applies its gamma rule: step against -gamma * G, then retract.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .gradients import generalized_gradient  # noqa: F401  (bench/tracing.py wraps dynamics.generalized_gradient)
-from .manifold import _max_deviation, _retract, _tangent_rows, _unit_rows, rescale_full, zero_rows
+from .manifold import _max_deviation, _project_rows, _retract, _unit_rows, rescale_full, zero_rows
 from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* names)
     max_constraint_deviation,
     min_subvector_norm,
@@ -132,26 +132,27 @@ class TrajectoryRecord:
         return float(_unit_rows(S.reshape(-1, S.shape[-1]))[1].max())
 
 
-def step_factor(raw, proj, gamma):
-    """The step factor that scales G's rows: a number passes through, and "rescaled" gives
-    |raw|^2 / |proj|^2 per row with the last axis kept, capped at GAMMA_CAP and 0 where
-    proj vanishes (the caller sets the error state)."""
-    if not isinstance(gamma, str):
-        return float(gamma)
+def step_factor(raw, proj):
+    """The rescaled step factor that scales G's rows: |raw|^2 / |proj|^2 per row with
+    the last axis kept, capped at GAMMA_CAP and 0 where proj vanishes (the caller
+    sets the error state)."""
     raw2 = np.sum(raw**2, axis=-1, keepdims=True)
     g2 = np.sum(proj**2, axis=-1, keepdims=True)
     return np.where(g2 > 0.0, np.minimum(raw2 / g2, GAMMA_CAP), 0.0)
 
 
 @quiet
-def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRecord:
+def fixed_step(field, Y, cfg: FlowConfig, n_steps, retract) -> TrajectoryRecord:
     """Advance a (B, P) batch of rows in lockstep through n_steps explicit
-    Euler or RK4 steps of dY/dt = -gamma * G, retracting every new state.
-    It runs under `quadrature.quiet`; the field and `retract` set no error state.
+    steps of dY/dt = -gamma * G with cfg's step, integrator and gamma,
+    retracting every new state.  It runs under `quadrature.quiet`; the field
+    and `retract` set no error state.
 
-    `field(Y, record)` returns (G, gamma, risk, psi) at the state Y alone;
-    gamma is one number or a (B, 1) column (`step_factor`), and risk and psi
-    (the constraint deviation) are per-row arrays if `record`, else None.
+    `field(Y, record)` returns (G, raw, risk, psi) at the state Y alone: G
+    and the raw gradient it projects are (B, P), and risk and psi (the
+    constraint deviation) are per-row arrays if `record`, else None.  This is
+    the one place the gamma rule is applied: a number gamma scales every row,
+    and "rescaled" scales each by `step_factor(raw, G)`.
     `retract(Y)` returns the retracted rows and how many zero hidden rows
     they hold; the record's `degenerate_events` sums those counts over the
     run.  A row is frozen at its last valid state once its retracted state
@@ -159,7 +160,7 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRe
     left.  A QuadratureError from the field at RK4 stages 2 to 4 makes the
     step non-finite; one at a step's first stage, recorded or not, propagates.
 
-    Returns the batch record of the rows at step 0, every `record_every`-th
+    Returns the batch record of the rows at step 0, every cfg.record_every-th
     step, the last step, and the step that froze the last row; every column
     comes from the state's first RK4 stage, at no extra field evaluation.
     Each row's termination names why it froze: "nonfinite" for a non-finite
@@ -172,15 +173,17 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRe
     stopped = np.zeros(len(Y), dtype=int)
     termination = np.full(len(Y), "completed", dtype="<U16")
     rows, events, n_stopped = [], 0, 0
+    h, rk4, rescaled = cfg.step, cfg.integrator == "rk4", isinstance(cfg.gamma, str)
     half, full, sixth = constant(0.5 * h), constant(h), constant(h / 6.0)  # 0-d operands (`constant`)
+    scale = None if rescaled else constant(-float(cfg.gamma))
 
     def rate(Z, record=False):
-        G, gamma, risk, psi = field(Z, record)
-        return -gamma * G, G, risk, psi
+        G, raw, risk, psi = field(Z, record)
+        return (-step_factor(raw, G) if rescaled else scale) * G, G, risk, psi
 
     for n in range(n_steps + 1):
         done = n == n_steps or n_stopped == len(Y)
-        record = done or n % record_every == 0
+        record = done or n % cfg.record_every == 0
         k1, G, risk, psi = rate(Y, record)
         if record:
             # the reduction of np.linalg.norm(G, axis=-1), bit for bit;
@@ -216,42 +219,36 @@ def fixed_step(field, Y, h, n_steps, rk4, retract, record_every) -> TrajectoryRe
     return TrajectoryRecord(steps * h, *columns, stopped, termination, events)
 
 
-def _network_field(arch, measure, f, r, resolution, gamma):
-    """The `fixed_step` field of one network, as a (1, P) batch: G equals
-    `project_gradient(theta, risk_and_gradient(theta, ...)[1])` bit for bit,
-    and the step factor is `gamma` itself, or for "rescaled" the
-    `step_factor` of the raw and the projected gradient.
+def _network_field(arch, measure, f, r, resolution):
+    """The `fixed_step` field of one network, as a (1, P) batch (G, raw, risk,
+    psi): raw is `risk_and_gradient(theta, ...)[1]` and G
+    `project_gradient(theta, raw)`, bit for bit.
 
     One node plan (`network._NodePlan`) serves the run.  G starts as a copy
-    of the pass's flat gradient, and each hidden layer's rows take their
-    gradient projected against the rows the pass gathered; the risk comes
-    from the same pass, and max |psi - 1| from the squared row norms the
-    projection took."""
+    of the pass's flat gradient, which `manifold._project_rows` projects; the
+    risk comes from the same pass, and max |psi - 1| from the squared row
+    norms the projection took."""
     plan = _NodePlan(arch, measure, f, r, resolution)
-    hidden = arch.subvector_rows[:-1]
 
     def field(Y, record):
-        value, rows, grads, raw = plan.gradient(Y[0])
-        G, squares = raw.copy(), []
-        for idx, V, g in zip(hidden, rows, grads):
-            G[idx], sq = _tangent_rows(V, g)
-            squares.append(sq)
-        factor = step_factor(raw, G, gamma)
+        value, raw = plan.gradient(Y[0])
+        G = raw.copy()
+        squares = _project_rows(arch, Y[0], G)
         if not record:
-            return G[None, :], factor, None, None
-        return G[None, :], factor, np.array([value]), np.array([_max_deviation(squares)])
+            return G[None, :], raw[None, :], None, None
+        return G[None, :], raw[None, :], np.array([value]), np.array([_max_deviation(squares)])
 
     return field
 
 
 def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, r, resolution) -> TrajectoryRecord:
-    """Run n_steps of `fixed_step` with cfg's step, integrator and gamma on one
-    network from the rescaled xi; returns its record, or raises
+    """Run n_steps of `fixed_step` with cfg's schedule on one network from
+    the rescaled xi; returns its record, or raises
     QuadratureError if the rescaled xi is not finite.  The retraction
     (`manifold._retract`) counts the zero hidden rows of the state, and
     renormalizes it with `renormalize`."""
     arch = xi.arch
-    field = _network_field(arch, measure, f, r, resolution, cfg.gamma)
+    field = _network_field(arch, measure, f, r, resolution)
 
     def retract(Y):
         values, zeros = _retract(arch, Y[0])
@@ -267,8 +264,7 @@ def _network_run(xi, measure, f, cfg: FlowConfig, n_steps: int, r, resolution) -
             "is not guaranteed from this start",
             RuntimeWarning,
         )
-    record = fixed_step(field, start.values[None, :], cfg.step, n_steps,
-                        cfg.integrator == "rk4", retract, cfg.record_every).row(0)
+    record = fixed_step(field, start.values[None, :], cfg, n_steps, retract).row(0)
     record.degenerate_events += degenerate
     return record
 

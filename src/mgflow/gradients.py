@@ -44,8 +44,7 @@ def risk_and_gradient(
     the exact-ReLU generalized gradient (indicator convention at kinks); with
     finite r it is the gradient of the smoothed risk on the same nodes.
     """
-    value, _, _, raw = _NodePlan(theta.arch, measure, f, r, resolution).gradient(theta.values)
-    return value, raw
+    return _NodePlan(theta.arch, measure, f, r, resolution).gradient(theta.values)
 
 
 def generalized_gradient(theta: ParamVector, measure: InputMeasure, f: TargetFunction,

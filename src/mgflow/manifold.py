@@ -59,11 +59,17 @@ def max_constraint_deviation(theta: ParamVector) -> float:
     return _max_deviation([np.vecdot(V, V) for V in hidden])
 
 
-def _tangent_rows(V: np.ndarray, G: np.ndarray):
-    """(G with each row's component along the matching row of V removed, see
-    `project_gradient`; the squared norms of V's rows)."""
-    U, _, sq = _unit_rows(V)
-    return G - np.vecdot(U, G)[:, None] * U, sq
+def _project_rows(arch, values: np.ndarray, G: np.ndarray) -> list:
+    """Project the flat gradient G in place, as `project_gradient` does, against
+    the hidden rows of `values`; returns the rows' squared norms psi, one array
+    per hidden layer.  The caller sets the error state."""
+    squares = []
+    for idx in arch.subvector_rows[:-1]:
+        U, _, sq = _unit_rows(values[idx])
+        g = G[idx]
+        G[idx] = g - np.vecdot(U, g)[:, None] * U
+        squares.append(sq)
+    return squares
 
 
 @quiet
@@ -78,8 +84,7 @@ def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
     out = np.array(raw_grad, dtype=float)
     if out.shape != (theta.arch.param_count,):
         raise ValueError("raw gradient length must match the parameter count")
-    for idx in theta.arch.subvector_rows[:-1]:
-        out[idx] = _tangent_rows(theta.values[idx], out[idx])[0]
+    _project_rows(theta.arch, theta.values, out)
     return out
 
 

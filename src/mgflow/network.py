@@ -214,11 +214,9 @@ class _NodePlan:
         return float(sum(np.vecdot(sq, w))), rows, ws, w  # vecdot: the kernel of row @ w, per row
 
     def gradient(self, values: np.ndarray):
-        """(risk, rows, grads, raw) from one node set, one forward pass and
-        the target values the plan gives (`risk`): per layer k = 1..L,
-        rows[k - 1] is [W_k | b_k] as gathered from `values` and grads[k - 1]
-        the risk gradient in that row layout; raw is the gradient scattered
-        into the flat layout, checked finite (with the risk) once.
+        """(risk, raw) from one node set, one forward pass and the target
+        values the plan gives (`risk`): raw is the risk gradient in the flat
+        layout, checked finite (with the risk) once.
 
         The backprop runs feature-major in the forward pass's workspace:
         deltas are (l_k, n), and a layer's gradient is the single product
@@ -230,10 +228,11 @@ class _NodePlan:
         value, rows, ws, w = self.risk(values)
         H, R = ws.acts[-1], ws.resid  # [centered last hidden activations; 1], residual
 
-        grads = [None] * L
+        raw, idx = np.empty(arch.param_count), arch.subvector_rows  # the flat layout of each layer's rows
         wr = np.multiply(R, w, out=ws.scratch)
-        grads[-1] = wr @ H.T
-        grads[-1] *= TWO
+        g = wr @ H.T
+        g *= TWO
+        raw[idx[-1]] = g
 
         # The signal routed through the subtracted mean is the same for every
         # node, so it leaves on the residual row: W^T R - (W^T Rbar) 1^T equals
@@ -247,16 +246,13 @@ class _NodePlan:
             dz = self.deriv(ws.pres[k - 1], ws.pres[k - 1])
             dz *= delta
             prev = ws.acts[k - 2] if k > 1 else ws.nodes
-            grads[k - 1] = dz @ prev.T
+            raw[idx[k - 1]] = dz @ prev.T
             if k > 1:  # layer k - 1's activations are read for the last time
                 delta = self.products[k](rows[k - 1][:, :-1].T, dz, out=ws.heads[k - 2])
 
-        raw = np.empty(arch.param_count)
-        for idx, g in zip(arch.subvector_rows, grads):
-            raw[idx] = g
         if not (math.isfinite(value) and np.isfinite(raw).all()):
             raise QuadratureError("risk or gradient has non-finite components")
-        return value, rows, grads, raw
+        return value, raw
 
 
 @quiet

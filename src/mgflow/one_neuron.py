@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .dynamics import GAMMA_CAP, FlowConfig, TrajectoryRecord, fixed_step, step_factor
+from .dynamics import FlowConfig, TrajectoryRecord, fixed_step
 from .quadrature import ONE, TWO, ZERO, constant, gauss_legendre, quiet
 from .targets import PiecewisePolynomial
 
@@ -196,8 +196,8 @@ def gradient_batch(states: np.ndarray, problem: OneNeuronProblem) -> np.ndarray:
 
 
 def grad_1n(theta, f) -> np.ndarray:
-    """Tangent gradient via the explicit closed forms; requires a point on
-    the constraint circle (|t1^2 + t2^2 - 1| <= 1e-8)."""
+    """Tangent gradient at one state, from `gradient_batch`'s moments pass;
+    requires a point on the constraint circle (|t1^2 + t2^2 - 1| <= 1e-8)."""
     theta = np.asarray(theta, dtype=float)
     if abs(theta[0]) + abs(theta[1]) == 0.0:
         raise ValueError("gradient undefined at t1 = t2 = 0")
@@ -323,7 +323,9 @@ def flow_batch(theta0, f, cfg: FlowConfig) -> TrajectoryRecord:
     """Integrate the circle flow for a batch of initial states.
 
     Returns the batch record: `states` is (R, B, 3) and `psi_max_dev` holds
-    |t1^2 + t2^2 - 1|.  Each RK4 stage is one moments pass; the pass at a
+    |t1^2 + t2^2 - 1|.  The field returns the pass's tangent gradient G and
+    raw gradient R, and `fixed_step` forms the rate from them by cfg's
+    schedule.  Each RK4 stage is one moments pass; the pass at a
     recorded state (its first stage) also gives the recorded risk, so no
     state is evaluated twice.  Trajectories tripping the divergence guard
     are frozen at their last valid state and marked aborted; the rest
@@ -338,11 +340,10 @@ def flow_batch(theta0, f, cfg: FlowConfig) -> TrajectoryRecord:
     def field(states, record):
         G, R, L = _one_pass(states, problem, record)
         psi = np.abs(states[:, 0] * states[:, 0] + states[:, 1] * states[:, 1] - ONE) if record else None
-        return G, step_factor(R, G, cfg.gamma), L, psi
+        return G, R, L, psi
 
     retract = _retract_to_circle if cfg.renormalize else (lambda states: (states, 0))
-    n_steps = int(round(cfg.t_end / cfg.step))
-    return fixed_step(field, Y, cfg.step, n_steps, cfg.integrator == "rk4", retract, cfg.record_every)
+    return fixed_step(field, Y, cfg, int(round(cfg.t_end / cfg.step)), retract)
 
 
 @quiet

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import one_neuron as on
-from .dynamics import FlowConfig, integrate_flow
+from .dynamics import GAMMA_CAP, FlowConfig, integrate_flow
 from .gradients import fd_gradient, generalized_gradient
 from .manifold import project_gradient, random_on_manifold, rescale_full
 from .network import forward, realize
@@ -333,7 +333,7 @@ def check_rescaled_flow_identity(seed) -> CheckResult:
     smooth = (
         (code[:-2] == code[1:-1]) & (code[1:-1] == code[2:])
         & (raw2[1:-1] > 1e-10)
-        & (proj2[1:-1] * on.GAMMA_CAP > raw2[1:-1])
+        & (proj2[1:-1] * GAMMA_CAP > raw2[1:-1])
     )
     rel = np.abs(fd + raw2[1:-1]) / np.maximum(raw2[1:-1], 1e-300)
     worst = float(rel[smooth].max()) if smooth.any() else np.inf

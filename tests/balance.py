@@ -21,7 +21,7 @@ import numpy as np
 
 from mgflow import ParamVector, forward, risk_and_gradient
 from mgflow import network
-from mgflow.dynamics import fixed_step
+from mgflow.dynamics import FlowConfig, fixed_step
 from mgflow.smoothing import INF
 
 
@@ -94,6 +94,7 @@ def standard_flow(theta, measure, f, h, n_steps, resolution=None):
 
     def field(Y, record):
         value, raw = risk_and_gradient(ParamVector(arch, Y[0]), measure, f, resolution=resolution)
-        return raw[None, :], 1.0, np.array([value]) if record else None, np.zeros(1) if record else None
+        return raw[None, :], raw[None, :], np.array([value]) if record else None, np.zeros(1) if record else None
 
-    return fixed_step(field, theta.values[None, :], h, n_steps, True, lambda Y: (Y, 0), n_steps)
+    cfg = FlowConfig(t_end=n_steps * h, step=h, gamma=1.0, record_every=n_steps)
+    return fixed_step(field, theta.values[None, :], cfg, n_steps, lambda Y: (Y, 0))

@@ -63,3 +63,26 @@ def test_only_network_reads_the_pass_state():
             if names & PASS_STATE:
                 readers[path.name] = sorted(names & PASS_STATE)
     assert readers == {}
+
+
+def _named(node) -> str:
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else ""
+
+
+def test_only_the_stepper_applies_the_gamma_rule():
+    # `dynamics.fixed_step` is the one caller of `step_factor`; the circle flow
+    # hands its raw gradient to the stepper and reads neither the factor, the
+    # cap nor the schedule's gamma
+    callers = set()
+    for path in sorted(Path(mgflow.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _named(node.func) == "step_factor":
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("dynamics.py", "fixed_step")}
+
+    tree = ast.parse(inspect.getsource(one_neuron))
+    named = {_named(node) for node in ast.walk(tree)}
+    named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not named & {"step_factor", "GAMMA_CAP"}
+    assert "gamma" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}

@@ -74,8 +74,9 @@ def test_recorded_grad_norm_is_linalg_norm_bit_for_bit(seed, B, P):
     rng = np.random.default_rng(seed)
     G = rng.standard_normal((B, P)) * 10.0 ** rng.uniform(-100, 100, (B, 1))
     G[rng.random((B, P)) < 0.1] = 0.0
-    record = fixed_step(lambda Y, record: (G, 0.0, np.zeros(B), np.zeros(B)), np.zeros((B, P)), 1.0, 0,
-                        False, lambda Y: (Y, 0), 1)
+    cfg = FlowConfig(t_end=1.0, step=1.0, integrator="euler", gamma=0.0)
+    record = fixed_step(lambda Y, record: (G, G, np.zeros(B), np.zeros(B)), np.zeros((B, P)), cfg, 0,
+                        lambda Y: (Y, 0))
     assert record.grad_norm[0].tobytes() == np.linalg.norm(G, axis=-1).tobytes()
 
 
@@ -88,13 +89,13 @@ def test_field_failure_at_a_stage_state_makes_the_step_non_finite():
     def field(Y, record):
         if not np.array_equal(Y, start):
             raise QuadratureError("risk or gradient has non-finite components")
-        return np.ones_like(Y), 1.0, np.zeros(len(Y)), np.zeros(len(Y))
+        return np.ones_like(Y), np.ones_like(Y), np.zeros(len(Y)), np.zeros(len(Y))
 
-    record = fixed_step(field, start, 0.1, 3, True, lambda Y: (Y, 0), 1)
+    record = fixed_step(field, start, FlowConfig(t_end=0.3, step=0.1), 3, lambda Y: (Y, 0))
     assert record.termination.tolist() == ["nonfinite"] * 2 and record.stopped.tolist() == [1, 1]
     np.testing.assert_array_equal(record.states, [start, start])
     with pytest.raises(QuadratureError):
-        fixed_step(field, start, 0.1, 3, False, lambda Y: (Y, 0), 1)
+        fixed_step(field, start, FlowConfig(t_end=0.3, step=0.1, integrator="euler"), 3, lambda Y: (Y, 0))
 
 
 @pytest.mark.parametrize("rk4", [False, True])
@@ -110,11 +111,46 @@ def test_field_failure_at_a_first_stage_propagates_recorded_or_not(rk4):
         calls.append(record)
         if len(calls) > (4 if rk4 else 1):
             raise QuadratureError("risk or gradient has non-finite components")
-        return np.ones_like(Y), 0.0, np.zeros(len(Y)), np.zeros(len(Y))
+        return np.ones_like(Y), np.ones_like(Y), np.zeros(len(Y)), np.zeros(len(Y))
 
+    cfg = FlowConfig(t_end=1.0, step=0.1, integrator="rk4" if rk4 else "euler", gamma=0.0, record_every=5)
     with pytest.raises(QuadratureError):
-        fixed_step(field, start, 0.1, 10, rk4, lambda Y: (Y + 1.0, 0), 5)
+        fixed_step(field, start, cfg, 10, lambda Y: (Y + 1.0, 0))
     assert calls == [True] + [False] * (4 if rk4 else 1)
+
+
+class TestStepperGammaRule:
+    """`fixed_step` applies the schedule's gamma rule to the (G, raw) rows a
+    field returns; a field that returns fixed rows has a constant rate."""
+
+    Y = np.random.default_rng(5).standard_normal((3, 4))
+    h = 0.01
+
+    def step(self, G, raw, integrator, gamma):
+        cfg = FlowConfig(t_end=self.h, step=self.h, integrator=integrator, gamma=gamma)
+        return fixed_step(lambda Y, record: (G, raw, np.zeros(len(Y)), np.zeros(len(Y))), self.Y, cfg, 1,
+                          lambda Y: (Y, 0)).states[-1]
+
+    def expected(self, integrator, k):
+        Y, h = self.Y, self.h
+        return Y + h * k if integrator == "euler" else Y + h / 6.0 * (k + 2.0 * k + 2.0 * k + k)
+
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0])
+    def test_a_number_scales_every_row(self, gamma, integrator):
+        G = np.random.default_rng(6).standard_normal(self.Y.shape)
+        got = self.step(G, np.full_like(G, np.nan), integrator, gamma)  # raw is not read
+        assert got.tobytes() == self.expected(integrator, -gamma * G).tobytes()
+
+    @pytest.mark.parametrize("integrator", ["euler", "rk4"])
+    def test_rescaled_scales_each_row_by_its_step_factor(self, integrator):
+        # |raw|^2 / |G|^2 of about 1e10 (clipped to GAMMA_CAP), of 4, and G = 0 (factor 0)
+        raw = np.array([[1e4, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+        G = np.array([[0.0, 0.1, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        got = self.step(G, raw, integrator, "rescaled")
+        factor = quiet(step_factor)(raw, G)
+        np.testing.assert_array_equal(factor, [[GAMMA_CAP], [4.0], [0.0]])
+        assert got.tobytes() == self.expected(integrator, -factor * G).tobytes()
 
 
 class TestFlowConfig:
@@ -372,14 +408,14 @@ class TestRescaledGamma:
         raw = generalized_gradient(theta, MU, F)
         proj = project_gradient(theta, raw)
         np.testing.assert_array_equal(proj, raw)
-        assert step_factor(raw, proj, "rescaled") == pytest.approx(1.0)
+        assert step_factor(raw, proj) == pytest.approx(1.0)
 
     def test_factor_at_least_one_generically(self):
         rng = np.random.default_rng(43)
         arch = Architecture((1, 3, 1))
         theta = random_on_manifold(arch, rng)
         raw = generalized_gradient(theta, MU, F)
-        assert step_factor(raw, project_gradient(theta, raw), "rescaled") >= 1.0
+        assert step_factor(raw, project_gradient(theta, raw)) >= 1.0
 
     def test_synthetic_decomposition(self):
         rng = np.random.default_rng(42)
@@ -402,14 +438,14 @@ class TestRescaledGamma:
         raw = generalized_gradient(theta, MU, TargetFunction.zero())
         proj = project_gradient(theta, raw)
         assert not proj.any()
-        assert quiet(step_factor)(raw, proj, "rescaled") == 0.0  # the caller sets the error state
+        assert quiet(step_factor)(raw, proj) == 0.0  # the caller sets the error state
 
     def test_gamma_cap_clips_the_factor_per_row(self):
         # per-row ratios |raw|^2 / |proj|^2 of about 1e10, of 4, and over a
         # zero projection: clipped to GAMMA_CAP, passed, and 0
         raw = np.array([[1e4, 0.0, 0.0], [2.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         proj = np.array([[0.0, 0.1, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
-        factor = quiet(step_factor)(raw, proj, "rescaled")
+        factor = quiet(step_factor)(raw, proj)
         np.testing.assert_array_equal(factor, [[GAMMA_CAP], [4.0], [0.0]])
 
 
@@ -440,13 +476,14 @@ class TestNetworkField:
         theta = random_on_manifold(arch, rng) if start == "manifold" else random_params(arch, rng)
         if start == "zero row":
             theta.values[arch.subvector_rows[0][-1]] = 0.0
-        field = quiet(_network_field(arch, measure, f, r, resolution, "rescaled"))  # as in fixed_step
-        G, factor, (value,), (deviation,) = field(theta.values[None, :], True)
+        field = quiet(_network_field(arch, measure, f, r, resolution))  # as in fixed_step
+        G, field_raw, (value,), (deviation,) = field(theta.values[None, :], True)
         expected_value, raw = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
         proj = project_gradient(theta, raw)
-        assert G.shape == (1, arch.param_count)
-        assert np.array_equal(G[0], proj)
-        assert np.array_equal(factor, step_factor(raw, proj, "rescaled"))
+        assert G.shape == field_raw.shape == (1, arch.param_count)
+        assert np.array_equal(G[0], proj) and np.array_equal(field_raw[0], raw)
+        # the field's rows give a (1, 1) factor where the flat call gives (1,)
+        assert np.array_equal(step_factor(field_raw, G)[0], step_factor(raw, proj))
         assert value == expected_value and deviation == max_constraint_deviation(theta)
 
     @staticmethod
@@ -481,13 +518,14 @@ class TestNetworkField:
         arch = Architecture(dims)
         f, other = self.targets(dims)
         rng = np.random.default_rng(31)
-        field = _network_field(arch, measure, f, r, resolution, "rescaled")
+        field = _network_field(arch, measure, f, r, resolution)
         for _ in range(4):
             theta = random_on_manifold(arch, rng)
-            G, factor, (value,), (deviation,) = field(theta.values[None, :], True)
+            G, field_raw, (value,), (deviation,) = field(theta.values[None, :], True)
             expected_value, raw = risk_and_gradient(theta, measure, f, r=r, resolution=resolution)
             proj = project_gradient(theta, raw)
-            assert np.array_equal(G[0], proj) and np.array_equal(factor, step_factor(raw, proj, "rescaled"))
+            assert np.array_equal(G[0], proj) and np.array_equal(field_raw[0], raw)
+            assert np.array_equal(step_factor(field_raw, G)[0], step_factor(raw, proj))
             assert value == expected_value == self.direct_risk(theta, measure, f, r, resolution)
             assert deviation == max_constraint_deviation(theta)
             assert (risk(theta, measure, other, r=r, resolution=resolution)

@@ -96,7 +96,7 @@ def test_runs_leave_the_error_state_as_it_was():
         on.monitor_report(batch, PROBLEM, conservation_rate=1e-6)
         assert np.geterr() == before
         with pytest.raises(mg.QuadratureError):
-            fixed_step(failing, np.zeros((1, 3)), 0.01, 2, True, lambda Y: (Y, 0), 1)
+            fixed_step(failing, np.zeros((1, 3)), cfg, 2, lambda Y: (Y, 0))
     assert np.geterr() == before
 
 

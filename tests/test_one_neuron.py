@@ -870,7 +870,7 @@ def test_rescaled_factor_on_the_circle_is_at_most_one_plus_t3_squared(angle, t3,
     problem = CAP_PROBLEMS[k]
     state = np.array([[np.cos(angle), np.sin(angle), t3]])
     G, R, _ = _one_pass(state, problem)
-    factor = quiet(step_factor)(R, G, "rescaled")[0, 0]
+    factor = quiet(step_factor)(R, G)[0, 0]
     g2 = float(np.sum(G**2))
     if g2 == 0.0:  # an inactive neuron: a vanishing projection gives the factor 0
         assert factor == 0.0

@@ -411,7 +411,7 @@ class TestExactNodeBuild:
         # the domain ends and target breaks it reads once, through the segment
         # rule that the network module looks up in `quadrature`
         f = TargetFunction(lambda x: np.abs(x - 0.3), breakpoints=np.array(f_breaks, dtype=float))
-        field = quiet(_network_field(theta.arch, mu, f, r, None, 1.0))  # as fixed_step runs it
+        field = quiet(_network_field(theta.arch, mu, f, r, None))  # as fixed_step runs it
         built = []
 
         def spy(*args, **kwargs):
