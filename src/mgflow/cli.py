@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 from .quadrature import QuadratureError
@@ -101,8 +102,6 @@ def _resolve_config(args) -> ExperimentConfig:
             raw["target"] = json.loads(args.target)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config field 'target': invalid JSON ({e})")
-    if args.command == "one-neuron":
-        raw.setdefault("architecture", [1, 1, 1])
     return config_from_dict(raw)
 
 
@@ -122,7 +121,9 @@ def main(argv=None) -> int:
         return 0 if outcome.all_passed else 1
     try:
         cfg = _resolve_config(args)
-        summary = run_experiment(cfg)
+        with warnings.catch_warnings():  # summary.json counts the start's zero hidden rows
+            warnings.filterwarnings("ignore", "initial point has a zero hidden subvector")
+            summary = run_experiment(cfg)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

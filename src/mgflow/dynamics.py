@@ -48,30 +48,6 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
-def check_schedule(t_end, step, integrator, gamma, record_every) -> None:
-    """Validate a fixed-step schedule; raises ConfigError naming the offending field.
-    t_end must be a whole number of steps, up to 1e-9 per step for float rounding.
-    All three dynamics take this one gamma rule: a nonnegative number or "rescaled"."""
-
-    def bad(name, why):
-        raise ConfigError(f"config field '{name}': {why}")
-
-    if not (_number(t_end) and 0 < t_end < np.inf):
-        bad("t_end", f"must be a positive finite number, got {t_end!r}")
-    if not (_number(step) and 0 < step <= t_end and t_end / step < np.inf):
-        bad("step", f"must be a number with 0 < step <= t_end and a finite t_end / step, got {step!r}")
-    n = t_end / step
-    if abs(n - round(n)) > 1e-9 * n:
-        bad("step", f"t_end {t_end!r} must be a whole number of steps, got {step!r}")
-    if integrator not in ("euler", "rk4"):
-        bad("integrator", f"must be euler|rk4, got {integrator!r}")
-    rescaled = isinstance(gamma, str) and gamma == "rescaled"
-    if not (rescaled or _number(gamma) and gamma >= 0):
-        bad("gamma", f"must be a nonnegative number or 'rescaled', got {gamma!r}")
-    if not (_number(record_every, numbers.Integral) and record_every >= 1):
-        bad("record_every", f"must be an integer >= 1, got {record_every!r}")
-
-
 @dataclass
 class FlowConfig:
     """The one fixed-step schedule of the flow, the descent and the circle flow."""
@@ -83,7 +59,28 @@ class FlowConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        check_schedule(self.t_end, self.step, self.integrator, self.gamma, self.record_every)
+        """Refuse a schedule with ConfigError naming the offending field.  t_end must
+        be a whole number of steps, up to 1e-9 per step for float rounding.  All
+        three dynamics take this one gamma rule: a nonnegative number or "rescaled"."""
+
+        def bad(name, why):
+            raise ConfigError(f"config field '{name}': {why}")
+
+        t_end, step, gamma = self.t_end, self.step, self.gamma
+        if not (_number(t_end) and 0 < t_end < np.inf):
+            bad("t_end", f"must be a positive finite number, got {t_end!r}")
+        if not (_number(step) and 0 < step <= t_end and t_end / step < np.inf):
+            bad("step", f"must be a number with 0 < step <= t_end and a finite t_end / step, got {step!r}")
+        n = t_end / step
+        if abs(n - round(n)) > 1e-9 * n:
+            bad("step", f"t_end {t_end!r} must be a whole number of steps, got {step!r}")
+        if self.integrator not in ("euler", "rk4"):
+            bad("integrator", f"must be euler|rk4, got {self.integrator!r}")
+        rescaled = isinstance(gamma, str) and gamma == "rescaled"
+        if not (rescaled or _number(gamma) and gamma >= 0):
+            bad("gamma", f"must be a nonnegative number or 'rescaled', got {gamma!r}")
+        if not (_number(self.record_every, numbers.Integral) and self.record_every >= 1):
+            bad("record_every", f"must be an integer >= 1, got {self.record_every!r}")
 
 
 _COLUMNS = ("times", "states", "risk", "psi_max_dev", "grad_norm")  # one entry per recorded row
@@ -300,7 +297,7 @@ def gd_run(
 ) -> TrajectoryRecord:
     """Normalized gradient descent: `steps` Euler steps of h = 1 against
     gamma * G, each followed by the retraction.  `gamma` follows the flow's
-    gamma rule (`check_schedule`): a nonnegative number or "rescaled"; any
+    gamma rule (`FlowConfig`): a nonnegative number or "rescaled"; any
     other value raises ValueError naming 'gamma'.  It ends early as
     `integrate_flow` does.
     """

@@ -17,6 +17,7 @@ measure itself, never normalized.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -81,7 +82,7 @@ class InputMeasure:
     def total_mass(self) -> float:
         if self.kind == "discrete":
             return float(self.weights.sum())
-        return float((self.b - self.a) ** self.dim)
+        return math.prod([self.b - self.a] * self.dim)  # inf on overflow, where ** raises
 
 
 def uniform_measure(a: float = 0.0, b: float = 1.0, dim: int = 1) -> InputMeasure:

@@ -17,9 +17,9 @@ from typing import Optional, Union
 import numpy as np
 
 from . import one_neuron as on
-from .dynamics import ConfigError, FlowConfig, TrajectoryRecord, check_schedule, gd_run, integrate_flow
+from .dynamics import ConfigError, FlowConfig, TrajectoryRecord, gd_run, integrate_flow
 from .params import Architecture, ParamVector, _number, random_params
-from .quadrature import InputMeasure, QuadratureError, discrete_measure, uniform_measure
+from .quadrature import InputMeasure, QuadratureError, discrete_measure, quiet, uniform_measure
 from .smoothing import INF
 from .targets import (
     TargetFunction,
@@ -31,10 +31,13 @@ from .targets import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's configuration.  Building it refuses a field that breaks its
+    rule with ConfigError naming the field.  `architecture` defaults to
+    (1, 1, 1) in one-neuron mode and to (1, 8, 1) otherwise."""
     mode: str = "flow"
-    architecture: tuple[int, ...] = (1, 8, 1)
+    architecture: Optional[tuple[int, ...]] = None
     measure: dict = field(default_factory=lambda: {"kind": "uniform", "a": 0.0, "b": 1.0})
     target: dict = field(default_factory=lambda: {"name": "abs_offset", "center": 0.3})
     t_end: float = 1.0
@@ -51,6 +54,58 @@ class ExperimentConfig:
     theta0: Optional[list] = None
     t3_scale: float = 1.0         # one-neuron random init scale
 
+    def __post_init__(self):
+        def bad(name, why):
+            raise ConfigError(f"config field '{name}': {why}")
+
+        def integer(name, low):
+            value = getattr(self, name)
+            if not (_number(value, numbers.Integral) and value >= low):
+                bad(name, f"must be an integer >= {low}, got {value!r}")
+
+        one_neuron_mode = self.mode == "one-neuron"
+        if self.mode not in ("flow", "gd", "one-neuron"):
+            bad("mode", f"must be flow|gd|one-neuron, got {self.mode!r}")
+        for name in ("measure", "target"):
+            if not isinstance(getattr(self, name), dict):
+                bad(name, f"must be an object, got {getattr(self, name)!r}")
+        arch = ((1, 1, 1) if one_neuron_mode else (1, 8, 1)) if self.architecture is None else self.architecture
+        try:
+            object.__setattr__(self, "architecture", Architecture(arch).layer_dims)
+        except (TypeError, ValueError) as e:
+            bad("architecture", str(e))
+        if one_neuron_mode:
+            if self.architecture != (1, 1, 1):
+                bad("architecture", "one-neuron mode requires (1, 1, 1)")
+            m = self.measure
+            if m.get("kind", "uniform") != "uniform" or (m.get("a", 0.0), m.get("b", 1.0)) != (0.0, 1.0):
+                bad("measure", "one-neuron mode requires the uniform measure on [0, 1]")
+        self.schedule  # refuses a bad t_end, step, integrator, gamma or record_every
+        if not isinstance(self.reproject, bool):
+            bad("reproject", f"must be true or false, got {self.reproject!r}")
+        if self.mode == "gd" and not self.reproject:
+            bad("reproject", "gd mode retracts after every step (normalized descent), so it must be true")
+        integer("steps", 0)
+        integer("seed", 0)
+        if self.quad_nodes is not None:
+            integer("quad_nodes", 2)
+        if self.smoothing_r is not None and not (_number(self.smoothing_r) and self.smoothing_r >= 1):
+            bad("smoothing_r", f"must be a number >= 1, got {self.smoothing_r!r}")
+        if not _number(self.t3_scale):
+            bad("t3_scale", f"must be a number, got {self.t3_scale!r}")
+        if self.theta0 is not None:
+            if not (isinstance(self.theta0, (list, tuple)) and all(_number(v) for v in self.theta0)):
+                bad("theta0", "must be a list of numbers")
+            want = 3 if one_neuron_mode else Architecture(self.architecture).param_count
+            if len(self.theta0) != want:
+                bad("theta0", f"must have length {want}")
+
+    @property
+    def schedule(self) -> FlowConfig:
+        """The run's fixed-step schedule, with the retraction set by `reproject`."""
+        return FlowConfig(t_end=self.t_end, step=self.step, integrator=self.integrator,
+                          renormalize=self.reproject, gamma=self.gamma, record_every=self.record_every)
+
 
 _FIELDS = tuple(f.name for f in fields(ExperimentConfig))
 
@@ -59,54 +114,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     unknown = set(raw.keys()) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"unknown config field(s): {sorted(unknown)}")
-    cfg = ExperimentConfig(**raw)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: ExperimentConfig) -> None:
-    def bad(name, why):
-        raise ConfigError(f"config field '{name}': {why}")
-
-    def integer(name, low):
-        value = getattr(cfg, name)
-        if not (_number(value, numbers.Integral) and value >= low):
-            bad(name, f"must be an integer >= {low}, got {value!r}")
-
-    if cfg.mode not in ("flow", "gd", "one-neuron"):
-        bad("mode", f"must be flow|gd|one-neuron, got {cfg.mode!r}")
-    for name in ("measure", "target"):
-        if not isinstance(getattr(cfg, name), dict):
-            bad(name, f"must be an object, got {getattr(cfg, name)!r}")
-    try:
-        cfg.architecture = Architecture(cfg.architecture).layer_dims
-    except (TypeError, ValueError) as e:
-        bad("architecture", str(e))
-    if cfg.mode == "one-neuron":
-        if cfg.architecture != (1, 1, 1):
-            bad("architecture", "one-neuron mode requires (1, 1, 1)")
-        m = cfg.measure
-        if m.get("kind", "uniform") != "uniform" or (m.get("a", 0.0), m.get("b", 1.0)) != (0.0, 1.0):
-            bad("measure", "one-neuron mode requires the uniform measure on [0, 1]")
-    check_schedule(cfg.t_end, cfg.step, cfg.integrator, cfg.gamma, cfg.record_every)
-    if not isinstance(cfg.reproject, bool):
-        bad("reproject", f"must be true or false, got {cfg.reproject!r}")
-    if cfg.mode == "gd" and not cfg.reproject:
-        bad("reproject", "gd mode retracts after every step (normalized descent), so it must be true")
-    integer("steps", 0)
-    integer("seed", 0)
-    if cfg.quad_nodes is not None:
-        integer("quad_nodes", 2)
-    if cfg.smoothing_r is not None and not (_number(cfg.smoothing_r) and cfg.smoothing_r >= 1):
-        bad("smoothing_r", f"must be a number >= 1, got {cfg.smoothing_r!r}")
-    if not _number(cfg.t3_scale):
-        bad("t3_scale", f"must be a number, got {cfg.t3_scale!r}")
-    if cfg.theta0 is not None:
-        if not (isinstance(cfg.theta0, (list, tuple)) and all(_number(v) for v in cfg.theta0)):
-            bad("theta0", "must be a list of numbers")
-        want = 3 if cfg.mode == "one-neuron" else Architecture(cfg.architecture).param_count
-        if len(cfg.theta0) != want:
-            bad("theta0", f"must have length {want}")
+    return ExperimentConfig(**raw)
 
 
 def _finite(value) -> np.ndarray:
@@ -238,6 +246,7 @@ def _write_csv(path: Path, record: TrajectoryRecord, mode: str):
     _write_new(path, ",".join(cols) + "\n" + table % tuple(itertools.chain.from_iterable(rows)))
 
 
+@quiet
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute one flow / gd / one-neuron run; returns the summary dict.
 
@@ -246,8 +255,9 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     written through.  summary["config"] echoes cfg's fields without copying
     them, so its lists and dicts are cfg's own.  An integrator abort (an RK4
     stage too) is an observed outcome recorded in the summary, not a failure.
+    cfg checked its fields when it was built, and the run has the package's
+    one error state, `quadrature.quiet`.
     """
-    validate_config(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     theta0 = None if cfg.theta0 is None else np.asarray(cfg.theta0, dtype=float)
     if cfg.mode == "one-neuron":
@@ -255,8 +265,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         if theta0 is None:
             theta0 = on.random_circle_states(rng, 1, t3_scale=cfg.t3_scale)[0]
         elif rho := np.hypot(theta0[0], theta0[1]):  # (t1, t2) onto the circle, the same realization
-            with np.errstate(over="ignore", invalid="ignore"):  # an inf or an overflow is refused below
-                theta0 = np.r_[theta0[:2] / rho, rho * theta0[2]]
+            theta0 = np.r_[theta0[:2] / rho, rho * theta0[2]]  # an inf or an overflow is refused below
         if not np.isfinite(theta0).all():  # as `dynamics._network_run` refuses one
             raise QuadratureError("rescaled start has non-finite components")
     else:
@@ -266,17 +275,15 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         except (ValueError, MemoryError) as e:
             raise ConfigError(f"config field 'architecture': {e}")
     r = INF if cfg.smoothing_r is None else float(cfg.smoothing_r)
-    schedule = FlowConfig(t_end=cfg.t_end, step=cfg.step, integrator=cfg.integrator,
-                          renormalize=cfg.reproject, gamma=cfg.gamma, record_every=cfg.record_every)
 
     summary = {"config": {name: getattr(cfg, name) for name in _FIELDS}, "seed": cfg.seed}
     if cfg.mode == "one-neuron":
-        batch = on.flow_batch(theta0, problem, schedule)
+        batch = on.flow_batch(theta0, problem, cfg.schedule)
         rec = batch.row(0)
         monitors = on.monitor_report(batch, problem, slack=1e-6, conservation_rate=1e-6)
         summary["monitor_violations"] = {k: v["violations"] for k, v in monitors.items()}
     elif cfg.mode == "flow":
-        rec = integrate_flow(xi, measure, f, schedule, r=r, resolution=cfg.quad_nodes)
+        rec = integrate_flow(xi, measure, f, cfg.schedule, r=r, resolution=cfg.quad_nodes)
     else:
         rec = gd_run(
             xi, measure, f, cfg.steps, cfg.gamma, r=r,

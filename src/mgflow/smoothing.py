@@ -50,12 +50,12 @@ def _evaluate(r, x, out, exact, cubic):
 
 def smoothed_act(r, x, out=None):
     """Activation value (see `_evaluate`)."""
-    return _evaluate(r, x, out, np.maximum, lambda r, xb: 2.0 * r * xb**2 - r**2 * xb**3)
+    return _evaluate(r, x, out, np.maximum, lambda r, xb: 2.0 * r * xb**2 - (r * r) * xb**3)
 
 
 def smoothed_act_deriv(r, x, out=None):
     """Activation derivative (see `_evaluate`)."""
-    return _evaluate(r, x, out, np.greater, lambda r, xb: 4.0 * r * xb - 3.0 * r**2 * xb**2)
+    return _evaluate(r, x, out, np.greater, lambda r, xb: 4.0 * r * xb - 3.0 * (r * r) * xb**2)
 
 
 def activation(r):

@@ -242,33 +242,21 @@ def check_conservation(seed) -> CheckResult:
 
 
 def _window_inits(problem, rng):
-    """12 random circle states plus deliberate states inside each monitor window."""
+    """12 random circle states plus deliberate states inside each monitor
+    window: per kind of window and side (t1 > 0 right, t1 < 0 left), two
+    states at q = -t2 / t1 a fraction of the window's width in from the side's
+    end, with the two t3 magnitudes of the kind.  t3 has the sign opposite to
+    the side's, times the sign of t1 in a band."""
     w = problem.windows
-    blocks = [on.random_circle_states(rng, 12, t3_scale=1.0)]
-
-    def at_q(q, sign_t1, t3):
-        t1 = sign_t1 / np.sqrt(1.0 + q * q)
-        return [t1, -q * t1, t3]
-
     extra = []
-    if w.right.band > 0:
-        q = 1.0 - 0.3 * w.right.band
-        s = -1.0 if w.right.sign > 0 else 1.0
-        extra += [at_q(q, 1.0, s * 0.8), at_q(q, 1.0, s * 0.2)]
-    if w.left.band > 0:
-        q = 0.3 * w.left.band
-        s = 1.0 if w.left.sign > 0 else -1.0
-        extra += [at_q(q, -1.0, s * 0.8), at_q(q, -1.0, s * 0.2)]
-    if w.right.plain > 0:
-        q = 1.0 - 0.5 * w.right.plain
-        s = -0.5 if w.right.sign > 0 else 0.5
-        extra += [at_q(q, 1.0, s), at_q(q, 1.0, 2.0 * s)]
-    if w.left.plain > 0:
-        q = 0.5 * w.left.plain
-        s = -0.5 if w.left.sign > 0 else 0.5
-        extra += [at_q(q, -1.0, s), at_q(q, -1.0, 2.0 * s)]
-    blocks.append(np.asarray(extra))
-    return np.concatenate(blocks, axis=0)
+    for kind, frac, magnitudes in (("band", 0.3, (0.8, 0.2)), ("plain", 0.5, (0.5, 1.0))):
+        for side, sign_t1 in ((w.right, 1.0), (w.left, -1.0)):
+            if (width := getattr(side, kind)) > 0:
+                q = 1.0 - frac * width if sign_t1 > 0 else frac * width
+                s = (-1.0 if side.sign > 0 else 1.0) * (sign_t1 if kind == "band" else 1.0)
+                t1 = sign_t1 / np.sqrt(1.0 + q * q)
+                extra += [[t1, -q * t1, s * m] for m in magnitudes]
+    return np.concatenate([on.random_circle_states(rng, 12, t3_scale=1.0), np.asarray(extra)], axis=0)
 
 
 def check_lyapunov_monotonicity(seed) -> CheckResult:

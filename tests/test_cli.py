@@ -31,6 +31,8 @@ class TestConfigValidation:
     def test_one_neuron_architecture_forced(self):
         with pytest.raises(ConfigError, match="'architecture'"):
             config_from_dict({"mode": "one-neuron", "architecture": [1, 2, 1]})
+        assert ExperimentConfig(mode="one-neuron").architecture == (1, 1, 1)
+        assert ExperimentConfig(mode="gd").architecture == (1, 8, 1)
 
     def test_one_neuron_measure_forced(self):
         with pytest.raises(ConfigError, match="'measure'"):
@@ -99,9 +101,13 @@ class TestConfigValidation:
         # each of these ended in a traceback, or ran silently: reproject with
         # the retraction on (descent always retracts), a JSON boolean as the
         # number 0 or 1; the config names the field and writes nothing
-        with pytest.raises(ConfigError, match=f"'{name}'"):
+        with pytest.raises(ConfigError, match=f"'{name}'") as refused:
             run_experiment(config_from_dict({"mode": mode, **raw, "out": str(tmp_path / "out")}))
         assert not list(tmp_path.iterdir())
+        if not isinstance(raw[name], dict):  # a spec object is checked when the run builds it
+            with pytest.raises(ConfigError) as built:
+                ExperimentConfig(mode=mode, **raw)
+            assert str(built.value) == str(refused.value)
 
     @pytest.mark.parametrize("name, raw", [
         ("architecture", {"architecture": [1, 8.7, 1]}),
@@ -133,9 +139,13 @@ class TestConfigValidation:
         # integral floats and booleans were truncated into layer widths; null
         # entries ended in a TypeError traceback or turned into nan; boolean
         # scalars built as 0 and 1
-        with pytest.raises(ConfigError, match=f"config field '{name}'"):
+        with pytest.raises(ConfigError, match=f"config field '{name}'") as refused:
             run_experiment(config_from_dict({"mode": "flow", "t_end": 0.002, **raw, "out": str(tmp_path)}))
         assert not list(tmp_path.iterdir())
+        if not isinstance(raw[name], dict):  # a spec object is checked when the run builds it
+            with pytest.raises(ConfigError) as built:
+                ExperimentConfig(mode="flow", **{"t_end": 0.002, **raw})
+            assert str(built.value) == str(refused.value)
 
     @pytest.mark.parametrize("name, raw, key", [
         ("target", {"target": {"name": "constant"}}, "value"),
