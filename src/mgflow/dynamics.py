@@ -25,7 +25,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .gradients import generalized_gradient  # noqa: F401  (bench/tracing.py wraps dynamics.generalized_gradient)
-from .manifold import _max_deviation, _project_rows, _retract, _unit_rows, rescale_full, zero_rows
+from .manifold import _max_deviation, _retract, _unit_rows, rescale_full, zero_rows
 from .manifold import (  # noqa: F401  (bench/tracing.py wraps these dynamics.* names)
     max_constraint_deviation,
     min_subvector_norm,
@@ -81,6 +81,11 @@ class FlowConfig:
             bad("gamma", f"must be a nonnegative number or 'rescaled', got {gamma!r}")
         if not (_number(self.record_every, numbers.Integral) and self.record_every >= 1):
             bad("record_every", f"must be an integer >= 1, got {self.record_every!r}")
+
+    @classmethod
+    def descent(cls, steps: int, gamma, record_every: int = 1) -> "FlowConfig":
+        """Normalized descent's schedule: `steps` Euler steps of h = 1 (t_end = max(steps, 1) > 0)."""
+        return cls(t_end=max(steps, 1), step=1.0, integrator="euler", gamma=gamma, record_every=record_every)
 
 
 _COLUMNS = ("times", "states", "risk", "psi_max_dev", "grad_norm")  # one entry per recorded row
@@ -221,19 +226,17 @@ def _network_field(arch, measure, f, r, resolution):
     psi): raw is `risk_and_gradient(theta, ...)[1]` and G
     `project_gradient(theta, raw)`, bit for bit.
 
-    One node plan (`network._NodePlan`) serves the run.  G starts as a copy
-    of the pass's flat gradient, which `manifold._project_rows` projects; the
-    risk comes from the same pass, and max |psi - 1| from the squared row
-    norms the projection took."""
+    One node plan (`network._NodePlan`) serves the run, and one call of its
+    `gradient` gives the whole stage: raw, G projected inside the pass, and,
+    at a recorded stage alone, the risk and the squared row norms that give
+    max |psi - 1|.  At an unrecorded stage risk and psi are None, as in the
+    circle field, and only raw is checked finite."""
     plan = _NodePlan(arch, measure, f, r, resolution)
 
     def field(Y, record):
-        value, raw = plan.gradient(Y[0])
-        G = raw.copy()
-        squares = _project_rows(arch, Y[0], G)
-        if not record:
-            return G[None, :], raw[None, :], None, None
-        return G[None, :], raw[None, :], np.array([value]), np.array([_max_deviation(squares)])
+        value, raw, G, squares = plan.gradient(Y[0], record)
+        recorded = (np.array([value]), np.array([_max_deviation(squares)])) if record else (None, None)
+        return G[None, :], raw[None, :], *recorded
 
     return field
 
@@ -303,5 +306,4 @@ def gd_run(
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    cfg = FlowConfig(t_end=max(steps, 1), step=1.0, integrator="euler", gamma=gamma, record_every=record_every)
-    return _network_run(xi, measure, f, cfg, steps, r, resolution)
+    return _network_run(xi, measure, f, FlowConfig.descent(steps, gamma, record_every), steps, r, resolution)

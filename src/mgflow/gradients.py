@@ -44,7 +44,7 @@ def risk_and_gradient(
     the exact-ReLU generalized gradient (indicator convention at kinks); with
     finite r it is the gradient of the smoothed risk on the same nodes.
     """
-    return _NodePlan(theta.arch, measure, f, r, resolution).gradient(theta.values)
+    return _NodePlan(theta.arch, measure, f, r, resolution).gradient(theta.values)[:2]
 
 
 def generalized_gradient(theta: ParamVector, measure: InputMeasure, f: TargetFunction,

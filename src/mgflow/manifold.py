@@ -59,17 +59,12 @@ def max_constraint_deviation(theta: ParamVector) -> float:
     return _max_deviation([np.vecdot(V, V) for V in hidden])
 
 
-def _project_rows(arch, values: np.ndarray, G: np.ndarray) -> list:
-    """Project the flat gradient G in place, as `project_gradient` does, against
-    the hidden rows of `values`; returns the rows' squared norms psi, one array
-    per hidden layer.  The caller sets the error state."""
-    squares = []
-    for idx in arch.subvector_rows[:-1]:
-        U, _, sq = _unit_rows(values[idx])
-        g = G[idx]
-        G[idx] = g - np.vecdot(U, g)[:, None] * U
-        squares.append(sq)
-    return squares
+def _project_rows(V: np.ndarray, g: np.ndarray):
+    """(gradient rows g less their components along the unit rows of V, the
+    squares vecdot(V, V)) for one hidden layer's rows V: the projection of
+    `project_gradient` and `network._NodePlan.gradient`.  The caller sets the error state."""
+    U, _, sq = _unit_rows(V)
+    return g - np.vecdot(U, g)[:, None] * U, sq
 
 
 @quiet
@@ -84,7 +79,8 @@ def project_gradient(theta: ParamVector, raw_grad: np.ndarray) -> np.ndarray:
     out = np.array(raw_grad, dtype=float)
     if out.shape != (theta.arch.param_count,):
         raise ValueError("raw gradient length must match the parameter count")
-    _project_rows(theta.arch, theta.values, out)
+    for idx in theta.arch.subvector_rows[:-1]:
+        out[idx] = _project_rows(theta.values[idx], out[idx])[0]
     return out
 
 

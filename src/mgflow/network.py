@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .manifold import _project_rows
 from .params import ParamVector
 from . import quadrature
 from .quadrature import TWO, ZERO, InputMeasure, QuadratureError, _segment_edges, constant, quadrature_nodes, quiet
@@ -149,9 +150,9 @@ class _NodePlan:
     and the run's fixed choices, bound once: the activation, its derivative
     and knots for r, and per layer k whether W_k^T @ dz is a broadcast
     multiply (l_k = 1: a rank-one product, which BLAS computes several times
-    slower) or a matrix product.  Every pass takes its workspace from the
-    cache that all runs share.  It raises ValueError unless the measure's
-    dim is the input width and the target's outputs the output width.
+    slower) or a matrix product.  A pass takes its workspace from the cache all
+    runs share, through the plan's dict by node count.  It raises ValueError
+    unless the measure's dim is the input width and the target's outputs the output width.
     A discrete measure's points and the composite grid (input dim > 1 or
     depth > 2) do not depend on the state: X is read-only, so the workspace
     loads it once, and fX is evaluated here once, before any pass runs, so a
@@ -166,7 +167,7 @@ class _NodePlan:
         dims = arch.layer_dims
         if measure.dim != dims[0] or f is not None and f.out_dim != dims[-1]:
             raise ValueError(f"a {dims} network needs a {dims[0]}-d measure and a {dims[-1]}-output target")
-        self.arch, self._fixed = arch, None
+        self.arch, self._fixed, self._spaces = arch, None, {}
         self.act, self.deriv = activation(r)
         self._knots = activation_knots(r)
         self.products = tuple(np.multiply if l == 1 else np.matmul for l in dims)
@@ -188,7 +189,7 @@ class _NodePlan:
         else:
             X, w = quadrature.segment_rule(_segment_edges(_breakpoints(rows[0], self._knots), *self._edges))
             fX = None if self._target is None else self._target(X)
-        ws = _workspace(self.arch.layer_dims, w.size)
+        ws = self._spaces.get(w.size) or self._spaces.setdefault(w.size, _workspace(self.arch.layer_dims, w.size))
         ws.load(X)
         return ws, w, fX
 
@@ -201,38 +202,42 @@ class _NodePlan:
         _forward_into(rows, ws, self.act)
         return ws.heads[-1] @ w, rows, ws, w, fX
 
-    def risk(self, values: np.ndarray):
-        """(risk, rows, ws, w) of the pass over `values`.  The workspace is
-        left holding what `gradient` reads: the hidden pre-activations in
-        `pres`, the centered last hidden activations h - int h dmu in
-        `acts[-1]` (above its row of ones) and the output residual in `resid`."""
+    def risk(self, values: np.ndarray, record: bool = True):
+        """(risk or, unless `record`, None, rows, ws, w) of the pass over
+        `values`, with ws left holding what `gradient` reads: the hidden
+        pre-activations in `pres`, the centered last hidden activations
+        h - int h dmu in `acts[-1]` (above its row of ones) and the residual in `resid`."""
         m, rows, ws, w, fX = self.hidden_mean(values)
         ws.heads[-1] -= m[:, None]
         R = np.matmul(rows[-1], ws.acts[-1], out=ws.resid)
         R -= fX
-        sq = np.multiply(R, R, out=ws.scratch)
-        return float(sum(np.vecdot(sq, w))), rows, ws, w  # vecdot: the kernel of row @ w, per row
+        value = float(sum(np.vecdot(np.multiply(R, R, out=ws.scratch), w))) if record else None  # row @ w per row
+        return value, rows, ws, w
 
-    def gradient(self, values: np.ndarray):
-        """(risk, raw) from one node set, one forward pass and the target
-        values the plan gives (`risk`): raw is the risk gradient in the flat
-        layout, checked finite (with the risk) once.
+    def gradient(self, values: np.ndarray, record: bool = True):
+        """(risk, raw, G, squares) from one node set, one forward pass and
+        the target values the plan gives (`risk`; None unless `record`): raw
+        is the flat risk gradient, G `manifold.project_gradient(theta, raw)`
+        bit for bit, squares the hidden rows' squared norms per layer; raw and
+        a risk are checked finite once.
 
         The backprop runs feature-major in the forward pass's workspace:
         deltas are (l_k, n), and a layer's gradient is the single product
-        dz @ [a_{k-1}; 1].T with the activations the forward pass kept.  The
-        mean correction is applied once, on the residual row, which then also
-        takes the node weights: every hidden delta carries them.
+        dz @ [a_{k-1}; 1].T with the activations the forward pass kept; a
+        hidden layer's is projected as it is taken (`manifold._project_rows`).
+        The mean correction is applied once, on the residual row, which then
+        also takes the node weights: every hidden delta carries them.
         """
         arch, L = self.arch, self.arch.depth
-        value, rows, ws, w = self.risk(values)
+        value, rows, ws, w = self.risk(values, record)
         H, R = ws.acts[-1], ws.resid  # [centered last hidden activations; 1], residual
 
-        raw, idx = np.empty(arch.param_count), arch.subvector_rows  # the flat layout of each layer's rows
+        idx = arch.subvector_rows  # the flat layout of each layer's rows
+        raw, G, squares = np.empty(arch.param_count), np.empty(arch.param_count), [None] * (L - 1)
         wr = np.multiply(R, w, out=ws.scratch)
         g = wr @ H.T
         g *= TWO
-        raw[idx[-1]] = g
+        raw[idx[-1]] = G[idx[-1]] = g
 
         # The signal routed through the subtracted mean is the same for every
         # node, so it leaves on the residual row: W^T R - (W^T Rbar) 1^T equals
@@ -246,13 +251,14 @@ class _NodePlan:
             dz = self.deriv(ws.pres[k - 1], ws.pres[k - 1])
             dz *= delta
             prev = ws.acts[k - 2] if k > 1 else ws.nodes
-            raw[idx[k - 1]] = dz @ prev.T
+            raw[idx[k - 1]] = g = dz @ prev.T
+            G[idx[k - 1]], squares[k - 1] = _project_rows(rows[k - 1], g)
             if k > 1:  # layer k - 1's activations are read for the last time
                 delta = self.products[k](rows[k - 1][:, :-1].T, dz, out=ws.heads[k - 2])
 
-        if not (math.isfinite(value) and np.isfinite(raw).all()):
+        if not (np.isfinite(raw).all() and (value is None or math.isfinite(value))):
             raise QuadratureError("risk or gradient has non-finite components")
-        return value, raw
+        return value, raw, G, squares
 
 
 @quiet

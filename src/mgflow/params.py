@@ -22,6 +22,18 @@ def _number(x, kind=numbers.Real) -> bool:
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
+@functools.lru_cache(maxsize=8)  # one table per distinct layer_dims: Architecture hashes by its widths
+def _row_table(arch: "Architecture") -> tuple[np.ndarray, ...]:
+    """Per layer k = 1..L, the 0-based flat positions of [W_k | b_k]: row
+    i - 1 holds neuron (k, i)'s incoming weights, then its bias (read-only)."""
+    rows = []
+    for w, shape, b in arch.layer_table:
+        idx = np.column_stack((np.arange(w.start, w.stop).reshape(shape), np.arange(b.start, b.stop)))
+        idx.flags.writeable = False
+        rows.append(idx)
+    return tuple(rows)
+
+
 @dataclass(frozen=True)
 class Architecture:
     """Layer widths (l_0, ..., l_L) of a network with L affine maps, L >= 2."""
@@ -54,17 +66,7 @@ class Architecture:
             raise ValueError(f"layer index {k} out of range 1..{self.depth}")
         return self.layer_table[k - 1]
 
-    @functools.cached_property
-    def subvector_rows(self) -> tuple[np.ndarray, ...]:
-        """Per layer k = 1..L, the 0-based flat positions of [W_k | b_k]: row
-        i - 1 holds neuron (k, i)'s incoming weights, then its bias (read-only)."""
-        rows = []
-        for w, shape, b in self.layer_table:
-            idx = np.column_stack((np.arange(w.start, w.stop).reshape(shape),
-                                   np.arange(b.start, b.stop)))
-            idx.flags.writeable = False
-            rows.append(idx)
-        return tuple(rows)
+    subvector_rows = functools.cached_property(_row_table)
 
     def neuron_indices(self, k: int, i: int) -> np.ndarray:
         """A copy of `subvector_rows[k - 1][i - 1]`, with k and i range-checked."""

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -80,12 +81,12 @@ class ExperimentConfig:
             m = self.measure
             if m.get("kind", "uniform") != "uniform" or (m.get("a", 0.0), m.get("b", 1.0)) != (0.0, 1.0):
                 bad("measure", "one-neuron mode requires the uniform measure on [0, 1]")
-        self.schedule  # refuses a bad t_end, step, integrator, gamma or record_every
+        integer("steps", 0)
+        self.schedule  # refuses a bad t_end, step, integrator, gamma or record_every that the run reads
         if not isinstance(self.reproject, bool):
             bad("reproject", f"must be true or false, got {self.reproject!r}")
         if self.mode == "gd" and not self.reproject:
             bad("reproject", "gd mode retracts after every step (normalized descent), so it must be true")
-        integer("steps", 0)
         integer("seed", 0)
         if self.quad_nodes is not None:
             integer("quad_nodes", 2)
@@ -102,7 +103,10 @@ class ExperimentConfig:
 
     @property
     def schedule(self) -> FlowConfig:
-        """The run's fixed-step schedule, with the retraction set by `reproject`."""
+        """The run's fixed-step schedule, with the retraction set by `reproject`;
+        gd mode's (`FlowConfig.descent`) reads no t_end, step or integrator."""
+        if self.mode == "gd":
+            return FlowConfig.descent(self.steps, self.gamma, self.record_every)
         return FlowConfig(t_end=self.t_end, step=self.step, integrator=self.integrator,
                           renormalize=self.reproject, gamma=self.gamma, record_every=self.record_every)
 
@@ -218,12 +222,19 @@ def _write_new(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _strict(obj):
+    """obj with every non-finite float, at any depth, as None (and tuples as lists)."""
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: Path, obj, sort_keys: bool = True) -> None:
     """Write obj (string keys only) with `_write_new` as strict JSON, indented
-    by one space: a non-finite float, at any depth, is written as null.  A
-    finite float reads back as the same float, so it keeps its text."""
-    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
-    _write_new(path, json.dumps(strict, sort_keys=sort_keys, indent=1, allow_nan=False) + "\n")
+    by one space: a non-finite float, at any depth, is written as null."""
+    _write_new(path, json.dumps(_strict(obj), sort_keys=sort_keys, indent=1, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, record: TrajectoryRecord, mode: str):
@@ -258,12 +269,11 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg checked its fields when it was built, and the run has the package's
     one error state, `quadrature.quiet`.
     """
-    rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     theta0 = None if cfg.theta0 is None else np.asarray(cfg.theta0, dtype=float)
     if cfg.mode == "one-neuron":
         problem = on.as_problem(build_scalar_target(cfg.target))
         if theta0 is None:
-            theta0 = on.random_circle_states(rng, 1, t3_scale=cfg.t3_scale)[0]
+            theta0 = on.random_circle_states(np.random.default_rng(cfg.seed), 1, t3_scale=cfg.t3_scale)[0]
         elif rho := np.hypot(theta0[0], theta0[1]):  # (t1, t2) onto the circle, the same realization
             theta0 = np.r_[theta0[:2] / rho, rho * theta0[2]]  # an inf or an overflow is refused below
         if not np.isfinite(theta0).all():  # as `dynamics._network_run` refuses one
@@ -271,7 +281,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     else:
         measure, f, arch = build_measure(cfg), build_target(cfg), Architecture(cfg.architecture)
         try:  # a width numpy cannot allocate fails here
-            xi = random_params(arch, rng) if theta0 is None else ParamVector(arch, theta0)
+            xi = random_params(arch, np.random.default_rng(cfg.seed)) if theta0 is None else ParamVector(arch, theta0)
         except (ValueError, MemoryError) as e:
             raise ConfigError(f"config field 'architecture': {e}")
     r = INF if cfg.smoothing_r is None else float(cfg.smoothing_r)

@@ -86,3 +86,15 @@ def test_only_the_stepper_applies_the_gamma_rule():
     named |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
     assert not named & {"step_factor", "GAMMA_CAP"}
     assert "gamma" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_one_owner_projects_the_hidden_rows():
+    # `manifold._project_rows` holds the row projection; `project_gradient` and
+    # the network pass (`_NodePlan.gradient`) call it, and nothing else does
+    callers = set()
+    for path in sorted(Path(mgflow.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and _named(node.func) == "_project_rows":
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("manifold.py", "project_gradient"), ("network.py", "_NodePlan")}

@@ -287,6 +287,22 @@ class TestCliExitCodes:
         assert len(err) == 1 and err[0].startswith(f"error: config field '{name}': ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, echo", [
+        (["--step", "2"], {"t_end": 1.0, "step": 2.0, "integrator": "rk4"}),
+        (["--integrator", "rk4", "--t-end", "0.5", "--step", "0.5"], {"t_end": 0.5, "step": 0.5, "integrator": "rk4"}),
+    ], ids=["step_2", "rk4_half_steps"])
+    def test_gd_neither_reads_nor_checks_the_flow_schedule(self, flags, echo, tmp_path, capsys):
+        # gd runs Euler steps of h = 1: t_end, step and integrator are only
+        # echoed in summary.json, and the trajectory is the one without them
+        argv = ["gd", "--architecture", "1,4,1", "--steps", "2"]
+        assert main([*argv, *flags, "--out", str(tmp_path / "given")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+        assert capsys.readouterr().err == ""
+        assert ((tmp_path / "given" / "trajectory.csv").read_bytes()
+                == (tmp_path / "plain" / "trajectory.csv").read_bytes())
+        config = strict_json(tmp_path / "given" / "summary.json")["config"]
+        assert {name: config[name] for name in echo} == echo
+
     @pytest.mark.parametrize("mode", ["flow", "gd"])
     def test_unaddressable_width_exits_2_before_writing(self, mode, tmp_path, capsys):
         # 10**30 hidden neurons: no numpy array can hold the parameters, so
@@ -472,6 +488,29 @@ class TestCsvFormatting:
         header, *body = text.split("\n")
         assert header.startswith("t,theta_1,") and body == lines + [""]
         assert header.endswith(",grad_norm,regime,E_full,V_right,V_left" if one_neuron_mode else ",grad_norm")
+
+
+class TestJsonWriter:
+    @staticmethod
+    def round_trip_writer(path, obj, sort_keys=True):
+        """The strict writer as it was: dump, read back with NaN and Infinity
+        as null, dump again."""
+        strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+        path.write_text(json.dumps(strict, sort_keys=sort_keys, indent=1, allow_nan=False) + "\n")
+
+    @pytest.mark.parametrize("sort_keys", [True, False])
+    def test_one_walk_writes_the_round_trip_bytes(self, sort_keys, tmp_path):
+        from mgflow.runner import _write_json
+
+        obj = {
+            "z": [np.nan, -np.inf, {"inf": np.inf, "neg_zero": -0.0, "f64": np.float64(0.1)}],
+            "a": (1, 2.5, (np.float64(np.nan), -0.0, [np.float64(-np.inf), 1e-310])),
+            "m": {"nested": {"t": (True, None, "text"), "big": 1.7976931348623157e308, "n": 3}},
+            "f": np.float64(1 / 3),
+        }
+        _write_json(tmp_path / "new.json", obj, sort_keys=sort_keys)
+        self.round_trip_writer(tmp_path / "old.json", obj, sort_keys=sort_keys)
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
 
 
 class TestVerifyCommand:

@@ -246,6 +246,15 @@ class TestIntegrateFlow:
                     assert abs(G[idx] @ (2.0 * theta.values[idx])) <= 1e-12
 
 
+    def test_a_stage_whose_risk_alone_overflows_freezes_under_the_guard(self):
+        # an output bias of 1e150 (risk 1e300): RK4's stage states push the risk
+        # past overflow while their raw gradients stay finite, and an unrecorded
+        # stage computes no risk, so the step completes, over the guard
+        xi = random_params(Architecture((1, 8, 1)), np.random.default_rng(0))
+        xi.values[-1] = 1e150
+        rec = integrate_flow(xi, MU, F, FlowConfig(t_end=0.01, step=0.01, gamma=1e7))
+        assert rec.termination == "divergence_guard" and rec.stopped == 1
+
     def test_one_node_set_per_rhs_evaluation(self, monkeypatch):
         # RK4 evaluates the field 4 times per step plus once at the last state;
         # the recorded risk comes from the first of them, without a node set of
@@ -449,6 +458,48 @@ class TestRescaledGamma:
         np.testing.assert_array_equal(factor, [[GAMMA_CAP], [4.0], [0.0]])
 
 
+class TestRecordedRowsAreASubsample:
+    """A record with record_every = 3 holds the rows of the record_every = 1
+    record at the same steps, bit for bit in every column: a field stage that
+    is not recorded (and computes no risk) moves the state exactly as a
+    recorded one does."""
+
+    N_STEPS = 20  # not a multiple of 3: the last step is recorded on its own
+
+    def assert_subsample(self, run):
+        every3, every1 = run(3), run(1)
+        steps = [n for n in range(self.N_STEPS + 1) if n % 3 == 0 or n == self.N_STEPS]
+        assert len(every1.times) == self.N_STEPS + 1
+        for name in ("times", "states", "risk", "psi_max_dev", "grad_norm"):
+            got, want = getattr(every3, name), getattr(every1, name)[steps]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert np.array_equal(every3.stopped, every1.stopped)
+        assert np.array_equal(every3.termination, every1.termination)
+        assert every3.degenerate_events == every1.degenerate_events
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("gamma", [1.0, "rescaled"])
+    @pytest.mark.parametrize("integrator", ["rk4", "euler"])
+    def test_flow(self, integrator, gamma, renormalize):
+        xi = random_params(Architecture((1, 4, 1)), np.random.default_rng(41))
+        self.assert_subsample(lambda k: integrate_flow(xi, MU, F, FlowConfig(
+            t_end=self.N_STEPS * 1e-3, step=1e-3, integrator=integrator, renormalize=renormalize,
+            gamma=gamma, record_every=k)))
+
+    @pytest.mark.parametrize("gamma", [0.05, "rescaled"])
+    @pytest.mark.parametrize("dims, resolution", [((1, 4, 1), None), ((1, 3, 3, 1), 32)])
+    def test_descent(self, dims, resolution, gamma):
+        xi = random_params(Architecture(dims), np.random.default_rng(42))
+        self.assert_subsample(lambda k: gd_run(xi, MU, F, steps=self.N_STEPS, gamma=gamma,
+                                               resolution=resolution, record_every=k))
+
+    @pytest.mark.parametrize("gamma", [1.0, "rescaled"])
+    def test_circle_flow(self, gamma):
+        inits = on.random_circle_states(np.random.default_rng(43), 4, t3_scale=1.0)
+        self.assert_subsample(lambda k: on.flow_batch(inits, abs_offset_target(0.3), on.OneNeuronConfig(
+            t_end=self.N_STEPS * 1e-2, step=1e-2, gamma=gamma, record_every=k)))
+
+
 class TestNetworkField:
     """The network field projects the per-layer gradients against the rows
     its pass gathered; it must give what the flat functions give."""
@@ -485,6 +536,36 @@ class TestNetworkField:
         # the field's rows give a (1, 1) factor where the flat call gives (1,)
         assert np.array_equal(step_factor(field_raw, G)[0], step_factor(raw, proj))
         assert value == expected_value and deviation == max_constraint_deviation(theta)
+        # an unrecorded stage gives the same gradients and no risk or psi
+        G, field_raw, value, deviation = field(theta.values[None, :], False)
+        assert np.array_equal(G[0], proj) and np.array_equal(field_raw[0], raw)
+        assert value is None and deviation is None
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("setup", ["1,8,1 exact ReLU", "2,4,4,1 grid 16"])
+    def test_field_refuses_a_nonfinite_raw_gradient(self, setup, record):
+        # output weights of 1e300: the hidden deltas overflow, and so does the risk
+        dims, measure, resolution, r = self.SETUPS[setup]
+        arch = Architecture(dims)
+        theta = random_on_manifold(arch, np.random.default_rng(5))
+        theta.weights(arch.depth)[:] = 1e300
+        field = quiet(_network_field(arch, measure, self.targets(dims)[0], r, resolution))
+        with pytest.raises(QuadratureError):
+            field(theta.values[None, :], record)
+
+    @pytest.mark.parametrize("setup", ["1,8,1 exact ReLU", "2,4,4,1 grid 16"])
+    def test_only_a_recorded_stage_refuses_an_overflowing_risk(self, setup):
+        # an output bias of 1e160: the risk overflows, while the centered
+        # residual keeps the gradient finite; an unrecorded stage computes no risk
+        dims, measure, resolution, r = self.SETUPS[setup]
+        arch = Architecture(dims)
+        theta = random_on_manifold(arch, np.random.default_rng(6))
+        theta.biases(arch.depth)[:] = 1e160
+        field = quiet(_network_field(arch, measure, self.targets(dims)[0], r, resolution))
+        G, raw, value, deviation = field(theta.values[None, :], False)
+        assert np.isfinite(raw).all() and np.isfinite(G).all() and value is None
+        with pytest.raises(QuadratureError):
+            field(theta.values[None, :], True)
 
     @staticmethod
     def targets(dims):

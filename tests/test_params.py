@@ -70,6 +70,11 @@ class TestIndexMaps:
         seen = np.concatenate([rows.ravel() for rows in arch.subvector_rows])
         np.testing.assert_array_equal(np.sort(seen), np.arange(arch.param_count))
 
+    def test_equal_architectures_share_one_row_table(self):
+        assert Architecture((2, 3, 1)).subvector_rows is Architecture([2, 3, 1]).subvector_rows
+        assert Architecture((2, 3, 1)).subvector_rows is not Architecture((3, 2, 1)).subvector_rows
+        assert not any(rows.flags.writeable for rows in Architecture((2, 3, 1)).subvector_rows)
+
 
 class TestSubvectors:
     def test_reads_match_layout(self):
